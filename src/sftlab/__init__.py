@@ -26,16 +26,15 @@ from .losses import (
     OBJECTIVES,
     TEMPERED_DEFAULT_BETA,
     DropThresholdError,
-    EmptyResponseError,
     LossConfig,
     LossResult,
     PrConfig,
     Target,
     UnsupportedTargetError,
+    batch_loss,
     drop_threshold,
     focal_scaling,
     pr_weight,
-    sequence_loss,
     token_loss,
 )
 from .metrics import (

@@ -10,6 +10,10 @@ computed as plain constants before the gradient is assembled, which is all
 
 Objective names accepted by LossConfig: ce, scaled_ce, gem, focal, lambda_pr,
 tofu, naive_tempered_focal.
+
+Training runs batch_loss, one kernel over (N, V) logits for every objective.
+The scalar functions are its reference oracle: batch_loss reproduces
+token_loss row by row, bit for bit, and the tests hold it to that.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    LOG_FLOOR,
     as_logits,
     check_temperature,
     log_softmax,
@@ -54,10 +59,6 @@ class DropThresholdError(ValueError):
     def __init__(self, delta: float, message: str):
         super().__init__(message)
         self.delta = delta
-
-
-class EmptyResponseError(ValueError):
-    """Raised when a sequence loss is asked to reduce over zero response tokens."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,31 +381,100 @@ def token_loss(z, target: Target, cfg: LossConfig, position: int = 1, length: in
     raise ValueError(f"unknown objective {name!r}")
 
 
-def sequence_loss(logits, targets, response_mask, cfg: LossConfig) -> LossResult:
-    """Arithmetic mean of per-token losses over unmasked (response) positions.
+def _rows_log_softmax(z: np.ndarray) -> np.ndarray:
+    """numerics.log_softmax applied to each row, with the same operations."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return np.maximum(out, LOG_FLOOR)
 
-    lambda-PR sees 1-based positions counted over the response tokens only,
-    with length equal to the number of unmasked positions. Masked positions
-    are never evaluated, so their targets cannot influence the result.
+
+def _rows_tempered_log_softmax(l: np.ndarray, beta: float) -> np.ndarray:
+    """numerics.tempered_log_softmax applied to each row, as_log_probs' checks included."""
+    if np.any(l > 1e-12):
+        raise ValueError(f"log-probs must be <= 0, max entry {l.max()}")
+    m = l.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(l - m).sum(axis=1, keepdims=True))
+    if np.any(np.abs(lse) > 1e-9):
+        raise ValueError(f"log-probs must normalize: logsumexp up to {np.abs(lse).max()}")
+    return _rows_log_softmax(np.minimum(l, 0.0) / beta)
+
+
+def _residual(p: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """p - q for one-hot rows q."""
+    out = p.copy()
+    out[np.arange(len(targets)), targets] -= 1.0
+    return out
+
+
+def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row values (N,) and logit gradients (N, V) of the objective in cfg.
+
+    Row i is token_loss(logits[i], Target.one_hot(targets[i]), cfg,
+    position=positions[i], length=lengths[i]) bit for bit, and a batch the
+    scalar path rejects raises the same error class. The kernel repeats the
+    scalar arithmetic operation for operation, with its checks in vectorised
+    form. The scalars the oracle takes from Python float powers (lambda-PR's
+    powers of lam, the naive focal value's (1 - p^beta_k)^gamma) or from a
+    BLAS dot (the GEM value) are computed the same way here, row by row,
+    because numpy's vectorised pow and reductions round differently.
     """
-    logits = list(logits)
-    targets = list(targets)
-    mask = [bool(m) for m in response_mask]
-    if not len(logits) == len(targets) == len(mask):
+    name = cfg.objective
+    beta = check_temperature(cfg.resolved_beta())
+    # the scalar path's config objects, built here only for the errors they raise
+    if name == "focal":
+        FocalConfig(cfg.gamma)
+    elif name in ("tofu", "naive_tempered_focal"):
+        TofuConfig(cfg.gamma, beta)
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise ValueError(f"logits must be an (N, V) array with V >= 2, got shape {z.shape}")
+    n, v = z.shape
+    k, positions, lengths = (np.asarray(a, dtype=np.int64) for a in (targets, positions, lengths))
+    if not k.shape == positions.shape == lengths.shape == (n,):
         raise ValueError(
-            f"length mismatch: {len(logits)} logits, {len(targets)} targets, {len(mask)} mask"
+            f"need one target, position and length per row, got shapes {k.shape}, "
+            f"{positions.shape}, {lengths.shape} for {n} rows"
         )
-    length = sum(mask)
-    if length == 0:
-        raise EmptyResponseError("all positions masked: nothing to train on")
-    values = []
-    grads = []
-    position = 0
-    for z, t, m in zip(logits, targets, mask):
-        if not m:
-            continue
-        position += 1
-        result = token_loss(z, t, cfg, position=position, length=length)
-        values.append(result.value)
-        grads.append(result.grad)
-    return LossResult(float(np.mean(values)), np.mean(grads, axis=0))
+    if name == "lambda_pr":
+        if np.any(positions < 1) or np.any(positions > lengths):
+            raise ValueError("need 1 <= position <= length in every row")
+        deltas = {m: drop_threshold(PrConfig(cfg.lam, cfg.alpha, 1, m)) for m in set(lengths.tolist())}
+        delta = np.array([deltas[m] for m in lengths.tolist()])
+        position_factor = np.array(
+            [cfg.lam ** ((i - 1) / m) for i, m in zip(positions.tolist(), lengths.tolist())]
+        )
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits must be finite")
+    if np.any(k < 0) or np.any(k >= v):
+        raise ValueError(f"target index out of range for vocab {v}")
+
+    rows = np.arange(n)
+    l = _rows_log_softmax(z)
+    p = np.exp(l)
+    l_k, p_hat = l[rows, k], p[rows, k]
+    if name == "ce":
+        return -l_k, _residual(p, k)
+    if name == "focal":
+        g = focal_scaling(p_hat, cfg.gamma)
+        return -((1.0 - p_hat) ** cfg.gamma * l_k), g[:, None] * _residual(p, k)
+    if name == "lambda_pr":
+        if not np.all((0.0 <= p_hat) & (p_hat <= 1.0)):
+            raise ValueError("p_hat must lie in [0, 1]")
+        w = np.where(p_hat > delta, 0.0, position_factor * p_hat / (cfg.alpha + (1.0 - cfg.alpha) * p_hat))
+        return -w * l_k, w[:, None] * _residual(p, k)
+
+    lb = _rows_tempered_log_softmax(l, beta)
+    pb = np.exp(lb)
+    lb_k, residual = lb[rows, k], _residual(pb, k)
+    if name == "scaled_ce":
+        return -beta * lb_k, residual
+    if name == "gem":
+        return -l_k + np.array([np.dot(a, b) for a, b in zip(pb, l)]), residual
+    if name == "tofu":
+        g = focal_scaling(p_hat, cfg.gamma)
+        return -g * beta * lb_k, g[:, None] * residual
+    if name == "naive_tempered_focal":
+        pb_k = pb[rows, k]
+        factor = np.array([(1.0 - x) ** cfg.gamma for x in pb_k.tolist()])
+        return -beta * factor * lb_k, focal_scaling(pb_k, cfg.gamma)[:, None] * residual
+    raise ValueError(f"unknown objective {name!r}")

@@ -170,7 +170,6 @@ def backward_batch(model: ToyModel, cache, dlogits: np.ndarray) -> Gradients:
     """Exact reverse pass. dlogits rows carry whatever per-position scaling the
     caller chose; this function is linear in them."""
     contexts, x, hidden = cache
-    B = contexts.shape[0]
     grads = Gradients.zeros_like(model)
     grads.w_out[:] = hidden.T @ dlogits
     grads.b_out[:] = dlogits.sum(axis=0)
@@ -178,8 +177,12 @@ def backward_batch(model: ToyModel, cache, dlogits: np.ndarray) -> Gradients:
     dpre = (1.0 - hidden**2) * dhidden
     grads.w_hidden[:] = x.T @ dpre
     grads.b_hidden[:] = dpre.sum(axis=0)
-    dx = (dpre @ model.w_hidden.T).reshape(B, model.context, -1)
-    np.add.at(grads.embed, contexts, dx)
+    dx = dpre @ model.w_hidden.T
+    # one bincount over flat (token, column) slots sums each slot's terms in
+    # row order, the order np.add.at would use, so the result is bit-equal
+    V, d = grads.embed.shape
+    slots = (contexts[..., None] * d + np.arange(d)).ravel()
+    grads.embed[:] = np.bincount(slots, weights=dx.ravel(), minlength=V * d).reshape(V, d)
     return grads
 
 

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .hashing import config_hash
-from .losses import LossConfig, Target, token_loss
+# token_loss stays importable from here: perfbench traces it under this module's name
+from .losses import LossConfig, batch_loss, token_loss  # noqa: F401
 from .model import Gradients, ToyModel, Vocab, backward_batch, forward, forward_batch, pad_context
 from .numerics import log_softmax
 
@@ -226,8 +227,10 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
 
     The input model is left untouched; the trained copy comes back inside the
     checkpoint. Batches are drawn from a seeded reshuffled stream, losses are
-    the mean over examples of each example's per-position mean, and a
-    non-finite loss aborts with the failing step.
+    the mean over examples of each example's per-position mean, taken from
+    one losses.batch_loss call per step. Non-finite logits, a non-finite
+    loss, or non-finite parameters after the last update abort with the
+    failing step.
     """
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
@@ -261,24 +264,16 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
             # parameters overflowed on an earlier update; the per-token losses
             # themselves are bounded by the log floor and cannot signal this
             raise TrainingDivergedError(step, f"non-finite logits at step {step}")
-        dlogits = np.zeros_like(logits)
+        lengths = np.concatenate([np.full(len(b.targets), len(b.targets)) for b in batch])
+        positions = np.concatenate([np.arange(1, len(b.targets) + 1) for b in batch])
+        values, dlogits = batch_loss(
+            logits, np.concatenate([b.targets for b in batch]), positions, lengths, cfg.objective
+        )
+        weights = (1.0 / len(batch)) / lengths
+        dlogits *= weights[:, None]
         loss = 0.0
-        row = 0
-        inv_batch = 1.0 / len(batch)
-        for b in batch:
-            length = len(b.targets)
-            weight = inv_batch / length
-            for j in range(length):
-                result = token_loss(
-                    logits[row],
-                    Target.one_hot(int(b.targets[j])),
-                    cfg.objective,
-                    position=j + 1,
-                    length=length,
-                )
-                loss += result.value * weight
-                dlogits[row] = result.grad * weight
-                row += 1
+        for term in (values * weights).tolist():  # a sequential sum, in row order
+            loss += term
         if not np.isfinite(loss):
             raise TrainingDivergedError(step, f"non-finite loss at step {step}")
         grads = backward_batch(model, cache, dlogits)
@@ -293,6 +288,10 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
             if cfg.weight_decay > 0 and name in decayed:
                 param -= lr * cfg.weight_decay * param
         trace.append(TraceRow(step, float(loss), float(lr)))
+    if cfg.total_steps > 0 and not all(np.all(np.isfinite(p)) for _, p in model.named_params()):
+        # an overflow on the last update has no next step's logits to show it
+        last = cfg.total_steps - 1
+        raise TrainingDivergedError(last, f"non-finite parameters after the update at step {last}")
 
     checkpoint = Checkpoint(
         model=model,

@@ -1,18 +1,19 @@
 """Loss zoo tests: frozen hand-derived values, algebraic reductions, error
-paths, and the sequence-level aggregation contract."""
+paths, and the batched kernel pinned to the scalar oracle."""
 
 import numpy as np
 import pytest
 
 from sftlab.losses import (
+    OBJECTIVES,
     DropThresholdError,
-    EmptyResponseError,
     FocalConfig,
     LossConfig,
     PrConfig,
     Target,
     TofuConfig,
     UnsupportedTargetError,
+    batch_loss,
     ce,
     drop_threshold,
     focal,
@@ -22,7 +23,6 @@ from sftlab.losses import (
     naive_tempered_focal,
     pr_weight,
     scaled_ce,
-    sequence_loss,
     token_loss,
     tofu,
 )
@@ -332,43 +332,110 @@ class TestLossConfig:
             LossConfig("gem", beta=1.5)
 
 
-class TestSequenceLoss:
-    def test_single_position_equals_token_loss(self):
-        cfg = LossConfig("ce")
-        res = sequence_loss([Z_04], [Target.one_hot(1)], [True], cfg)
-        tok = token_loss(Z_04, Target.one_hot(1), cfg)
-        assert res.value == tok.value
-        np.testing.assert_array_equal(res.grad, tok.grad)
+# (gamma, beta) and (lam, alpha) grids for the kernel test. lam=0.3,
+# alpha=0.2 puts the drop threshold near 0.08 for short responses; lam=0.65
+# gives position discounts where numpy's pow and Python's round differently.
+GAMMAS = (0.0, 0.5, 1.0, 3.0)
+BETAS = (0.5, 0.7, 0.9, 1.0)
+PR_PAIRS = ((1.0, 0.5), (0.5, 0.5), (0.5, 0.25), (0.3, 0.2), (0.65, 0.5))
 
-    def test_two_identical_positions(self):
-        cfg = LossConfig("ce")
-        res = sequence_loss([Z_04, Z_04], [Target.one_hot(1)] * 2, [True, True], cfg)
-        tok = token_loss(Z_04, Target.one_hot(1), cfg)
-        assert abs(res.value - tok.value) < 1e-15
 
-    def test_masked_prefix_excluded(self):
-        cfg = LossConfig("ce")
-        zs = [np.array([5.0, -5.0]), Z_04, np.array([1.0, 0.0])]
-        ts = [Target.one_hot(0), Target.one_hot(1), Target.one_hot(0)]
-        res = sequence_loss(zs, ts, [False, True, True], cfg)
-        t1 = token_loss(zs[1], ts[1], cfg)
-        t2 = token_loss(zs[2], ts[2], cfg)
-        assert abs(res.value - (t1.value + t2.value) / 2) < 1e-12
-        np.testing.assert_allclose(res.grad, (t1.grad + t2.grad) / 2, atol=1e-15)
+def kernel_configs(name):
+    if name == "lambda_pr":
+        return [LossConfig(name, lam=lam, alpha=alpha) for lam, alpha in PR_PAIRS]
+    gammas = GAMMAS if name in ("focal", "tofu", "naive_tempered_focal") else (3.0,)
+    betas = BETAS if name in ("scaled_ce", "gem", "tofu", "naive_tempered_focal") else (None,)
+    return [LossConfig(name, gamma=g, beta=b) for g in gammas for b in betas]
 
-    def test_lambda_pr_positions_count_response_only(self):
-        cfg = LossConfig("lambda_pr", lam=0.5, alpha=0.5)
-        zs = [Z_04, Z_04, Z_04]
-        ts = [Target.one_hot(0)] * 3
-        res = sequence_loss(zs, ts, [False, True, True], cfg)
-        t1 = token_loss(Z_04, ts[1], cfg, position=1, length=2)
-        t2 = token_loss(Z_04, ts[2], cfg, position=2, length=2)
-        assert abs(res.value - (t1.value + t2.value) / 2) < 1e-12
 
-    def test_all_masked_raises(self):
-        with pytest.raises(EmptyResponseError):
-            sequence_loss([Z_04], [Target.one_hot(0)], [False], LossConfig("ce"))
+def random_rows(rng, n, vocab, scale):
+    """Logits at the given scale, targets half on the argmax (so p_hat can
+    saturate to 1), and 1-based positions within response lengths up to 44."""
+    z = rng.normal(0.0, scale, (n, vocab))
+    targets = rng.integers(vocab, size=n)
+    targets[::2] = z[::2].argmax(axis=1)
+    lengths = rng.integers(1, 45, size=n)
+    positions = np.array([rng.integers(1, m + 1) for m in lengths])
+    return z, targets, positions, lengths
 
-    def test_length_mismatch(self):
+
+def oracle_rows(z, targets, positions, lengths, cfg):
+    return [
+        token_loss(z[i], Target.one_hot(int(targets[i])), cfg, position=int(positions[i]), length=int(lengths[i]))
+        for i in range(len(targets))
+    ]
+
+
+def oracle_error(z, targets, positions, lengths, cfg):
+    try:
+        oracle_rows(z, targets, positions, lengths, cfg)
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_rows_match_token_loss_bitwise(self, name):
+        rng = np.random.default_rng(17)
+        dropped = 0
+        for cfg in kernel_configs(name):
+            for vocab in (2, 3, 7, 28, 64):
+                for scale in (0.1, 1.0, 30.0, 200.0):  # 200 drives entries to LOG_FLOOR
+                    rows = random_rows(rng, 8, vocab, scale)
+                    values, grads = batch_loss(*rows, cfg)
+                    assert values.shape == (8,) and grads.shape == (8, vocab)
+                    for i, res in enumerate(oracle_rows(*rows, cfg)):
+                        assert float(values[i]).hex() == float(res.value).hex(), (cfg, vocab, scale, i)
+                        assert grads[i].tobytes() == res.grad.tobytes(), (cfg, vocab, scale, i)
+                    dropped += int(np.sum(~grads.any(axis=1)))
+        if name == "lambda_pr":
+            assert dropped > 0  # the grid reaches rows over the drop threshold
+
+    @pytest.mark.parametrize(
+        "cfg, edit",
+        [
+            (LossConfig(name), "nonfinite") for name in OBJECTIVES
+        ] + [
+            (LossConfig(name), edit) for name in ("ce", "tofu", "lambda_pr") for edit in ("target_high", "target_low")
+        ] + [
+            (LossConfig(name, gamma=-1.0), None) for name in ("focal", "tofu", "naive_tempered_focal")
+        ] + [
+            (LossConfig("lambda_pr"), "position_high"),
+            (LossConfig("lambda_pr"), "position_zero"),
+            (LossConfig("lambda_pr", lam=0.5, alpha=0.0), None),
+            (LossConfig("lambda_pr", lam=1.0, alpha=0.0), None),
+            (LossConfig("lambda_pr", lam=4.0, alpha=0.5), None),
+            (LossConfig("lambda_pr", lam=0.0), None),
+            (LossConfig("lambda_pr", alpha=1.5), None),
+        ],
+    )
+    def test_errors_match_token_loss(self, cfg, edit):
+        z, targets, positions, lengths = random_rows(np.random.default_rng(5), 6, 5, 1.0)
+        lengths[:] = 1
+        positions[:] = 1
+        if edit == "nonfinite":
+            z[3, 2] = np.inf
+        elif edit == "target_high":
+            targets[4] = 5
+        elif edit == "target_low":
+            targets[4] = -1
+        elif edit == "position_high":
+            positions[2] = 2
+        elif edit == "position_zero":
+            positions[2] = 0
+        expected = oracle_error(z, targets, positions, lengths, cfg)
+        assert expected is not None
+        with pytest.raises(ValueError) as err:
+            batch_loss(z, targets, positions, lengths, cfg)
+        assert type(err.value) is expected
+
+    def test_rejects_mismatched_shapes(self):
+        z = np.zeros((3, 4))
+        one = np.ones(3, dtype=np.int64)
         with pytest.raises(ValueError):
-            sequence_loss([Z_04], [Target.one_hot(0)] * 2, [True], LossConfig("ce"))
+            batch_loss(z[0], one, one, one, LossConfig("ce"))
+        with pytest.raises(ValueError):
+            batch_loss(np.zeros((3, 1)), one, one, one, LossConfig("ce"))
+        with pytest.raises(ValueError):
+            batch_loss(z, one[:2], one, one, LossConfig("ce"))

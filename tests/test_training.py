@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sftlab.losses import LossConfig
+from sftlab.losses import OBJECTIVES, LossConfig, Target, token_loss
 from sftlab.hashing import config_hash
-from sftlab.model import ToyModel, Vocab, forward
+from sftlab.model import ToyModel, Vocab, backward_batch, forward, forward_batch
 from sftlab.training import (
     Checkpoint,
     Corpus,
@@ -238,6 +238,61 @@ def test_train_diverges_on_absurd_learning_rate():
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as exc:
         train(model, corpus, cfg)
     assert exc.value.step >= 1
+
+
+def test_train_final_step_divergence_raises():
+    # the overflow lands on the last update, so no later step's logits show it
+    corpus, _, model = tiny_setup()
+    cfg = TrainConfig(objective=LossConfig("ce"), learning_rate=1e306,
+                      warmup_steps=0, total_steps=1, batch_size=2)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as exc:
+        train(model, corpus, cfg)
+    assert exc.value.step == 0
+
+
+def reference_train(model, corpus, cfg):
+    """train's update rule with the loss stage taken row by row from the
+    scalar token_loss; needs batch_size == len(corpus) and no momentum, so
+    every step's batch is one fresh permutation."""
+    assert cfg.batch_size == len(corpus) and cfg.momentum == 0.0
+    model = model.copy()
+    rng = np.random.default_rng(cfg.seed)
+    encoded = [encode_example(model.vocab, ex, model.context) for ex in corpus.examples]
+    losses = []
+    for step in range(cfg.total_steps):
+        batch = [encoded[int(i)] for i in rng.permutation(len(encoded))]
+        logits, cache = forward_batch(model, np.concatenate([b.contexts for b in batch]))
+        dlogits = np.zeros_like(logits)
+        loss, row = 0.0, 0
+        for b in batch:
+            weight = (1.0 / len(batch)) / len(b.targets)
+            for j, t in enumerate(b.targets):
+                res = token_loss(logits[row], Target.one_hot(int(t)), cfg.objective,
+                                 position=j + 1, length=len(b.targets))
+                loss += res.value * weight
+                dlogits[row] = res.grad * weight
+                row += 1
+        grads = backward_batch(model, cache, dlogits)
+        lr = schedule_lr(step, cfg)
+        for name, param in model.named_params():
+            param -= lr * getattr(grads, name)
+            if name in ("embed", "w_hidden", "w_out"):
+                param -= lr * cfg.weight_decay * param
+        losses.append(loss)
+    return model, losses
+
+
+@pytest.mark.parametrize("name", OBJECTIVES)
+def test_train_matches_scalar_reference_bitwise(name):
+    corpus, _, model = tiny_setup()
+    objective = LossConfig(name, lam=0.5, alpha=0.25) if name == "lambda_pr" else LossConfig(name)
+    cfg = TrainConfig(objective=objective, learning_rate=0.5, warmup_steps=1,
+                      total_steps=4, batch_size=len(corpus), seed=3)
+    ckpt, trace = train(model, corpus, cfg)
+    ref_model, ref_losses = reference_train(model, corpus, cfg)
+    assert [row.loss.hex() for row in trace] == [v.hex() for v in ref_losses]
+    for pname, param in ckpt.model.named_params():
+        assert param.tobytes() == getattr(ref_model, pname).tobytes(), pname
 
 
 def test_train_momentum_changes_result():
