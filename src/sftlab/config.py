@@ -9,6 +9,7 @@ directory; relative output paths resolve against SFTLAB_OUT_ROOT when set.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -47,15 +48,17 @@ def parse_objective(data: dict, where: str = "objective") -> LossConfig:
     _check_keys(data, {"name", "gamma", "beta", "lambda", "alpha"}, where)
     name = _require(data, "name", where)
     try:
-        return LossConfig(
+        cfg = LossConfig(
             objective=name,
             gamma=float(data.get("gamma", 3.0)),
             beta=None if data.get("beta") is None else float(data["beta"]),
             lam=float(data.get("lambda", 1.0)),
             alpha=float(data.get("alpha", 0.5)),
         )
+        cfg.params()  # range-checks the hyperparameters this objective consumes
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -183,12 +186,7 @@ class ExperimentConfig:
         return {
             "train": self.train.to_dict(),
             "model": self.model.to_dict(),
-            "sampling": {
-                "top_p": self.sampling.top_p,
-                "temperature": self.sampling.temperature,
-                "max_tokens": self.sampling.max_tokens,
-                "seed": self.sampling.seed,
-            },
+            "sampling": self.sampling.to_dict(),
             "seeds": list(self.seeds),
         }
 
@@ -255,15 +253,15 @@ def load_sweep_spec(path) -> SweepSpec:
         str(path),
     )
     objectives = tuple(data.get("objectives", ["tofu"]))
-    from .losses import OBJECTIVES
-
-    for name in objectives:
-        if name not in OBJECTIVES:
-            raise ConfigError(f"unknown objective {name!r} in sweep grid")
     gammas = tuple(float(g) for g in data.get("gammas", [3.0]))
     betas = tuple(float(b) for b in data.get("betas", [0.8]))
     if not gammas or not betas or not objectives:
         raise ConfigError("sweep grid must be non-empty")
+    for name, gamma, beta in itertools.product(objectives, gammas, betas):
+        try:
+            LossConfig(name, gamma=gamma, beta=beta).params()
+        except ValueError as exc:
+            raise ConfigError(f"sweep cell ({name!r}, gamma {gamma:g}, beta {beta:g}): {exc}") from None
     metrics = tuple(data.get("metrics", list(DEFAULT_EVAL_METRICS)))
     for m in metrics:
         if m not in KNOWN_METRICS:

@@ -19,15 +19,14 @@ from typing import Callable
 import numpy as np
 
 from .losses import (
+    OBJECTIVE_TABLE,
     OBJECTIVES,
     LossConfig,
-    PrConfig,
     Target,
     focal,
     focal_scaling,
     gem,
     naive_tempered_focal,
-    pr_weight,
     scaled_ce,
     token_loss,
     tofu,
@@ -169,44 +168,22 @@ def fd_gradient(value_fn: Callable[[np.ndarray], float], z, spec: FiniteDiffSpec
     return grad
 
 
-def frozen_value_fn(cfg: LossConfig, z0, target: Target) -> Callable[[np.ndarray], float]:
+def frozen_value_fn(
+    cfg: LossConfig, z0, target: Target, position: int = 1, length: int = 1
+) -> Callable[[np.ndarray], float]:
     """Value function of the logits with detached quantities frozen at z0.
 
     GEM freezes its tempered distribution, lambda-PR freezes the weight (and
-    with it the drop indicator), TOFU freezes the focal factor. The remaining
-    objectives differentiate their value expressions as written.
+    with it the drop indicator), TOFU freezes the focal factor, each through
+    its OBJECTIVE_TABLE entry. The remaining objectives differentiate their
+    value expressions as written.
     """
-    name = cfg.objective
-    z0 = np.asarray(z0, dtype=np.float64)
-    l0 = log_softmax(z0)
-    if name == "gem":
-        beta = cfg.resolved_beta()
-        pb0 = np.exp(tempered_log_softmax(l0, beta))
-        q = target.dense(z0.size)
+    freeze = OBJECTIVE_TABLE[cfg.objective].freeze
+    if freeze is not None:
+        return freeze(cfg.params(position, length), target, log_softmax(np.asarray(z0, dtype=np.float64)))
 
-        def value(z):
-            l = log_softmax(z)
-            return float(-np.dot(q, l) + np.dot(pb0, l))
-
-    elif name == "lambda_pr":
-        k = target.index
-        w0 = pr_weight(float(np.exp(l0[k])), PrConfig(cfg.lam, cfg.alpha, 1, 1))
-
-        def value(z):
-            return float(-w0 * log_softmax(z)[k])
-
-    elif name == "tofu":
-        k = target.index
-        beta = cfg.resolved_beta()
-        g0 = focal_scaling(float(np.exp(l0[k])), cfg.gamma)
-
-        def value(z):
-            return float(-g0 * beta * tempered_log_softmax(log_softmax(z), beta)[k])
-
-    else:
-
-        def value(z):
-            return token_loss(z, target, cfg).value
+    def value(z):
+        return token_loss(z, target, cfg, position=position, length=length).value
 
     return value
 
@@ -456,31 +433,18 @@ def verify_finite_difference(
     max_err = 0.0
     per_objective = {}
     counterexample = None
-    soft_capable = {"ce", "scaled_ce", "gem", "focal"}
     for name in names:
+        soft_targets = OBJECTIVE_TABLE[name].soft_targets
         worst = 0.0
         for i in range(trials):
             t = draw_trial(rng)
-            if name in soft_capable and i % 3 == 2:
+            if soft_targets and i % 3 == 2:
                 target = Target.soft(rng.dirichlet(np.ones(t.z.size)))
             else:
                 target = Target.one_hot(t.index)
             cfg, position, length = _trial_loss_config(name, t, rng)
             analytic = token_loss(t.z, target, cfg, position=position, length=length).grad
-            if name == "lambda_pr":
-                # freeze the weight exactly as token_loss computed it
-                k = target.index
-                w0 = pr_weight(
-                    float(np.exp(log_softmax(t.z))[k]),
-                    PrConfig(cfg.lam, cfg.alpha, position, length),
-                )
-
-                def value(z, k=k, w0=w0):
-                    return float(-w0 * log_softmax(z)[k])
-
-                numeric = fd_gradient(value, t.z, fd)
-            else:
-                numeric = fd_gradient(frozen_value_fn(cfg, t.z, target), t.z, fd)
+            numeric = fd_gradient(frozen_value_fn(cfg, t.z, target, position, length), t.z, fd)
             err = rel_error(numeric, analytic, fd.norm_floor)
             if err > worst:
                 worst = err

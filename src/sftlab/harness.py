@@ -29,7 +29,7 @@ from .config import (
     load_prompts,
 )
 from .hashing import config_hash, content_hash
-from .losses import PrConfig, drop_threshold, focal_scaling
+from .losses import PrConfig, focal_scaling, pr_weight
 from .metrics import (
     GenerationSet,
     MetricReport,
@@ -209,12 +209,7 @@ def run_eval(
         config_hash=config_hash(
             {
                 "checkpoint": content_hash(checkpoint_path),
-                "sampling": {
-                    "top_p": sampling.top_p,
-                    "temperature": sampling.temperature,
-                    "max_tokens": sampling.max_tokens,
-                    "seed": sampling.seed,
-                },
+                "sampling": sampling.to_dict(),
                 "samples": samples,
                 "metrics": list(metrics),
             }
@@ -249,10 +244,8 @@ def run_curves(out_path) -> Path:
         columns.append(focal_scaling(p_grid, gamma))
     for lam, alpha in CURVE_PR_GRID:
         header.append(f"w_{lam:g}_{alpha:g}")
-        delta = drop_threshold(PrConfig(lam, alpha, 1, 1))
-        # position factor lam^0 = 1: curves show the weight at response start
-        w = np.where(p_grid <= delta, p_grid / (alpha + (1.0 - alpha) * p_grid), 0.0)
-        columns.append(w)
+        # PrConfig's default position 1: curves show the weight at response start
+        columns.append([pr_weight(p, PrConfig(lam, alpha)) for p in p_grid])
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -387,6 +380,8 @@ def run_sweep(spec: SweepSpec) -> dict:
                 "seeds": list(spec.seeds),
                 "train": spec.train.to_dict(),
                 "model": spec.model.to_dict(),
+                "sampling": spec.sampling.to_dict(),
+                "prompts": content_hash(spec.prompts),
                 "samples_per_prompt": spec.samples_per_prompt,
                 "metrics": list(spec.metrics),
             }
@@ -523,6 +518,7 @@ def run_probe(spec: ProbeSpec) -> dict:
                 "prompt": spec.prompt,
                 "valid_tokens": list(spec.valid_tokens),
                 "seeds": list(spec.seeds),
+                "sft_corpus": content_hash(spec.sft_corpus),
             }
         ),
         corpus_hash=content_hash(spec.pretrain_corpus),

@@ -8,8 +8,11 @@ GEM, the focal factor in TOFU, the weight and indicator in lambda-PR) are
 computed as plain constants before the gradient is assembled, which is all
 "stop-gradient" means without an autograd tape.
 
-Objective names accepted by LossConfig: ce, scaled_ce, gem, focal, lambda_pr,
-tofu, naive_tempered_focal.
+OBJECTIVE_TABLE states each objective's facts once: its scalar function, the
+hyperparameters it consumes, its default beta, whether it takes soft targets,
+and how finite differences freeze its detached quantity. Its names, in order,
+are OBJECTIVES: ce, scaled_ce, gem, focal, lambda_pr, tofu,
+naive_tempered_focal.
 
 Training runs batch_loss, one kernel over (N, V) logits for every objective.
 The scalar functions are its reference oracle: batch_loss reproduces
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -30,16 +34,6 @@ from .numerics import (
     log_softmax,
     temper,
     tempered_log_softmax,
-)
-
-OBJECTIVES = (
-    "ce",
-    "scaled_ce",
-    "gem",
-    "focal",
-    "lambda_pr",
-    "tofu",
-    "naive_tempered_focal",
 )
 
 # Flagged defaults: the GEM temperature is inherited from its original
@@ -331,6 +325,67 @@ def naive_tempered_focal(z, target: Target, cfg: TofuConfig) -> LossResult:
     return LossResult(value, focal_scaling(pb_k, cfg.gamma) * (np.exp(lb) - q))
 
 
+# Finite-difference value functions of the logits, detached quantity held at base log-probs l0
+
+
+def _gem_frozen(beta: float, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], float]:
+    pb0 = np.exp(tempered_log_softmax(l0, beta))
+    q = target.dense(l0.size)
+
+    def value(z):
+        l = log_softmax(z)
+        return float(-np.dot(q, l) + np.dot(pb0, l))
+
+    return value
+
+
+def _lambda_pr_frozen(cfg: PrConfig, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], float]:
+    k = target.index
+    w0 = pr_weight(float(np.exp(l0[k])), cfg)
+    return lambda z: float(-w0 * log_softmax(z)[k])
+
+
+def _tofu_frozen(cfg: TofuConfig, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], float]:
+    k = target.index
+    g0 = focal_scaling(float(np.exp(l0[k])), cfg.gamma)
+    return lambda z: float(-g0 * cfg.beta * tempered_log_softmax(log_softmax(z), cfg.beta)[k])
+
+
+@dataclass(frozen=True)
+class Objective:
+    """One OBJECTIVE_TABLE entry. oracle(z, target, params) is the scalar
+    reference; params(cfg, position, length) builds its params argument from
+    the hyperparameters the objective consumes, which is also their range
+    check; freeze(params, target, l0), set where the objective has a detached
+    quantity, returns the finite-difference value function with it frozen."""
+
+    oracle: Callable[[Any, Target, Any], LossResult]
+    params: Callable[["LossConfig", int, int], Any]
+    default_beta: float = 1.0
+    soft_targets: bool = False
+    freeze: Callable[[Any, Target, np.ndarray], Callable[[np.ndarray], float]] | None = None
+
+
+def _beta_params(cfg: "LossConfig", position: int, length: int) -> float:
+    return cfg.resolved_beta()
+
+
+def _tofu_params(cfg: "LossConfig", position: int, length: int) -> TofuConfig:
+    return TofuConfig(cfg.gamma, cfg.resolved_beta())
+
+
+OBJECTIVE_TABLE = {
+    "ce": Objective(lambda z, target, _: ce(z, target), lambda cfg, i, m: None, soft_targets=True),
+    "scaled_ce": Objective(scaled_ce, _beta_params, TEMPERED_DEFAULT_BETA, soft_targets=True),
+    "gem": Objective(gem, _beta_params, GEM_DEFAULT_BETA, soft_targets=True, freeze=_gem_frozen),
+    "focal": Objective(focal, lambda cfg, i, m: FocalConfig(cfg.gamma), soft_targets=True),
+    "lambda_pr": Objective(lambda_pr, lambda cfg, i, m: PrConfig(cfg.lam, cfg.alpha, i, m), freeze=_lambda_pr_frozen),
+    "tofu": Objective(tofu, _tofu_params, TEMPERED_DEFAULT_BETA, freeze=_tofu_frozen),
+    "naive_tempered_focal": Objective(naive_tempered_focal, _tofu_params, TEMPERED_DEFAULT_BETA),
+}
+OBJECTIVES = tuple(OBJECTIVE_TABLE)
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Objective selector plus the union of hyperparameters the zoo uses.
@@ -352,33 +407,18 @@ class LossConfig:
             check_temperature(self.beta)
 
     def resolved_beta(self) -> float:
-        if self.beta is not None:
-            return self.beta
-        if self.objective == "gem":
-            return GEM_DEFAULT_BETA
-        if self.objective in ("scaled_ce", "tofu", "naive_tempered_focal"):
-            return TEMPERED_DEFAULT_BETA
-        return 1.0
+        return OBJECTIVE_TABLE[self.objective].default_beta if self.beta is None else self.beta
+
+    def params(self, position: int = 1, length: int = 1) -> Any:
+        """The oracle's params argument; raises ValueError on a consumed
+        hyperparameter out of range. The length-1 check is exact: the lambda-PR
+        drop threshold lies in (0, 1] at every length iff it does at length 1."""
+        return OBJECTIVE_TABLE[self.objective].params(self, position, length)
 
 
 def token_loss(z, target: Target, cfg: LossConfig, position: int = 1, length: int = 1) -> LossResult:
     """Dispatch a single-token loss through the objective named in cfg."""
-    name = cfg.objective
-    if name == "ce":
-        return ce(z, target)
-    if name == "scaled_ce":
-        return scaled_ce(z, target, cfg.resolved_beta())
-    if name == "gem":
-        return gem(z, target, cfg.resolved_beta())
-    if name == "focal":
-        return focal(z, target, FocalConfig(cfg.gamma))
-    if name == "lambda_pr":
-        return lambda_pr(z, target, PrConfig(cfg.lam, cfg.alpha, position, length))
-    if name == "tofu":
-        return tofu(z, target, TofuConfig(cfg.gamma, cfg.resolved_beta()))
-    if name == "naive_tempered_focal":
-        return naive_tempered_focal(z, target, TofuConfig(cfg.gamma, cfg.resolved_beta()))
-    raise ValueError(f"unknown objective {name!r}")
+    return OBJECTIVE_TABLE[cfg.objective].oracle(z, target, cfg.params(position, length))
 
 
 def _rows_log_softmax(z: np.ndarray) -> np.ndarray:
@@ -420,11 +460,7 @@ def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np
     """
     name = cfg.objective
     beta = check_temperature(cfg.resolved_beta())
-    # the scalar path's config objects, built here only for the errors they raise
-    if name == "focal":
-        FocalConfig(cfg.gamma)
-    elif name in ("tofu", "naive_tempered_focal"):
-        TofuConfig(cfg.gamma, beta)
+    cfg.params()  # the scalar path's params, built here only for the errors they raise
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError(f"logits must be an (N, V) array with V >= 2, got shape {z.shape}")
@@ -438,7 +474,7 @@ def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np
     if name == "lambda_pr":
         if np.any(positions < 1) or np.any(positions > lengths):
             raise ValueError("need 1 <= position <= length in every row")
-        deltas = {m: drop_threshold(PrConfig(cfg.lam, cfg.alpha, 1, m)) for m in set(lengths.tolist())}
+        deltas = {m: drop_threshold(cfg.params(1, m)) for m in set(lengths.tolist())}
         delta = np.array([deltas[m] for m in lengths.tolist()])
         position_factor = np.array(
             [cfg.lam ** ((i - 1) / m) for i, m in zip(positions.tolist(), lengths.tolist())]

@@ -8,9 +8,8 @@ checkpoints.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -173,10 +172,9 @@ class Checkpoint:
     model: ToyModel
     step: int
     config_hash: str
-    rng_state: dict = field(default_factory=dict)
 
     MAGIC = b"SFTLABCK"
-    VERSION = 1
+    VERSION = 2
 
     def save(self, path):
         path = Path(path)
@@ -186,7 +184,6 @@ class Checkpoint:
             "format_version": self.VERSION,
             "step": self.step,
             "config_hash": self.config_hash,
-            "rng_state": self.rng_state,
             "vocab_chars": self.model.vocab.chars,
             "context": self.model.context,
             "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
@@ -207,7 +204,9 @@ class Checkpoint:
             raise ValueError(f"{path} is not a checkpoint (bad magic)")
         version = int.from_bytes(raw[8:12], "little")
         if version != cls.VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(
+                f"{path}: unsupported checkpoint version {version}; retrain to write version {cls.VERSION}"
+            )
         header_len = int.from_bytes(raw[12:20], "little")
         header = json.loads(raw[20 : 20 + header_len].decode("utf-8"))
         offset = 20 + header_len
@@ -219,7 +218,7 @@ class Checkpoint:
             params[spec["name"]] = arr.copy()
             offset += count * 8
         model = ToyModel(vocab=Vocab(header["vocab_chars"]), context=header["context"], **params)
-        return cls(model=model, step=header["step"], config_hash=header["config_hash"], rng_state=header["rng_state"])
+        return cls(model=model, step=header["step"], config_hash=header["config_hash"])
 
 
 def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint, list[TraceRow]]:
@@ -293,13 +292,7 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
         last = cfg.total_steps - 1
         raise TrainingDivergedError(last, f"non-finite parameters after the update at step {last}")
 
-    checkpoint = Checkpoint(
-        model=model,
-        step=cfg.total_steps,
-        config_hash=cfg_hash,
-        rng_state=copy.deepcopy(rng.bit_generator.state),
-    )
-    return checkpoint, trace
+    return Checkpoint(model=model, step=cfg.total_steps, config_hash=cfg_hash), trace
 
 
 def synth_diversity_corpus(table, samples_per_prompt: int, seed: int) -> tuple[Corpus, dict]:

@@ -102,6 +102,13 @@ def test_train_divergence_is_runtime_error(tmp_path, capsys):
     assert "TrainingDivergedError" in capsys.readouterr().err
 
 
+def test_train_out_of_range_hyperparameter_is_usage_error(tmp_path, capsys):
+    cfg = write_experiment(tmp_path, objective={"name": "lambda_pr", "alpha": 0.0})
+    assert main(["train", str(cfg)]) == 2
+    assert "drop threshold" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ------------------------------------------------------------------ eval ----
 
 
@@ -298,6 +305,26 @@ def test_sweep_cli_bad_spec_is_usage_error(tmp_path):
     assert main(["sweep", str(spec)]) == 2
 
 
+@pytest.mark.parametrize("grid", [{"gammas": [-1.0]}, {"betas": [1.5]}])
+def test_sweep_cli_out_of_range_hyperparameter_is_usage_error(tmp_path, grid):
+    spec = write_sweep(tmp_path, **grid)
+    assert main(["sweep", str(spec)]) == 2
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_run_hash_covers_sampling_and_prompts(tmp_path):
+    def run_hash(name, **overrides):
+        spec = write_sweep(tmp_path, gammas=[3.0], seeds=[0], output_dir=str(tmp_path / name), **overrides)
+        assert main(["sweep", str(spec)]) == 0
+        return json.loads((tmp_path / name / "run.json").read_text())["config_hash"]
+
+    base = run_hash("base")
+    assert run_hash("top_p", sampling={"max_tokens": 6, "top_p": 0.5}) != base
+    # a different prompts file whose path the hash never sees, only its content
+    (tmp_path / "edited.jsonl").write_text(json.dumps({"id": "p0", "prompt": "ca"}) + "\n")
+    assert run_hash("prompts", prompts="edited.jsonl") != base
+
+
 # ------------------------------------------------------------------ probe ----
 
 
@@ -350,3 +377,26 @@ def test_probe_cli_end_to_end(tmp_path, capsys):
             by_seed_total[row["seed"]] = by_seed_total.get(row["seed"], 0.0) + float(row["probability"])
     for seed, mass in by_seed_total.items():
         assert 0.0 < mass <= 1.0 + 1e-12
+
+
+def test_probe_run_hash_covers_sft_corpus(tmp_path):
+    write_corpus(tmp_path / "pre.jsonl")
+    payload = {
+        "pretrain": {"corpus": "pre.jsonl", "train": {"total_steps": 2, "warmup_steps": 1, "batch_size": 2}},
+        "sft": {
+            "corpus": "sft.jsonl",
+            "train": {"total_steps": 2, "warmup_steps": 1, "batch_size": 2},
+            "objectives": [{"name": "ce"}],
+        },
+        "model": MODEL,
+        "probe": {"prompt": "a", "valid_tokens": ["a", "b"]},
+        "seeds": [0],
+    }
+    hashes = []
+    for name, response in (("base", "a"), ("edited", "b")):
+        (tmp_path / "sft.jsonl").write_text(json.dumps({"prompt": "a", "response": response}) + "\n")
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**payload, "output_dir": str(tmp_path / name)}))
+        assert main(["probe", str(cfg)]) == 0
+        hashes.append(json.loads((tmp_path / name / "run.json").read_text())["config_hash"])
+    assert hashes[0] != hashes[1]

@@ -56,6 +56,14 @@ def test_parse_objective_requires_name():
         parse_objective({"gamma": 2.0})
 
 
+def test_parse_objective_checks_consumed_hyperparameters():
+    assert parse_objective({"name": "ce", "gamma": -1}).gamma == -1.0
+    for bad in ({"name": "tofu", "gamma": -1}, {"name": "lambda_pr", "alpha": 0.0},
+                {"name": "lambda_pr", "lambda": 1.5}):
+        with pytest.raises(ConfigError):
+            parse_objective(bad)
+
+
 def test_parse_objective_wraps_value_errors():
     with pytest.raises(ConfigError):
         parse_objective({"name": "nope"})
@@ -226,6 +234,14 @@ def test_load_sweep_spec_rejects_unknown_objective(tmp_path):
     payload = sweep_payload(tmp_path, objectives=["warp"])
     with pytest.raises(ConfigError):
         load_sweep_spec(write_config(tmp_path, payload, "sweep.json"))
+
+
+def test_load_sweep_spec_checks_each_cell(tmp_path):
+    ok = sweep_payload(tmp_path, objectives=["ce", "lambda_pr"], gammas=[-1.0])
+    assert load_sweep_spec(write_config(tmp_path, ok, "ok.json")).gammas == (-1.0,)
+    bad = sweep_payload(tmp_path, objectives=["ce", "tofu"], gammas=[-1.0])
+    with pytest.raises(ConfigError, match="tofu"):
+        load_sweep_spec(write_config(tmp_path, bad, "bad.json"))
 
 
 def test_load_sweep_spec_rejects_unknown_metric(tmp_path):

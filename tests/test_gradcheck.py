@@ -89,6 +89,14 @@ class TestFrozenValues:
         frozen = fd_gradient(frozen_value_fn(cfg, z, target), z)
         assert rel_error(frozen, closed) < 1e-7
 
+    def test_lambda_pr_freezing_honours_position_and_length(self):
+        z = np.array([0.5, -0.3, 1.4, 0.1])
+        target = Target.one_hot(2)
+        cfg = LossConfig("lambda_pr", lam=0.5)
+        closed = token_loss(z, target, cfg, position=3, length=4).grad
+        frozen = fd_gradient(frozen_value_fn(cfg, z, target, position=3, length=4), z)
+        assert rel_error(frozen, closed) < 1e-7
+
     def test_plain_objectives_differentiate_their_values(self):
         z = np.array([0.3, -0.2, 0.9])
         target = Target.one_hot(2)

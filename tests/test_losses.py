@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sftlab.losses import (
+    OBJECTIVE_TABLE,
     OBJECTIVES,
     DropThresholdError,
     FocalConfig,
@@ -330,6 +331,28 @@ class TestLossConfig:
     def test_rejects_out_of_range_beta(self):
         with pytest.raises(ValueError):
             LossConfig("gem", beta=1.5)
+
+    def test_params_checks_only_consumed_hyperparameters(self):
+        assert LossConfig("ce", gamma=-1.0, lam=0.0).params() is None
+        assert LossConfig("gem", gamma=-1.0, alpha=0.0).params() == 0.7
+        assert LossConfig("lambda_pr", gamma=-1.0).params() == PrConfig(1.0, 0.5, 1, 1)
+        assert LossConfig("lambda_pr", lam=0.5).params(3, 4) == PrConfig(0.5, 0.5, 3, 4)
+        for cfg in (LossConfig("focal", gamma=-1.0), LossConfig("tofu", gamma=-1.0),
+                    LossConfig("lambda_pr", alpha=0.0), LossConfig("lambda_pr", lam=1.5)):
+            with pytest.raises(ValueError):
+                cfg.params()
+
+
+@pytest.mark.parametrize("name", OBJECTIVES)
+def test_table_soft_targets_flag_matches_oracle(name):
+    entry = OBJECTIVE_TABLE[name]
+    z, soft = np.array([0.3, -1.2, 0.5]), Target.soft([0.2, 0.5, 0.3])
+    params = LossConfig(name).params()
+    if entry.soft_targets:
+        assert np.all(np.isfinite(entry.oracle(z, soft, params).grad))
+    else:
+        with pytest.raises(UnsupportedTargetError):
+            entry.oracle(z, soft, params)
 
 
 # (gamma, beta) and (lam, alpha) grids for the kernel test. lam=0.3,

@@ -349,6 +349,17 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         Checkpoint.load(path)
 
 
+def test_checkpoint_rejects_version_1(tmp_path):
+    header = json.dumps({
+        "format_version": 1, "step": 0, "config_hash": "0" * 64, "rng_state": {},
+        "vocab_chars": "ab", "context": 2, "arrays": [],
+    }).encode("utf-8")
+    path = tmp_path / "v1.bin"
+    path.write_bytes(Checkpoint.MAGIC + (1).to_bytes(4, "little") + len(header).to_bytes(8, "little") + header)
+    with pytest.raises(ValueError, match="version 1; retrain"):
+        Checkpoint.load(path)
+
+
 # --------------------------------------------------------------- golden ----
 
 
