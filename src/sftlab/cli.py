@@ -132,7 +132,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(args.spec)
     out = run_sweep(spec)
-    print(f"wrote {out['summary']} ({len(out['cells'])} cells)")
+    print(f"wrote {out['summary']} ({len(out['cells'])} cells, {len(out['trained'])} trained)")
     for failure in out["failures"]:
         print(
             f"cell {failure['cell']} seed {failure['seed']} failed: {failure['error']}",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,6 +215,34 @@ def load_experiment_config(path) -> ExperimentConfig:
     )
 
 
+def sweep_label(objective: str, gamma: float, beta: float) -> str:
+    return f"{objective}_g{gamma:g}_b{beta:g}"
+
+
+def _grid_floats(data: dict, key: str, default: list) -> tuple[float, ...]:
+    """A sweep axis: finite floats, repeats collapsed, first occurrence kept."""
+    raw = data.get(key, default)
+    if not isinstance(raw, list):
+        raise ConfigError(f"{key} must be a list of numbers")
+    try:
+        values = tuple(dict.fromkeys(float(v) for v in raw))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{key} must be finite, got {list(values)}")
+    return values
+
+
+def _positive_int(data: dict, key: str, default: int) -> int:
+    try:
+        value = int(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1")
+    return value
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     objectives: tuple[str, ...]
@@ -229,6 +258,13 @@ class SweepSpec:
     metrics: tuple[str, ...]
     workers: int
     output_dir: Path
+
+    def cells(self) -> list[tuple[str, LossConfig]]:
+        """(label, loss config) of every grid cell, in objective, gamma, beta order."""
+        return [
+            (sweep_label(*cell), LossConfig(*cell))
+            for cell in itertools.product(self.objectives, self.gammas, self.betas)
+        ]
 
 
 def load_sweep_spec(path) -> SweepSpec:
@@ -252,26 +288,34 @@ def load_sweep_spec(path) -> SweepSpec:
         },
         str(path),
     )
-    objectives = tuple(data.get("objectives", ["tofu"]))
-    gammas = tuple(float(g) for g in data.get("gammas", [3.0]))
-    betas = tuple(float(b) for b in data.get("betas", [0.8]))
+    objectives = data.get("objectives", ["tofu"])
+    if not isinstance(objectives, list) or not all(isinstance(o, str) for o in objectives):
+        raise ConfigError("objectives must be a list of objective names")
+    objectives = tuple(dict.fromkeys(objectives))
+    gammas = _grid_floats(data, "gammas", [3.0])
+    betas = _grid_floats(data, "betas", [0.8])
     if not gammas or not betas or not objectives:
         raise ConfigError("sweep grid must be non-empty")
-    for name, gamma, beta in itertools.product(objectives, gammas, betas):
+    labelled = {}
+    for cell in itertools.product(objectives, gammas, betas):
+        name, gamma, beta = cell
         try:
-            LossConfig(name, gamma=gamma, beta=beta).params()
+            LossConfig(*cell).params()
         except ValueError as exc:
             raise ConfigError(f"sweep cell ({name!r}, gamma {gamma:g}, beta {beta:g}): {exc}") from None
+        # each label names one run directory and one summary column
+        other = labelled.setdefault(sweep_label(*cell), cell)
+        if other != cell:
+            raise ConfigError(
+                f"sweep cells {other} and {cell} share the label {sweep_label(*cell)}; "
+                "give gammas and betas that differ in their first 6 significant digits"
+            )
     metrics = tuple(data.get("metrics", list(DEFAULT_EVAL_METRICS)))
     for m in metrics:
         if m not in KNOWN_METRICS:
             raise ConfigError(f"unknown metric {m!r}, expected one of {KNOWN_METRICS}")
-    samples = int(data.get("samples_per_prompt", 8))
-    if samples < 1:
-        raise ConfigError("samples_per_prompt must be >= 1")
-    workers = int(data.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    samples = _positive_int(data, "samples_per_prompt", 8)
+    workers = _positive_int(data, "workers", 1)
     return SweepSpec(
         objectives=objectives,
         gammas=gammas,

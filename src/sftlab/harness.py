@@ -28,8 +28,8 @@ from .config import (
     SweepSpec,
     load_prompts,
 )
-from .hashing import config_hash, content_hash
-from .losses import PrConfig, focal_scaling, pr_weight
+from .hashing import canonical_json, config_hash, content_hash
+from .losses import LossConfig, PrConfig, focal_scaling, pr_weight
 from .metrics import (
     GenerationSet,
     MetricReport,
@@ -200,8 +200,12 @@ def run_eval(
                 )
             )
             # aggregate rows of these two reports equal (coverage, mean_success)
-            assert abs(reports[-2].mean - coverage) < 1e-12
-            assert abs(reports[-1].mean - mean_success) < 1e-12
+            means = (reports[-2].mean, reports[-1].mean)
+            if not (abs(means[0] - coverage) < 1e-12 and abs(means[1] - mean_success) < 1e-12):
+                raise RuntimeError(
+                    f"coverage report means {means} disagree with "
+                    f"coverage_and_mean {(coverage, mean_success)}"
+                )
     write_metric_reports(out_dir / "metrics.csv", reports)
 
     record = RunRecord(
@@ -254,10 +258,6 @@ def run_curves(out_path) -> Path:
     return out_path
 
 
-def _cell_label(objective: str, gamma: float, beta: float) -> str:
-    return f"{objective}_g{gamma:g}_b{beta:g}"
-
-
 def _sweep_task(args: tuple) -> tuple:
     """One (cell, seed) unit: train then eval. Top-level so it pickles for the
     process pool. Returns (label, seed, metric means dict, error or None)."""
@@ -290,33 +290,30 @@ def _sweep_task(args: tuple) -> tuple:
 def run_sweep(spec: SweepSpec) -> dict:
     """Grid of (objective, gamma, beta) cells x seeds, then one summary CSV.
 
-    Duplicate cells (same canonical cell config) run once. Cell failures are
-    recorded in the summary as empty values and reported in the return value;
-    the sweep itself keeps going.
+    Cells share every train setting but the loss config, so cells with equal
+    LossConfig.key() train identically: each distinct key trains and evaluates
+    once per seed, under the first label that has it, and the other labels
+    (its aliases) get that label's values in the summary and no run directory.
+    Cell failures are recorded in the summary as empty values and reported in
+    the return value; the sweep itself keeps going.
     """
     started = time.monotonic()
     out_dir = spec.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = []
-    seen_hashes = set()
-    for objective in spec.objectives:
-        for gamma in spec.gammas:
-            for beta in spec.betas:
-                loss_cfg = replace(
-                    spec.train.objective, objective=objective, gamma=gamma, beta=beta
-                )
-                cell_train = replace(spec.train, objective=loss_cfg)
-                cell_hash = config_hash(cell_train.to_dict())
-                if cell_hash in seen_hashes:
-                    continue
-                seen_hashes.add(cell_hash)
-                cells.append((_cell_label(objective, gamma, beta), cell_train))
+    cells = spec.cells()
+    labels = [label for label, _ in cells]
+    trained: dict[str, tuple[str, LossConfig]] = {}  # canonical key -> (label, loss config)
+    aliases: dict[str, str] = {}
+    for label, loss_cfg in cells:
+        ran, _ = trained.setdefault(canonical_json(loss_cfg.key()), (label, loss_cfg))
+        if ran != label:
+            aliases[label] = ran
 
     tasks = []
-    for label, cell_train in cells:
+    for label, loss_cfg in trained.values():
         for seed in spec.seeds:
-            seeded = replace(cell_train, seed=seed)
+            seeded = replace(spec.train, objective=loss_cfg, seed=seed)
             cell_dir = out_dir / label / f"seed_{seed}"
             tasks.append(
                 (
@@ -344,11 +341,13 @@ def run_sweep(spec: SweepSpec) -> dict:
         values[(label, seed)] = metrics_out
         if error is not None:
             failures.append({"cell": label, "seed": seed, "error": error})
+    for label, ran in aliases.items():
+        for seed in spec.seeds:
+            values[(label, seed)] = values[(ran, seed)]
 
     metric_names = ["final_loss"] + [
         m for m in spec.metrics if m != "coverage"
     ] + (["coverage", "mean_success"] if "coverage" in spec.metrics else [])
-    labels = [label for label, _ in cells]
     summary_path = out_dir / "sweep_summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -387,13 +386,18 @@ def run_sweep(spec: SweepSpec) -> dict:
             }
         ),
         corpus_hash=content_hash(spec.corpus),
-        invocation={"cells": labels, "seeds": list(spec.seeds)},
+        invocation={"cells": labels, "seeds": list(spec.seeds), "aliases": aliases},
         outputs={"summary": "sweep_summary.csv"},
         status="ok" if not failures else f"{len(failures)} cell(s) failed",
         wall_clock_s=time.monotonic() - started,
     )
     record.write(out_dir)
-    return {"summary": summary_path, "cells": labels, "failures": failures}
+    return {
+        "summary": summary_path,
+        "cells": labels,
+        "trained": [label for label, _ in trained.values()],
+        "failures": failures,
+    }
 
 
 def run_probe(spec: ProbeSpec) -> dict:
@@ -513,7 +517,7 @@ def run_probe(spec: ProbeSpec) -> dict:
             {
                 "pretrain": spec.pretrain.to_dict(),
                 "sft": spec.sft_base.to_dict(),
-                "objectives": [c.objective for c in spec.sft_objectives],
+                "objectives": [c.key() for c in spec.sft_objectives],
                 "model": spec.model.to_dict(),
                 "prompt": spec.prompt,
                 "valid_tokens": list(spec.valid_tokens),

@@ -22,7 +22,7 @@ token_loss row by row, bit for bit, and the tests hold it to that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -414,6 +414,13 @@ class LossConfig:
         hyperparameter out of range. The length-1 check is exact: the lambda-PR
         drop threshold lies in (0, 1] at every length iff it does at length 1."""
         return OBJECTIVE_TABLE[self.objective].params(self, position, length)
+
+    def key(self) -> dict:
+        """JSON-able canonical form of what the objective consumes: its name and
+        resolved params(). Configs with equal keys get bit-identical batch_loss
+        outputs: batch_loss computes with no hyperparameter outside params()."""
+        p = self.params()
+        return {"objective": self.objective, "params": asdict(p) if is_dataclass(p) else p}
 
 
 def token_loss(z, target: Target, cfg: LossConfig, position: int = 1, length: int = 1) -> LossResult:

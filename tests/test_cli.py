@@ -177,6 +177,22 @@ def test_eval_coverage_emits_both_reports(tmp_path):
     assert loaded["coverage"]["mean"] >= loaded["mean_success"]["mean"]
 
 
+def test_eval_coverage_invariant_is_checked_without_assert(tmp_path, capsys, monkeypatch):
+    # the per-prompt report means must equal coverage_and_mean; a disagreement
+    # is a runtime failure even under python -O, where asserts vanish
+    import sftlab.harness
+
+    ckpt = trained_checkpoint(tmp_path)
+    prompts = write_prompts(tmp_path / "prompts.jsonl", with_answers=True)
+    monkeypatch.setattr(sftlab.harness, "coverage_and_mean", lambda matrix: (0.25, 0.125))
+    code = main(
+        ["eval", str(ckpt), str(prompts), "--out", str(tmp_path / "ev"),
+         "--metrics", "coverage", "--samples", "3", "--max-tokens", "6"]
+    )
+    assert code == 1
+    assert "disagree with coverage_and_mean" in capsys.readouterr().err
+
+
 def test_eval_usage_errors(tmp_path):
     ckpt = trained_checkpoint(tmp_path)
     prompts = write_prompts(tmp_path / "prompts.jsonl")
@@ -312,6 +328,69 @@ def test_sweep_cli_out_of_range_hyperparameter_is_usage_error(tmp_path, grid):
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize(
+    "field",
+    [{"gammas": ["wide"]}, {"betas": [None]}, {"samples_per_prompt": "many"}, {"workers": "two"}],
+)
+def test_sweep_cli_non_numeric_value_is_usage_error(tmp_path, field):
+    spec = write_sweep(tmp_path, **field)
+    assert main(["sweep", str(spec)]) == 2
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_cli_label_collision_is_usage_error(tmp_path, capsys):
+    # both gammas format as g1, so they would share one run directory and column
+    spec = write_sweep(tmp_path, gammas=[1.0, 1.0000001])
+    assert main(["sweep", str(spec)]) == 2
+    assert "share the label tofu_g1_b0.7" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def read_summary(path):
+    """sweep_summary.csv as {(metric, seed): {label: value}}."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return {(r[0], r[1]): dict(zip(rows[0][2:], r[2:])) for r in rows[1:]}
+
+
+CE_CELLS = {f"ce_g{g:g}_b{b:g}": (g, b) for g in (1.0, 3.0) for b in (0.7, 0.9)}
+
+
+def test_sweep_aliases_cells_with_equal_loss_keys(tmp_path, capsys):
+    # ce consumes neither gamma nor beta: its four cells train once per seed
+    spec = write_sweep(tmp_path, objectives=["ce", "tofu"], gammas=[1.0, 3.0], betas=[0.7, 0.9])
+    assert main(["sweep", str(spec)]) == 0
+    assert "(8 cells, 5 trained)" in capsys.readouterr().out
+
+    out = tmp_path / "sweep"
+    aliased = list(CE_CELLS)[1:]
+    run = json.loads((out / "run.json").read_text())
+    assert run["invocation"]["aliases"] == {label: "ce_g1_b0.7" for label in aliased}
+    assert len(run["invocation"]["cells"]) == 8
+    trained = sorted(p.parent.parent.name for p in out.glob("*/seed_*/checkpoint.bin"))
+    assert trained == sorted(["ce_g1_b0.7"] * 2 + [f"tofu_g{g}_b{b}" for g in (1, 3) for b in (0.7, 0.9)] * 2)
+    assert not any((out / label).exists() for label in aliased)
+
+    summary = read_summary(out / "sweep_summary.csv")
+    for label, (gamma, beta) in CE_CELLS.items():
+        alone = write_sweep(
+            tmp_path, objectives=["ce"], gammas=[gamma], betas=[beta], output_dir=str(tmp_path / label)
+        )
+        assert main(["sweep", str(alone)]) == 0
+        for row, value in read_summary(tmp_path / label / "sweep_summary.csv").items():
+            assert value[label] != "" and summary[row][label] == value[label], (label, row)
+
+
+def test_sweep_with_distinct_cells_aliases_nothing(tmp_path, capsys):
+    spec = write_sweep(
+        tmp_path, objectives=["tofu", "naive_tempered_focal"], gammas=[1.0, 3.0], betas=[0.7, 0.9], seeds=[0]
+    )
+    assert main(["sweep", str(spec)]) == 0
+    assert "(8 cells, 8 trained)" in capsys.readouterr().out
+    assert json.loads((tmp_path / "sweep" / "run.json").read_text())["invocation"]["aliases"] == {}
+    assert len(list((tmp_path / "sweep").glob("*/seed_0/checkpoint.bin"))) == 8
+
+
 def test_sweep_run_hash_covers_sampling_and_prompts(tmp_path):
     def run_hash(name, **overrides):
         spec = write_sweep(tmp_path, gammas=[3.0], seeds=[0], output_dir=str(tmp_path / name), **overrides)
@@ -399,4 +478,28 @@ def test_probe_run_hash_covers_sft_corpus(tmp_path):
         cfg.write_text(json.dumps({**payload, "output_dir": str(tmp_path / name)}))
         assert main(["probe", str(cfg)]) == 0
         hashes.append(json.loads((tmp_path / name / "run.json").read_text())["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
+def test_probe_run_hash_covers_sft_hyperparameters(tmp_path):
+    write_corpus(tmp_path / "pre.jsonl")
+    (tmp_path / "sft.jsonl").write_text(json.dumps({"prompt": "a", "response": "a"}) + "\n")
+    hashes = []
+    for gamma in (1.0, 3.0):
+        payload = {
+            "pretrain": {"corpus": "pre.jsonl", "train": {"total_steps": 2, "warmup_steps": 1, "batch_size": 2}},
+            "sft": {
+                "corpus": "sft.jsonl",
+                "train": {"total_steps": 2, "warmup_steps": 1, "batch_size": 2},
+                "objectives": [{"name": "tofu", "gamma": gamma}],
+            },
+            "model": MODEL,
+            "probe": {"prompt": "a", "valid_tokens": ["a", "b"]},
+            "seeds": [0],
+            "output_dir": str(tmp_path / f"g{gamma:g}"),
+        }
+        cfg = tmp_path / f"g{gamma:g}.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["probe", str(cfg)]) == 0
+        hashes.append(json.loads((tmp_path / f"g{gamma:g}" / "run.json").read_text())["config_hash"])
     assert hashes[0] != hashes[1]

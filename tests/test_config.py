@@ -382,3 +382,16 @@ def test_content_hash_is_over_bytes(tmp_path):
     assert content_hash(a) == content_hash(b)
     b.write_bytes(b"payload2")
     assert content_hash(a) != content_hash(b)
+
+
+def test_load_sweep_spec_collapses_repeated_grid_values(tmp_path):
+    payload = sweep_payload(tmp_path, objectives=["tofu", "ce", "tofu"], gammas=[3.0, 1, 3], betas=[0.7, 0.7])
+    spec = load_sweep_spec(write_config(tmp_path, payload, "sweep.json"))
+    assert (spec.objectives, spec.gammas, spec.betas) == (("tofu", "ce"), (3.0, 1.0), (0.7,))
+    assert [label for label, _ in spec.cells()] == ["tofu_g3_b0.7", "tofu_g1_b0.7", "ce_g3_b0.7", "ce_g1_b0.7"]
+
+
+@pytest.mark.parametrize("grid", [{"gammas": [float("inf")]}, {"gammas": "3"}, {"objectives": "tofu"}])
+def test_load_sweep_spec_rejects_malformed_grid(tmp_path, grid):
+    with pytest.raises(ConfigError):
+        load_sweep_spec(write_config(tmp_path, sweep_payload(tmp_path, **grid), "sweep.json"))

@@ -1,6 +1,9 @@
 """Loss zoo tests: frozen hand-derived values, algebraic reductions, error
 paths, and the batched kernel pinned to the scalar oracle."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -353,6 +356,45 @@ def test_table_soft_targets_flag_matches_oracle(name):
     else:
         with pytest.raises(UnsupportedTargetError):
             entry.oracle(z, soft, params)
+
+
+def test_key_is_json_and_resolves_the_default_beta():
+    assert LossConfig("tofu").key() == LossConfig("tofu", beta=0.8).key()
+    assert LossConfig("tofu", gamma=1.0).key() != LossConfig("tofu", gamma=3.0).key()
+    assert LossConfig("ce", gamma=-1.0, beta=0.7, lam=0.0).key() == LossConfig("ce").key()
+    key = LossConfig("lambda_pr", lam=0.5).key()
+    assert json.loads(json.dumps(key)) == key
+
+
+# The hyperparameters each objective ignores (the complement of the README's
+# loss-zoo column), and values to vary them to.
+UNCONSUMED = {
+    "ce": {"gamma", "beta", "lam", "alpha"},
+    "scaled_ce": {"gamma", "lam", "alpha"},
+    "gem": {"gamma", "lam", "alpha"},
+    "focal": {"beta", "lam", "alpha"},
+    "lambda_pr": {"gamma", "beta"},
+    "tofu": {"lam", "alpha"},
+    "naive_tempered_focal": {"lam", "alpha"},
+}
+VARIED = {"gamma": (0.5, 2.0), "beta": (0.6, 1.0), "lam": (0.5, 0.9), "alpha": (0.3, 1.0)}
+
+
+@pytest.mark.parametrize("name", OBJECTIVES)
+def test_batch_loss_ignores_hyperparameters_outside_key(name):
+    """A sweep trains one cell per distinct key(), so varying a hyperparameter
+    that key() leaves out must not change batch_loss by a bit."""
+    rows = random_rows(np.random.default_rng(5), 16, 7, 3.0)
+    base = LossConfig(name)
+    values, grads = batch_loss(*rows, base)
+    for field, alternatives in VARIED.items():
+        for value in alternatives:
+            cfg = replace(base, **{field: value})
+            assert (cfg.key() == base.key()) == (field in UNCONSUMED[name]), cfg
+            if cfg.key() == base.key():
+                other_values, other_grads = batch_loss(*rows, cfg)
+                assert other_values.tobytes() == values.tobytes(), cfg
+                assert other_grads.tobytes() == grads.tobytes(), cfg
 
 
 # (gamma, beta) and (lam, alpha) grids for the kernel test. lam=0.3,
