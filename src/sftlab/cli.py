@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import (
+    DEFAULT_EVAL_METRICS,
     ConfigError,
     load_experiment_config,
     load_probe_spec,
     load_sweep_spec,
+    parse_sampling,
     resolve_output_dir,
 )
 from .gradcheck import OracleError, run_all_checks
@@ -63,15 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("prompts", help="prompts JSONL (id, prompt, optional answer)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--samples", type=int, default=10, help="completions per prompt")
-    p.add_argument(
-        "--metrics",
-        default="self_bleu,distinct_1,distinct_2,entropy",
-        help="comma-separated metric names",
-    )
-    p.add_argument("--top-p", type=float, default=0.9, help="nucleus mass")
-    p.add_argument("--temperature", type=float, default=1.0, help="softmax temperature")
-    p.add_argument("--max-tokens", type=int, default=64, help="completion length cap")
-    p.add_argument("--seed", type=int, default=0, help="base sampling seed")
+    p.add_argument("--metrics", default=",".join(DEFAULT_EVAL_METRICS), help="comma-separated metric names")
+    # the sampling flags' defaults are SamplingConfig's
+    p.add_argument("--top-p", type=float, help="nucleus mass")
+    p.add_argument("--temperature", type=float, help="softmax temperature")
+    p.add_argument("--max-tokens", type=int, help="completion length cap")
+    p.add_argument("--seed", type=int, help="base sampling seed")
 
     p = sub.add_parser("sweep", help="objective/gamma/beta grid with a summary CSV")
     p.add_argument("spec", help="sweep spec JSON")
@@ -106,15 +106,8 @@ def _cmd_eval(args) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if not metrics:
         raise ConfigError("--metrics must name at least one metric")
-    try:
-        sampling = SamplingConfig(
-            top_p=args.top_p,
-            temperature=args.temperature,
-            max_tokens=args.max_tokens,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    given = {f.name: getattr(args, f.name) for f in fields(SamplingConfig)}
+    sampling = parse_sampling({k: v for k, v in given.items() if v is not None}, "eval")
     out = run_eval(
         Path(args.checkpoint),
         Path(args.prompts),

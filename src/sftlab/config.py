@@ -13,7 +13,8 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .losses import LossConfig
@@ -45,21 +46,61 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
-def parse_objective(data: dict, where: str = "objective") -> LossConfig:
-    _check_keys(data, {"name", "gamma", "beta", "lambda", "alpha"}, where)
-    name = _require(data, "name", where)
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
+
+
+def _typed(value, hint, where: str):
+    """`value` checked against a field type: a string for str, a JSON number
+    (never a bool) for float and int, finite, and integral for int (20.0 reads
+    as 20); null only where the type is `| None`."""
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    if kind is str and isinstance(value, str):
+        return value
+    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(number)
+    raise ConfigError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _parse_record(cls, data: dict, where: str, check=None, **given):
+    """Build the config record `cls` from a config-file object.
+
+    The keys are the fields' names (or their `file_key` metadata), less the
+    fields passed in `given`. An absent key keeps the field's default; a
+    present one must match the field's type (see _typed). Every failure,
+    the record's own __post_init__ check and `check(record)` included, is a
+    ConfigError.
+    """
+    hints = typing.get_type_hints(cls)
+    declared = {f.metadata.get("file_key", f.name): f for f in fields(cls) if f.name not in given}
+    _check_keys(data, set(declared), where)
+    values = dict(given)
+    for key, f in declared.items():
+        if key in data:
+            values[f.name] = _typed(data[key], hints[f.name], f"{where}.{key}")
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required key {key!r} in {where}")
     try:
-        cfg = LossConfig(
-            objective=name,
-            gamma=float(data.get("gamma", 3.0)),
-            beta=None if data.get("beta") is None else float(data["beta"]),
-            lam=float(data.get("lambda", 1.0)),
-            alpha=float(data.get("alpha", 0.5)),
-        )
-        cfg.params()  # range-checks the hyperparameters this objective consumes
+        record = cls(**values)
+        if check is not None:
+            check(record)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    return cfg
+    return record
+
+
+def parse_objective(data: dict, where: str = "objective") -> LossConfig:
+    # params() range-checks the hyperparameters this objective consumes
+    return _parse_record(LossConfig, data, where, check=LossConfig.params)
 
 
 @dataclass(frozen=True)
@@ -69,71 +110,21 @@ class ModelSpec:
     hidden_dim: int = 128
     vocab: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "context": self.context,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "vocab": self.vocab,
-        }
+    def __post_init__(self):
+        if min(self.context, self.embed_dim, self.hidden_dim) < 1:
+            raise ValueError("dimensions must be >= 1")
 
 
 def parse_model(data: dict, where: str = "model") -> ModelSpec:
-    _check_keys(data, {"context", "embed_dim", "hidden_dim", "vocab"}, where)
-    try:
-        spec = ModelSpec(
-            context=int(data.get("context", 8)),
-            embed_dim=int(data.get("embed_dim", 32)),
-            hidden_dim=int(data.get("hidden_dim", 128)),
-            vocab=data.get("vocab"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    if spec.context < 1 or spec.embed_dim < 1 or spec.hidden_dim < 1:
-        raise ConfigError(f"{where}: dimensions must be >= 1")
-    return spec
+    return _parse_record(ModelSpec, data, where)
 
 
 def parse_train(data: dict, objective: LossConfig, where: str = "train") -> TrainConfig:
-    _check_keys(
-        data,
-        {
-            "learning_rate",
-            "warmup_steps",
-            "total_steps",
-            "weight_decay",
-            "batch_size",
-            "seed",
-            "momentum",
-        },
-        where,
-    )
-    try:
-        return TrainConfig(
-            objective=objective,
-            learning_rate=float(data.get("learning_rate", 0.1)),
-            warmup_steps=int(data.get("warmup_steps", 50)),
-            total_steps=int(data.get("total_steps", 1000)),
-            weight_decay=float(data.get("weight_decay", 0.01)),
-            batch_size=int(data.get("batch_size", 16)),
-            seed=int(data.get("seed", 0)),
-            momentum=float(data.get("momentum", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return _parse_record(TrainConfig, data, where, objective=objective)
 
 
 def parse_sampling(data: dict, where: str = "sampling") -> SamplingConfig:
-    _check_keys(data, {"top_p", "temperature", "max_tokens", "seed"}, where)
-    try:
-        return SamplingConfig(
-            top_p=float(data.get("top_p", 0.9)),
-            temperature=float(data.get("temperature", 1.0)),
-            max_tokens=int(data.get("max_tokens", 64)),
-            seed=int(data.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return _parse_record(SamplingConfig, data, where)
 
 
 def resolve_output_dir(raw) -> Path:
@@ -167,11 +158,19 @@ def _load_json(path) -> tuple[dict, Path]:
     return data, path.parent
 
 
+def _list_of(data: dict, key: str, default: list, kind: type) -> tuple:
+    """A list of `kind` values (see _typed), repeats collapsed, first kept."""
+    raw = data.get(key, default)
+    if not isinstance(raw, list):
+        raise ConfigError(f"{key} must be a list, got {raw!r}")
+    return tuple(dict.fromkeys(_typed(v, kind, key) for v in raw))
+
+
 def _parse_seeds(data, where: str) -> tuple[int, ...]:
-    seeds = data.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    seeds = _list_of(data, "seeds", [0], int)
+    if not seeds:
         raise ConfigError(f"{where}: seeds must be a non-empty list of ints")
-    return tuple(seeds)
+    return seeds
 
 
 @dataclass(frozen=True)
@@ -186,8 +185,8 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {
             "train": self.train.to_dict(),
-            "model": self.model.to_dict(),
-            "sampling": self.sampling.to_dict(),
+            "model": asdict(self.model),
+            "sampling": asdict(self.sampling),
             "seeds": list(self.seeds),
         }
 
@@ -219,25 +218,8 @@ def sweep_label(objective: str, gamma: float, beta: float) -> str:
     return f"{objective}_g{gamma:g}_b{beta:g}"
 
 
-def _grid_floats(data: dict, key: str, default: list) -> tuple[float, ...]:
-    """A sweep axis: finite floats, repeats collapsed, first occurrence kept."""
-    raw = data.get(key, default)
-    if not isinstance(raw, list):
-        raise ConfigError(f"{key} must be a list of numbers")
-    try:
-        values = tuple(dict.fromkeys(float(v) for v in raw))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{key} must be finite, got {list(values)}")
-    return values
-
-
 def _positive_int(data: dict, key: str, default: int) -> int:
-    try:
-        value = int(data.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    value = _typed(data.get(key, default), int, key)
     if value < 1:
         raise ConfigError(f"{key} must be >= 1")
     return value
@@ -269,31 +251,10 @@ class SweepSpec:
 
 def load_sweep_spec(path) -> SweepSpec:
     data, base = _load_json(path)
-    _check_keys(
-        data,
-        {
-            "objectives",
-            "gammas",
-            "betas",
-            "seeds",
-            "model",
-            "train",
-            "sampling",
-            "corpus",
-            "prompts",
-            "samples_per_prompt",
-            "metrics",
-            "workers",
-            "output_dir",
-        },
-        str(path),
-    )
-    objectives = data.get("objectives", ["tofu"])
-    if not isinstance(objectives, list) or not all(isinstance(o, str) for o in objectives):
-        raise ConfigError("objectives must be a list of objective names")
-    objectives = tuple(dict.fromkeys(objectives))
-    gammas = _grid_floats(data, "gammas", [3.0])
-    betas = _grid_floats(data, "betas", [0.8])
+    _check_keys(data, {f.name for f in fields(SweepSpec)}, str(path))
+    objectives = _list_of(data, "objectives", ["tofu"], str)
+    gammas = _list_of(data, "gammas", [3.0], float)
+    betas = _list_of(data, "betas", [0.8], float)
     if not gammas or not betas or not objectives:
         raise ConfigError("sweep grid must be non-empty")
     labelled = {}
@@ -310,12 +271,12 @@ def load_sweep_spec(path) -> SweepSpec:
                 f"sweep cells {other} and {cell} share the label {sweep_label(*cell)}; "
                 "give gammas and betas that differ in their first 6 significant digits"
             )
-    metrics = tuple(data.get("metrics", list(DEFAULT_EVAL_METRICS)))
-    for m in metrics:
-        if m not in KNOWN_METRICS:
-            raise ConfigError(f"unknown metric {m!r}, expected one of {KNOWN_METRICS}")
     samples = _positive_int(data, "samples_per_prompt", 8)
-    workers = _positive_int(data, "workers", 1)
+    prompts = _input_path(_require(data, "prompts", str(path)), base, "prompts")
+    # a request no cell could evaluate fails here, before any cell trains
+    metrics = validate_eval_request(
+        _list_of(data, "metrics", list(DEFAULT_EVAL_METRICS), str), samples, load_prompts(prompts)
+    )
     return SweepSpec(
         objectives=objectives,
         gammas=gammas,
@@ -325,10 +286,10 @@ def load_sweep_spec(path) -> SweepSpec:
         model=parse_model(data.get("model", {})),
         sampling=parse_sampling(data.get("sampling", {})),
         corpus=_input_path(_require(data, "corpus", str(path)), base, "corpus"),
-        prompts=_input_path(_require(data, "prompts", str(path)), base, "prompts"),
+        prompts=prompts,
         samples_per_prompt=samples,
         metrics=metrics,
-        workers=workers,
+        workers=_positive_int(data, "workers", 1),
         output_dir=resolve_output_dir(_require(data, "output_dir", str(path))),
     )
 
@@ -414,3 +375,18 @@ def load_prompts(path) -> list[PromptSpec]:
     if not prompts:
         raise ConfigError(f"{path}: no prompts")
     return prompts
+
+
+def validate_eval_request(metrics, samples: int, prompts: list[PromptSpec]) -> tuple[str, ...]:
+    """The metric names to compute, repeats collapsed (first kept). Raises
+    ConfigError for an unknown name or one the samples and prompts cannot
+    support."""
+    metrics = tuple(dict.fromkeys(metrics))
+    for m in metrics:
+        if m not in KNOWN_METRICS:
+            raise ConfigError(f"unknown metric {m!r}, expected one of {KNOWN_METRICS}")
+    if "self_bleu" in metrics and samples < 2:
+        raise ConfigError("self_bleu needs at least 2 samples per prompt")
+    if "coverage" in metrics and any(p.answer is None for p in prompts):
+        raise ConfigError("coverage requested but some prompts carry no answer key")
+    return metrics

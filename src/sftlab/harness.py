@@ -14,19 +14,20 @@ import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import (
+    DEFAULT_EVAL_METRICS,
+    ConfigError,
     ExperimentConfig,
     ModelSpec,
-    ConfigError,
     ProbeSpec,
-    PromptSpec,
     SweepSpec,
     load_prompts,
+    validate_eval_request,
 )
 from .hashing import canonical_json, config_hash, content_hash
 from .losses import LossConfig, PrConfig, focal_scaling, pr_weight
@@ -124,31 +125,18 @@ def _success(completion: str, answer: str) -> bool:
     return target == answer
 
 
-def validate_eval_request(metrics, samples: int, prompts: list[PromptSpec]):
-    from .config import KNOWN_METRICS
-
-    for m in metrics:
-        if m not in KNOWN_METRICS:
-            raise ConfigError(f"unknown metric {m!r}, expected one of {KNOWN_METRICS}")
-    if "self_bleu" in metrics and samples < 2:
-        raise ConfigError("self_bleu needs at least 2 samples per prompt")
-    if "coverage" in metrics and any(p.answer is None for p in prompts):
-        raise ConfigError("coverage requested but some prompts carry no answer key")
-
-
 def run_eval(
     checkpoint_path,
     prompts_path,
     sampling: SamplingConfig,
     out_dir: Path,
     samples: int = 10,
-    metrics=("self_bleu", "distinct_1", "distinct_2", "entropy"),
+    metrics=DEFAULT_EVAL_METRICS,
 ) -> dict:
     """Sample completions for every prompt, write generations and metric CSVs."""
     started = time.monotonic()
-    metrics = tuple(metrics)
     prompts = load_prompts(prompts_path)
-    validate_eval_request(metrics, samples, prompts)
+    metrics = validate_eval_request(metrics, samples, prompts)
     model = Checkpoint.load(checkpoint_path).model
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,7 +201,7 @@ def run_eval(
         config_hash=config_hash(
             {
                 "checkpoint": content_hash(checkpoint_path),
-                "sampling": sampling.to_dict(),
+                "sampling": asdict(sampling),
                 "samples": samples,
                 "metrics": list(metrics),
             }
@@ -378,8 +366,8 @@ def run_sweep(spec: SweepSpec) -> dict:
                 "betas": list(spec.betas),
                 "seeds": list(spec.seeds),
                 "train": spec.train.to_dict(),
-                "model": spec.model.to_dict(),
-                "sampling": spec.sampling.to_dict(),
+                "model": asdict(spec.model),
+                "sampling": asdict(spec.sampling),
                 "prompts": content_hash(spec.prompts),
                 "samples_per_prompt": spec.samples_per_prompt,
                 "metrics": list(spec.metrics),
@@ -518,7 +506,7 @@ def run_probe(spec: ProbeSpec) -> dict:
                 "pretrain": spec.pretrain.to_dict(),
                 "sft": spec.sft_base.to_dict(),
                 "objectives": [c.key() for c in spec.sft_objectives],
-                "model": spec.model.to_dict(),
+                "model": asdict(spec.model),
                 "prompt": spec.prompt,
                 "valid_tokens": list(spec.valid_tokens),
                 "seeds": list(spec.seeds),

@@ -22,7 +22,7 @@ token_loss row by row, bit for bit, and the tests hold it to that.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -391,13 +391,14 @@ class LossConfig:
     """Objective selector plus the union of hyperparameters the zoo uses.
 
     beta = None resolves to the per-objective default (0.7 for gem, 0.8 for
-    the tempered objectives, 1.0 where temperature is meaningless).
+    the tempered objectives, 1.0 where temperature is meaningless). A field's
+    `file_key` metadata is its name in config files, where it differs.
     """
 
-    objective: str
+    objective: str = field(metadata={"file_key": "name"})
     gamma: float = 3.0
     beta: float | None = None
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"file_key": "lambda"})
     alpha: float = 0.5
 
     def __post_init__(self):
@@ -414,6 +415,10 @@ class LossConfig:
         hyperparameter out of range. The length-1 check is exact: the lambda-PR
         drop threshold lies in (0, 1] at every length iff it does at length 1."""
         return OBJECTIVE_TABLE[self.objective].params(self, position, length)
+
+    def to_dict(self) -> dict:
+        """The config-file form: each field under its file key."""
+        return {f.metadata.get("file_key", f.name): getattr(self, f.name) for f in fields(self)}
 
     def key(self) -> dict:
         """JSON-able canonical form of what the objective consumes: its name and

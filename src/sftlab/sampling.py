@@ -32,14 +32,6 @@ class SamplingConfig:
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
-    def to_dict(self) -> dict:
-        return {
-            "top_p": self.top_p,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "seed": self.seed,
-        }
-
 
 def nucleus_filter(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
     """Smallest descending-probability prefix reaching cumulative mass top_p.

@@ -9,7 +9,7 @@ checkpoints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,23 +105,7 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     def to_dict(self) -> dict:
-        obj = self.objective
-        return {
-            "objective": {
-                "name": obj.objective,
-                "gamma": obj.gamma,
-                "beta": obj.beta,
-                "lambda": obj.lam,
-                "alpha": obj.alpha,
-            },
-            "learning_rate": self.learning_rate,
-            "warmup_steps": self.warmup_steps,
-            "total_steps": self.total_steps,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "momentum": self.momentum,
-        }
+        return {**asdict(self), "objective": self.objective.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -208,17 +192,36 @@ class Checkpoint:
                 f"{path}: unsupported checkpoint version {version}; retrain to write version {cls.VERSION}"
             )
         header_len = int.from_bytes(raw[12:20], "little")
-        header = json.loads(raw[20 : 20 + header_len].decode("utf-8"))
+        try:
+            header = json.loads(raw[20 : 20 + header_len].decode("utf-8"))
+            vocab, context, step = Vocab(header["vocab_chars"]), header["context"], header["step"]
+            cfg_hash = header["config_hash"]
+            shapes = {a["name"]: tuple(a["shape"]) for a in header["arrays"]}
+            names = tuple(a["name"] for a in header["arrays"])
+            if names != ToyModel.PARAM_NAMES:
+                raise ValueError(f"arrays {names}, expected {ToyModel.PARAM_NAMES}")
+            if not (isinstance(context, int) and context >= 1):
+                raise ValueError(f"context {context!r} is not a positive int")
+            # the shapes a model of this vocab and context has at the stored widths
+            expected = ToyModel.zeros(vocab, context, shapes["embed"][-1], shapes["b_hidden"][0])
+            for name, param in expected.named_params():
+                if shapes[name] != param.shape:
+                    raise ValueError(
+                        f"array {name} has shape {shapes[name]}, expected {param.shape} "
+                        f"for vocab size {vocab.size} and context {context}"
+                    )
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise ValueError(f"{path}: bad checkpoint header: {exc}") from None
         offset = 20 + header_len
+        size = offset + 8 * sum(p.size for _, p in expected.named_params())
+        if len(raw) != size:
+            raise ValueError(f"{path}: file is {len(raw)} bytes, its header describes {size}")
         params = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw, dtype=np.float64, count=count, offset=offset).reshape(shape)
-            params[spec["name"]] = arr.copy()
-            offset += count * 8
-        model = ToyModel(vocab=Vocab(header["vocab_chars"]), context=header["context"], **params)
-        return cls(model=model, step=header["step"], config_hash=header["config_hash"])
+        for name, param in expected.named_params():
+            params[name] = np.frombuffer(raw, np.float64, param.size, offset).reshape(param.shape).copy()
+            offset += param.size * 8
+        model = ToyModel(vocab=vocab, context=context, **params)
+        return cls(model=model, step=step, config_hash=cfg_hash)
 
 
 def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint, list[TraceRow]]:

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from sftlab.cli import main
+from sftlab.config import ConfigError, parse_model, parse_objective, parse_sampling, parse_train
+from sftlab.losses import LossConfig
 from sftlab.metrics import read_metric_reports
 
 MODEL = {"context": 4, "embed_dim": 8, "hidden_dim": 16}
@@ -503,3 +505,88 @@ def test_probe_run_hash_covers_sft_hyperparameters(tmp_path):
         assert main(["probe", str(cfg)]) == 0
         hashes.append(json.loads((tmp_path / f"g{gamma:g}" / "run.json").read_text())["config_hash"])
     assert hashes[0] != hashes[1]
+
+
+# ----------------------------------------------------- typed config fields ----
+
+# every field of the four config records, by section and config-file key
+RECORD_FIELDS = {
+    "objective": {"name": str, "gamma": float, "beta": float | None, "lambda": float, "alpha": float},
+    "model": {"context": int, "embed_dim": int, "hidden_dim": int, "vocab": str | None},
+    "train": {
+        "learning_rate": float, "warmup_steps": int, "total_steps": int, "weight_decay": float,
+        "batch_size": int, "seed": int, "momentum": float,
+    },
+    "sampling": {"top_p": float, "temperature": float, "max_tokens": int, "seed": int},
+}
+
+
+def bad_values(kind):
+    values = [True, float("nan")]
+    if kind in (str, int, float):  # not optional
+        values.append(None)
+    if kind in (str, str | None):
+        values.append(5)
+    else:
+        values.append("0.5")
+    if kind is int:
+        values.append(2.7)
+    return values
+
+
+BAD_FIELD_CASES = [
+    pytest.param(section, key, value, id=f"{section}.{key}={value!r}")
+    for section, keys in RECORD_FIELDS.items()
+    for key, kind in keys.items()
+    for value in bad_values(kind)
+]
+
+
+@pytest.mark.parametrize("section, key, value", BAD_FIELD_CASES)
+def test_mistyped_config_field_is_usage_error(tmp_path, section, key, value):
+    base = {"objective": {"name": "ce"}, "model": {}, "train": {}, "sampling": {}}[section]
+    data = {**base, key: value}
+    parse = {
+        "objective": parse_objective,
+        "model": parse_model,
+        "train": lambda d: parse_train(d, LossConfig("ce")),
+        "sampling": parse_sampling,
+    }[section]
+    with pytest.raises(ConfigError):
+        parse(data)
+    cfg = write_experiment(tmp_path, **{section: {**(TRAIN if section == "train" else {}), **data}})
+    assert main(["train", str(cfg)]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"metrics": ["self_bleu"], "samples_per_prompt": 1}, {"metrics": ["entropy", "coverage"]}],
+)
+def test_sweep_cli_unsupported_eval_request_is_usage_error(tmp_path, overrides):
+    spec = write_sweep(tmp_path, **overrides)  # write_prompts gives no answers
+    assert main(["sweep", str(spec)]) == 2
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_eval_repeated_metric_is_reported_once(tmp_path):
+    ckpt = trained_checkpoint(tmp_path)
+    prompts = write_prompts(tmp_path / "prompts.jsonl")
+    out = tmp_path / "ev"
+    args = ["eval", str(ckpt), str(prompts), "--out", str(out), "--samples", "2", "--max-tokens", "4"]
+    assert main([*args, "--metrics", "entropy,distinct_1,entropy"]) == 0
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = [(r[0], r[1]) for r in csv.reader(fh)][1:]
+    assert len(rows) == len(set(rows))
+    assert {metric for metric, _ in rows} == {"entropy", "distinct_1"}
+    run = json.loads((out / "run.json").read_text())
+    assert run["invocation"]["metrics"] == ["entropy", "distinct_1"]
+
+
+def test_eval_sampling_flags_are_checked_as_config_fields(tmp_path):
+    ckpt = trained_checkpoint(tmp_path)
+    prompts = write_prompts(tmp_path / "prompts.jsonl")
+    base = ["eval", str(ckpt), str(prompts), "--out", str(tmp_path / "ev")]
+    assert main([*base, "--temperature", "inf"]) == 2
+    assert main([*base, "--top-p", "nan"]) == 2
+    assert not (tmp_path / "ev").exists()

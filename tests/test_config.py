@@ -395,3 +395,70 @@ def test_load_sweep_spec_collapses_repeated_grid_values(tmp_path):
 def test_load_sweep_spec_rejects_malformed_grid(tmp_path, grid):
     with pytest.raises(ConfigError):
         load_sweep_spec(write_config(tmp_path, sweep_payload(tmp_path, **grid), "sweep.json"))
+
+
+# ------------------------------------------------ typed record fields ----
+
+
+def test_parse_records_convert_numbers_to_the_field_type():
+    train = parse_train({"total_steps": 20.0, "warmup_steps": 2, "learning_rate": 1}, LossConfig("ce"))
+    assert (train.total_steps, type(train.total_steps)) == (20, int)
+    assert (train.learning_rate, type(train.learning_rate)) == (1.0, float)
+    assert parse_objective({"name": "gem", "beta": None}).beta is None
+    assert parse_model({"vocab": None, "context": 2}) == parse_model({"context": 2.0})
+    assert parse_sampling({"seed": 10**30}).seed == 10**30
+
+
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (parse_sampling, {"top_p": 10**400}),
+        (parse_objective, {"name": "ce", "gamma": float("inf")}),
+    ],
+)
+def test_parse_records_reject_non_finite_numbers(parse, data):
+    with pytest.raises(ConfigError):
+        parse(data)
+
+
+def test_train_config_hash_is_pinned():
+    # literals computed before the config records were declared once
+    lambda_pr = parse_objective({"name": "lambda_pr", "gamma": 2.0, "beta": 0.9, "lambda": 0.5, "alpha": 0.25})
+    train = parse_train(
+        {"learning_rate": 0.05, "warmup_steps": 3, "total_steps": 40, "weight_decay": 0.0,
+         "batch_size": 4, "seed": 11, "momentum": 0.9},
+        lambda_pr,
+    )
+    assert config_hash(train.to_dict()) == "636735c4cf79b6e6a78c16b5eabe61f3fd861a5dd90f1be76bccb5b12d81eb17"
+    tofu = parse_objective({"name": "tofu", "gamma": 1.5, "beta": 0.6})
+    train = parse_train(
+        {"learning_rate": 0.2, "warmup_steps": 0, "total_steps": 7, "weight_decay": 0.02,
+         "batch_size": 3, "seed": 2, "momentum": 0.5},
+        tofu,
+    )
+    assert config_hash(train.to_dict()) == "a629e37f5e0c0688d724e55d6cde1a81e4bdf2e543028167de579caddb8a57c9"
+
+
+def test_seeds_collapse_repeats_and_reject_bools(tmp_path):
+    payload = sweep_payload(tmp_path, seeds=[3, 0, 3, 0.0])
+    assert load_sweep_spec(write_config(tmp_path, payload, "sweep.json")).seeds == (3, 0)
+    payload = experiment_payload(tmp_path, seeds=[1, 1])
+    assert load_experiment_config(write_config(tmp_path, payload)).seeds == (1,)
+    for bad in ([True], [0, False], [1.5]):
+        with pytest.raises(ConfigError):
+            load_experiment_config(write_config(tmp_path, experiment_payload(tmp_path, seeds=bad)))
+
+
+def test_load_sweep_spec_collapses_repeated_metrics(tmp_path):
+    payload = sweep_payload(tmp_path, metrics=["entropy", "distinct_1", "entropy"])
+    assert load_sweep_spec(write_config(tmp_path, payload, "sweep.json")).metrics == ("entropy", "distinct_1")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"metrics": ["self_bleu"], "samples_per_prompt": 1}, {"metrics": ["coverage"]}, {"metrics": "entropy"}],
+)
+def test_load_sweep_spec_checks_the_eval_request(tmp_path, overrides):
+    # write_prompts gives a prompt without an answer, which coverage needs
+    with pytest.raises(ConfigError):
+        load_sweep_spec(write_config(tmp_path, sweep_payload(tmp_path, **overrides), "sweep.json"))

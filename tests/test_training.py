@@ -360,6 +360,56 @@ def test_checkpoint_rejects_version_1(tmp_path):
         Checkpoint.load(path)
 
 
+def saved_checkpoint(tmp_path):
+    corpus, _, model = tiny_setup()
+    ckpt, _ = train(model, corpus, TrainConfig(objective=LossConfig("ce"), warmup_steps=1, total_steps=2))
+    path = tmp_path / "model.bin"
+    ckpt.save(path)
+    return path
+
+
+def rewrite_header(path, edit):
+    """Apply edit(header) to a saved checkpoint's JSON header, keeping its arrays."""
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[12:20], "little")
+    header = json.loads(raw[20 : 20 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:12] + len(header_bytes).to_bytes(8, "little") + header_bytes + raw[20 + header_len :])
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValueError, match="header describes") as info:
+        Checkpoint.load(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_rejects_truncated_arrays(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="header describes") as info:
+        Checkpoint.load(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_rejects_vocab_that_disagrees_with_embed_rows(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    rewrite_header(path, lambda h: h.update(vocab_chars=h["vocab_chars"][:-1]))
+    with pytest.raises(ValueError, match="array embed has shape") as info:
+        Checkpoint.load(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_rejects_unknown_array_name(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    rewrite_header(path, lambda h: h["arrays"][0].update(name="embedding"))
+    with pytest.raises(ValueError, match="expected \\('embed'") as info:
+        Checkpoint.load(path)
+    assert str(path) in str(info.value)
+
+
 # --------------------------------------------------------------- golden ----
 
 
