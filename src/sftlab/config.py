@@ -18,6 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .losses import LossConfig
+from .model import Vocab
 from .sampling import SamplingConfig
 from .training import TrainConfig
 
@@ -113,6 +114,8 @@ class ModelSpec:
     def __post_init__(self):
         if min(self.context, self.embed_dim, self.hidden_dim) < 1:
             raise ValueError("dimensions must be >= 1")
+        if self.vocab is not None:
+            Vocab(self.vocab)  # rejects repeated characters
 
 
 def parse_model(data: dict, where: str = "model") -> ModelSpec:
@@ -168,49 +171,34 @@ def _list_of(data: dict, key: str, default: list, kind: type) -> tuple:
 
 def _parse_seeds(data, where: str) -> tuple[int, ...]:
     seeds = _list_of(data, "seeds", [0], int)
-    if not seeds:
-        raise ConfigError(f"{where}: seeds must be a non-empty list of ints")
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"{where}: seeds must be a non-empty list of ints >= 0, got {list(seeds)}")
     return seeds
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One train run: the inputs that produce its checkpoint, and where it goes."""
+
     train: TrainConfig
     model: ModelSpec
-    sampling: SamplingConfig
     corpus: Path
     output_dir: Path
-    seeds: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "train": self.train.to_dict(),
-            "model": asdict(self.model),
-            "sampling": asdict(self.sampling),
-            "seeds": list(self.seeds),
-        }
+        return {"train": self.train.to_dict(), "model": asdict(self.model)}
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     data, base = _load_json(path)
-    _check_keys(
-        data,
-        {"objective", "model", "train", "sampling", "corpus", "output_dir", "seeds"},
-        str(path),
-    )
+    # the objective key is the train config's objective field
+    _check_keys(data, {"objective"} | {f.name for f in fields(ExperimentConfig)}, str(path))
     objective = parse_objective(_require(data, "objective", str(path)))
-    train = parse_train(data.get("train", {}), objective)
-    model = parse_model(data.get("model", {}))
-    sampling = parse_sampling(data.get("sampling", {}))
-    corpus = _input_path(_require(data, "corpus", str(path)), base, "corpus")
-    output_dir = resolve_output_dir(_require(data, "output_dir", str(path)))
     return ExperimentConfig(
-        train=train,
-        model=model,
-        sampling=sampling,
-        corpus=corpus,
-        output_dir=output_dir,
-        seeds=_parse_seeds(data, str(path)),
+        train=parse_train(data.get("train", {}), objective),
+        model=parse_model(data.get("model", {})),
+        corpus=_input_path(_require(data, "corpus", str(path)), base, "corpus"),
+        output_dir=resolve_output_dir(_require(data, "output_dir", str(path))),
     )
 
 
@@ -385,6 +373,8 @@ def validate_eval_request(metrics, samples: int, prompts: list[PromptSpec]) -> t
     for m in metrics:
         if m not in KNOWN_METRICS:
             raise ConfigError(f"unknown metric {m!r}, expected one of {KNOWN_METRICS}")
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     if "self_bleu" in metrics and samples < 2:
         raise ConfigError("self_bleu needs at least 2 samples per prompt")
     if "coverage" in metrics and any(p.answer is None for p in prompts):

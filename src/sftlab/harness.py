@@ -34,6 +34,7 @@ from .losses import LossConfig, PrConfig, focal_scaling, pr_weight
 from .metrics import (
     GenerationSet,
     MetricReport,
+    answer_entropy,
     completion_entropy,
     coverage_and_mean,
     distinct_n,
@@ -62,16 +63,7 @@ class RunRecord:
 
     def write(self, out_dir: Path):
         out_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "corpus_hash": self.corpus_hash,
-            "invocation": self.invocation,
-            "outputs": self.outputs,
-            "status": self.status,
-            "wall_clock_s": self.wall_clock_s,
-        }
-        (out_dir / "run.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        (out_dir / "run.json").write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def _write_trace_csv(path: Path, trace):
@@ -246,33 +238,27 @@ def run_curves(out_path) -> Path:
     return out_path
 
 
-def _sweep_task(args: tuple) -> tuple:
-    """One (cell, seed) unit: train then eval. Top-level so it pickles for the
-    process pool. Returns (label, seed, metric means dict, error or None)."""
-    (label, train_cfg, model_spec, sampling, corpus_path, prompts_path, samples, metrics, cell_dir) = args
+def _sweep_task(args: tuple[SweepSpec, str, TrainConfig]) -> tuple:
+    """One (cell, seed) unit of the sweep: train the cell's config, whose seed
+    is the task's, then eval with the sampling seed set to it. Top-level so it
+    pickles for the process pool. Returns (label, seed, metric means dict,
+    error or None)."""
+    spec, label, train_cfg = args
+    seed = train_cfg.seed
+    cell_dir = spec.output_dir / label / f"seed_{seed}"
     try:
-        exp = ExperimentConfig(
-            train=train_cfg,
-            model=model_spec,
-            sampling=sampling,
-            corpus=Path(corpus_path),
-            output_dir=Path(cell_dir),
-            seeds=(train_cfg.seed,),
-        )
-        train_out = run_train(exp, Path(cell_dir))
-        sampling_seeded = replace(sampling, seed=train_cfg.seed)
+        train_out = run_train(ExperimentConfig(train_cfg, spec.model, spec.corpus, cell_dir))
         eval_out = run_eval(
             train_out["checkpoint"],
-            prompts_path,
-            sampling_seeded,
-            Path(cell_dir) / "eval",
-            samples=samples,
-            metrics=metrics,
+            spec.prompts,
+            replace(spec.sampling, seed=seed),
+            cell_dir / "eval",
+            samples=spec.samples_per_prompt,
+            metrics=spec.metrics,
         )
-        values = {"final_loss": train_out["final_loss"], **eval_out["reports"]}
-        return label, train_cfg.seed, values, None
+        return label, seed, {"final_loss": train_out["final_loss"], **eval_out["reports"]}, None
     except Exception as exc:  # cell failures are recorded, not fatal to the sweep
-        return label, train_cfg.seed, {}, f"{type(exc).__name__}: {exc}"
+        return label, seed, {}, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: SweepSpec) -> dict:
@@ -298,24 +284,11 @@ def run_sweep(spec: SweepSpec) -> dict:
         if ran != label:
             aliases[label] = ran
 
-    tasks = []
-    for label, loss_cfg in trained.values():
-        for seed in spec.seeds:
-            seeded = replace(spec.train, objective=loss_cfg, seed=seed)
-            cell_dir = out_dir / label / f"seed_{seed}"
-            tasks.append(
-                (
-                    label,
-                    seeded,
-                    spec.model,
-                    spec.sampling,
-                    str(spec.corpus),
-                    str(spec.prompts),
-                    spec.samples_per_prompt,
-                    spec.metrics,
-                    str(cell_dir),
-                )
-            )
+    tasks = [
+        (spec, label, replace(spec.train, objective=loss_cfg, seed=seed))
+        for label, loss_cfg in trained.values()
+        for seed in spec.seeds
+    ]
 
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -341,21 +314,12 @@ def run_sweep(spec: SweepSpec) -> dict:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "seed"] + labels)
         for metric in metric_names:
-            per_seed_rows = []
-            for seed in spec.seeds:
-                row = []
-                for label in labels:
-                    v = values.get((label, seed), {}).get(metric)
-                    row.append("" if v is None else repr(float(v)))
-                per_seed_rows.append(row)
-                writer.writerow([metric, seed] + row)
-            median_row = []
-            for i, label in enumerate(labels):
-                cell_vals = [
-                    float(r[i]) for r in per_seed_rows if r[i] != ""
-                ]
-                median_row.append(repr(statistics.median(cell_vals)) if cell_vals else "")
-            writer.writerow([metric, "median"] + median_row)
+            # columns[i][j]: label i at seed j, None where the cell failed
+            columns = [[values.get((label, seed), {}).get(metric) for seed in spec.seeds] for label in labels]
+            for seed, row in zip(spec.seeds, zip(*columns)):
+                writer.writerow([metric, seed] + ["" if v is None else repr(float(v)) for v in row])
+            present = [[float(v) for v in column if v is not None] for column in columns]
+            writer.writerow([metric, "median"] + [repr(statistics.median(c)) if c else "" for c in present])
 
     record = RunRecord(
         command="sweep",
@@ -399,18 +363,9 @@ def run_probe(spec: ProbeSpec) -> dict:
     started = time.monotonic()
     pre_corpus = Corpus.load_jsonl(spec.pretrain_corpus)
     sft_corpus = Corpus.load_jsonl(spec.sft_corpus)
-    if spec.model.vocab is not None:
-        chars = spec.model.vocab
-    else:
-        chars = "".join(
-            sorted(
-                set(pre_corpus.charset())
-                | set(sft_corpus.charset())
-                | set(spec.prompt)
-                | set(spec.valid_tokens)
-            )
-        )
-    vocab = Vocab(chars)
+    chars = spec.model.vocab
+    if chars is None:
+        chars = Vocab.from_text(pre_corpus.charset(), sft_corpus.charset(), spec.prompt, *spec.valid_tokens).chars
     missing = [t for t in spec.valid_tokens if t not in chars]
     if missing:
         raise ConfigError(f"valid tokens {missing} not in vocab {chars!r}")
@@ -422,18 +377,11 @@ def run_probe(spec: ProbeSpec) -> dict:
             label += "_x"
         labels.append(label)
 
-    probes: dict[str, dict[int, object]] = {"pretrained": {}}
-    for label in labels:
-        probes[label] = {}
+    probes: dict[str, dict[int, object]] = {label: {} for label in ["pretrained", *labels]}
 
+    model_spec = replace(spec.model, vocab=chars)  # the vocab covers both corpora and the probe
     for seed in spec.seeds:
-        model = ToyModel.init(
-            vocab,
-            context=spec.model.context,
-            embed_dim=spec.model.embed_dim,
-            hidden_dim=spec.model.hidden_dim,
-            seed=seed,
-        )
+        model = build_model(model_spec, pre_corpus, seed)
         pre_ckpt, _ = train(model, pre_corpus, replace(spec.pretrain, seed=seed))
         probes["pretrained"][seed] = probe_token_distribution(
             pre_ckpt.model, spec.prompt, spec.valid_tokens
@@ -447,8 +395,6 @@ def run_probe(spec: ProbeSpec) -> dict:
 
     out_dir = spec.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .metrics import answer_entropy
-
     summary: dict[str, dict] = {}
     for label, by_seed in probes.items():
         with open(out_dir / f"probe_{label}.csv", "w", newline="", encoding="utf-8") as fh:

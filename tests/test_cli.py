@@ -111,6 +111,15 @@ def test_train_out_of_range_hyperparameter_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key, value", [("seeds", [5, 6, 7]), ("sampling", {"top_p": 0.5})], ids=["seeds", "sampling"])
+def test_train_config_takes_no_seeds_or_sampling(tmp_path, capsys, key, value):
+    # a train run is its train and model configs and its corpus; nothing reads these
+    cfg = write_experiment(tmp_path, **{key: value})
+    assert main(["train", str(cfg)]) == 2
+    assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ------------------------------------------------------------------ eval ----
 
 
@@ -203,6 +212,8 @@ def test_eval_usage_errors(tmp_path):
     assert main([*base, "--metrics", "self_bleu", "--samples", "1"]) == 2
     assert main([*base, "--metrics", ""]) == 2
     assert main([*base, "--top-p", "2.0"]) == 2
+    assert main([*base, "--metrics", "entropy", "--samples", "0"]) == 2
+    assert not (tmp_path / "ev").exists()
 
 
 def test_eval_garbage_checkpoint_is_runtime_error(tmp_path):
@@ -323,7 +334,9 @@ def test_sweep_cli_bad_spec_is_usage_error(tmp_path):
     assert main(["sweep", str(spec)]) == 2
 
 
-@pytest.mark.parametrize("grid", [{"gammas": [-1.0]}, {"betas": [1.5]}])
+@pytest.mark.parametrize(
+    "grid", [{"gammas": [-1.0]}, {"betas": [1.5]}, {"seeds": [0, -1]}, {"train": {**TRAIN, "seed": -1}}]
+)
 def test_sweep_cli_out_of_range_hyperparameter_is_usage_error(tmp_path, grid):
     spec = write_sweep(tmp_path, **grid)
     assert main(["sweep", str(spec)]) == 2
@@ -460,6 +473,21 @@ def test_probe_cli_end_to_end(tmp_path, capsys):
         assert 0.0 < mass <= 1.0 + 1e-12
 
 
+def test_probe_cli_negative_seed_is_usage_error(tmp_path):
+    write_corpus(tmp_path / "corpus.jsonl")
+    payload = {
+        "pretrain": {"corpus": "corpus.jsonl"},
+        "sft": {"corpus": "corpus.jsonl", "objectives": [{"name": "ce"}]},
+        "probe": {"prompt": "a", "valid_tokens": ["a"]},
+        "seeds": [-1],
+        "output_dir": str(tmp_path / "probe"),
+    }
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["probe", str(cfg)]) == 2
+    assert not (tmp_path / "probe").exists()
+
+
 def test_probe_run_hash_covers_sft_corpus(tmp_path):
     write_corpus(tmp_path / "pre.jsonl")
     payload = {
@@ -534,11 +562,18 @@ def bad_values(kind):
     return values
 
 
-BAD_FIELD_CASES = [
-    pytest.param(section, key, value, id=f"{section}.{key}={value!r}")
+# values of the right type that the record's own check rejects
+OUT_OF_RANGE_FIELDS = [("model", "vocab", "abcdd"), ("train", "seed", -1)]
+
+MISTYPED_FIELDS = [
+    (section, key, value)
     for section, keys in RECORD_FIELDS.items()
     for key, kind in keys.items()
     for value in bad_values(kind)
+]
+BAD_FIELD_CASES = [
+    pytest.param(section, key, value, id=f"{section}.{key}={value!r}")
+    for section, key, value in MISTYPED_FIELDS + OUT_OF_RANGE_FIELDS
 ]
 
 

@@ -143,7 +143,6 @@ def test_load_experiment_config_happy_path(tmp_path):
     cfg = load_experiment_config(path)
     assert cfg.train.total_steps == 20
     assert cfg.corpus == tmp_path / "corpus.jsonl"
-    assert cfg.seeds == (0,)
     # loading twice hashes identically
     assert config_hash(cfg.to_dict()) == config_hash(load_experiment_config(path).to_dict())
 
@@ -190,15 +189,6 @@ def test_load_experiment_config_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_experiment_config(path)
-
-
-def test_load_experiment_config_bad_seeds(tmp_path):
-    payload = experiment_payload(tmp_path, seeds=[])
-    with pytest.raises(ConfigError):
-        load_experiment_config(write_config(tmp_path, payload))
-    payload = experiment_payload(tmp_path, seeds=["a"])
-    with pytest.raises(ConfigError):
-        load_experiment_config(write_config(tmp_path, payload))
 
 
 # ----------------------------------------------------------- sweep spec ----
@@ -442,11 +432,9 @@ def test_train_config_hash_is_pinned():
 def test_seeds_collapse_repeats_and_reject_bools(tmp_path):
     payload = sweep_payload(tmp_path, seeds=[3, 0, 3, 0.0])
     assert load_sweep_spec(write_config(tmp_path, payload, "sweep.json")).seeds == (3, 0)
-    payload = experiment_payload(tmp_path, seeds=[1, 1])
-    assert load_experiment_config(write_config(tmp_path, payload)).seeds == (1,)
     for bad in ([True], [0, False], [1.5]):
         with pytest.raises(ConfigError):
-            load_experiment_config(write_config(tmp_path, experiment_payload(tmp_path, seeds=bad)))
+            load_sweep_spec(write_config(tmp_path, sweep_payload(tmp_path, seeds=bad), "sweep.json"))
 
 
 def test_load_sweep_spec_collapses_repeated_metrics(tmp_path):
