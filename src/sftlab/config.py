@@ -17,6 +17,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
+from .hashing import read_jsonl
 from .losses import LossConfig
 from .model import Vocab
 from .sampling import SamplingConfig
@@ -122,12 +123,12 @@ def parse_model(data: dict, where: str = "model") -> ModelSpec:
     return _parse_record(ModelSpec, data, where)
 
 
-def parse_train(data: dict, objective: LossConfig, where: str = "train") -> TrainConfig:
-    return _parse_record(TrainConfig, data, where, objective=objective)
+def parse_train(data: dict, objective: LossConfig, where: str = "train", **given) -> TrainConfig:
+    return _parse_record(TrainConfig, data, where, objective=objective, **given)
 
 
-def parse_sampling(data: dict, where: str = "sampling") -> SamplingConfig:
-    return _parse_record(SamplingConfig, data, where)
+def parse_sampling(data: dict, where: str = "sampling", **given) -> SamplingConfig:
+    return _parse_record(SamplingConfig, data, where, **given)
 
 
 def resolve_output_dir(raw) -> Path:
@@ -270,9 +271,10 @@ def load_sweep_spec(path) -> SweepSpec:
         gammas=gammas,
         betas=betas,
         seeds=_parse_seeds(data, str(path)),
-        train=parse_train(data.get("train", {}), LossConfig("ce")),
+        # each task's seed replaces both seeds, so a spec may not name them
+        train=parse_train(data.get("train", {}), LossConfig("ce"), seed=0),
         model=parse_model(data.get("model", {})),
-        sampling=parse_sampling(data.get("sampling", {})),
+        sampling=parse_sampling(data.get("sampling", {}), seed=0),
         corpus=_input_path(_require(data, "corpus", str(path)), base, "corpus"),
         prompts=prompts,
         samples_per_prompt=samples,
@@ -314,9 +316,10 @@ def load_probe_spec(path) -> ProbeSpec:
         raise ConfigError("probe.valid_tokens must be single characters")
     return ProbeSpec(
         pretrain_corpus=_input_path(_require(pre, "corpus", "pretrain"), base, "pretrain.corpus"),
-        pretrain=parse_train(pre.get("train", {}), pre_objective, "pretrain.train"),
+        # each seed of `seeds` replaces both train seeds, so a spec may not name them
+        pretrain=parse_train(pre.get("train", {}), pre_objective, "pretrain.train", seed=0),
         sft_corpus=_input_path(_require(sft, "corpus", "sft"), base, "sft.corpus"),
-        sft_base=parse_train(sft.get("train", {}), LossConfig("ce"), "sft.train"),
+        sft_base=parse_train(sft.get("train", {}), LossConfig("ce"), "sft.train", seed=0),
         sft_objectives=tuple(
             parse_objective(o, f"sft.objectives[{i}]") for i, o in enumerate(raw_objectives)
         ),
@@ -336,33 +339,15 @@ class PromptSpec:
 
 
 def load_prompts(path) -> list[PromptSpec]:
-    """Eval prompt file: JSONL rows {"id", "prompt", optional "answer"}."""
-    prompts = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{line_no}: bad JSON: {exc}") from None
-            _check_keys(row, {"id", "prompt", "answer"}, f"{path}:{line_no}")
-            pid = str(_require(row, "id", f"{path}:{line_no}"))
-            if pid in seen:
-                raise ConfigError(f"{path}:{line_no}: duplicate prompt id {pid!r}")
-            seen.add(pid)
-            prompts.append(
-                PromptSpec(
-                    id=pid,
-                    prompt=str(_require(row, "prompt", f"{path}:{line_no}")),
-                    answer=None if row.get("answer") is None else str(row["answer"]),
-                )
-            )
+    """Eval prompt file: JSONL rows of strings {"id", "prompt", optional "answer"}."""
+    prompts: dict[str, PromptSpec] = {}
+    for where, row in read_jsonl(path, ("id", "prompt", "answer"), ("id", "prompt"), ConfigError):
+        if row["id"] in prompts:
+            raise ConfigError(f"{where}: duplicate prompt id {row['id']!r}")
+        prompts[row["id"]] = PromptSpec(**row)
     if not prompts:
         raise ConfigError(f"{path}: no prompts")
-    return prompts
+    return list(prompts.values())
 
 
 def validate_eval_request(metrics, samples: int, prompts: list[PromptSpec]) -> tuple[str, ...]:

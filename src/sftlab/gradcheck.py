@@ -13,7 +13,7 @@ A CheckReport records both error channels; passing requires both.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -95,18 +95,7 @@ class CheckReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "trials": self.trials,
-            "max_rel_error": self.max_rel_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "fd_max_rel_error": self.fd_max_rel_error,
-            "fd_tolerance": self.fd_tolerance,
-            "extras": self.extras,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ differ, and only in its wall-clock field.
 
 from __future__ import annotations
 
-import csv
 import json
 import statistics
 import time
@@ -29,7 +28,7 @@ from .config import (
     load_prompts,
     validate_eval_request,
 )
-from .hashing import canonical_json, config_hash, content_hash
+from .hashing import canonical_json, config_hash, content_hash, csv_text, write_file
 from .losses import LossConfig, PrConfig, focal_scaling, pr_weight
 from .metrics import (
     GenerationSet,
@@ -62,16 +61,7 @@ class RunRecord:
     wall_clock_s: float = 0.0
 
     def write(self, out_dir: Path):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "run.json").write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-
-
-def _write_trace_csv(path: Path, trace):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "loss", "lr"])
-        for row in trace:
-            writer.writerow([row.step, repr(row.loss), repr(row.lr)])
+        write_file(out_dir / "run.json", json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def build_model(spec: ModelSpec, corpus: Corpus, seed: int) -> ToyModel:
@@ -92,9 +82,9 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> dict:
     corpus = Corpus.load_jsonl(cfg.corpus)
     model = build_model(cfg.model, corpus, cfg.train.seed)
     checkpoint, trace = train(model, corpus, cfg.train)
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint.save(out_dir / "checkpoint.bin")
-    _write_trace_csv(out_dir / "trace.csv", trace)
+    trace_rows = [(row.step, repr(row.loss), repr(row.lr)) for row in trace]
+    write_file(out_dir / "trace.csv", csv_text([("step", "loss", "lr"), *trace_rows]))
     record = RunRecord(
         command="train",
         config_hash=config_hash(cfg.to_dict()),
@@ -131,21 +121,18 @@ def run_eval(
     metrics = validate_eval_request(metrics, samples, prompts)
     model = Checkpoint.load(checkpoint_path).model
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    sets: dict[str, GenerationSet] = {}
-    with open(out_dir / "generations.jsonl", "w", encoding="utf-8") as fh:
-        for p in prompts:
-            gen = sample_generation_set(model, p.prompt, samples, sampling, p.id)
-            sets[p.id] = gen
-            for i, completion in enumerate(gen.completions):
-                fh.write(
-                    json.dumps(
-                        {"prompt_id": p.id, "completion": completion, "sample_index": i},
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
+    sets: dict[str, GenerationSet] = {
+        p.id: sample_generation_set(model, p.prompt, samples, sampling, p.id) for p in prompts
+    }
+    write_file(
+        out_dir / "generations.jsonl",
+        "".join(
+            json.dumps({"prompt_id": p.id, "completion": completion, "sample_index": i}, sort_keys=True) + "\n"
+            for p in prompts
+            for i, completion in enumerate(sets[p.id].completions)
+        ),
+    )
 
     reports = []
     for name in metrics:
@@ -219,7 +206,6 @@ def run_eval(
 def run_curves(out_path) -> Path:
     """Emit the focal factor and lambda-PR weight curves on a log-spaced grid."""
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     p_grid = np.geomspace(1e-6, 1.0, CURVE_POINTS)
     header = ["p"]
     columns = []
@@ -230,11 +216,8 @@ def run_curves(out_path) -> Path:
         header.append(f"w_{lam:g}_{alpha:g}")
         # PrConfig's default position 1: curves show the weight at response start
         columns.append([pr_weight(p, PrConfig(lam, alpha)) for p in p_grid])
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, p in enumerate(p_grid):
-            writer.writerow([repr(float(p))] + [repr(float(col[i])) for col in columns])
+    rows = [[repr(float(p))] + [repr(float(col[i])) for col in columns] for i, p in enumerate(p_grid)]
+    write_file(out_path, csv_text([header, *rows]))
     return out_path
 
 
@@ -273,8 +256,6 @@ def run_sweep(spec: SweepSpec) -> dict:
     """
     started = time.monotonic()
     out_dir = spec.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     cells = spec.cells()
     labels = [label for label, _ in cells]
     trained: dict[str, tuple[str, LossConfig]] = {}  # canonical key -> (label, loss config)
@@ -309,17 +290,16 @@ def run_sweep(spec: SweepSpec) -> dict:
     metric_names = ["final_loss"] + [
         m for m in spec.metrics if m != "coverage"
     ] + (["coverage", "mean_success"] if "coverage" in spec.metrics else [])
+    rows = [["metric", "seed"] + labels]
+    for metric in metric_names:
+        # columns[i][j]: label i at seed j, None where the cell failed
+        columns = [[values.get((label, seed), {}).get(metric) for seed in spec.seeds] for label in labels]
+        for seed, row in zip(spec.seeds, zip(*columns)):
+            rows.append([metric, seed] + ["" if v is None else repr(float(v)) for v in row])
+        present = [[float(v) for v in column if v is not None] for column in columns]
+        rows.append([metric, "median"] + [repr(statistics.median(c)) if c else "" for c in present])
     summary_path = out_dir / "sweep_summary.csv"
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "seed"] + labels)
-        for metric in metric_names:
-            # columns[i][j]: label i at seed j, None where the cell failed
-            columns = [[values.get((label, seed), {}).get(metric) for seed in spec.seeds] for label in labels]
-            for seed, row in zip(spec.seeds, zip(*columns)):
-                writer.writerow([metric, seed] + ["" if v is None else repr(float(v)) for v in row])
-            present = [[float(v) for v in column if v is not None] for column in columns]
-            writer.writerow([metric, "median"] + [repr(statistics.median(c)) if c else "" for c in present])
+    write_file(summary_path, csv_text(rows))
 
     record = RunRecord(
         command="sweep",
@@ -394,17 +374,14 @@ def run_probe(spec: ProbeSpec) -> dict:
             )
 
     out_dir = spec.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, dict] = {}
     for label, by_seed in probes.items():
-        with open(out_dir / f"probe_{label}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["seed", "token", "probability"])
-            for seed in spec.seeds:
-                result = by_seed[seed]
-                for token in spec.valid_tokens:
-                    writer.writerow([seed, token, repr(result.probabilities[token])])
-                writer.writerow([seed, "__tail__", repr(result.tail_mass)])
+        rows = [("seed", "token", "probability")]
+        for seed in spec.seeds:
+            result = by_seed[seed]
+            rows += [(seed, token, repr(result.probabilities[token])) for token in spec.valid_tokens]
+            rows.append((seed, "__tail__", repr(result.tail_mass)))
+        write_file(out_dir / f"probe_{label}.csv", csv_text(rows))
         entropies = [
             answer_entropy(np.array([by_seed[s].probabilities[t] for t in spec.valid_tokens]))
             for s in spec.seeds
@@ -443,7 +420,7 @@ def run_probe(spec: ProbeSpec) -> dict:
                 <= 1.10 * summary["pretrained"]["median_tail_mass"],
             }
         verdict["vs_ce"] = comparisons
-    (out_dir / "verdict.json").write_text(json.dumps(verdict, indent=2, sort_keys=True) + "\n")
+    write_file(out_dir / "verdict.json", json.dumps(verdict, indent=2, sort_keys=True) + "\n")
 
     record = RunRecord(
         command="probe",

@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .hashing import csv_text, write_file
 from .numerics import as_probs
 
 BLEU_SMOOTHING_EPS = 1e-9
@@ -198,16 +198,11 @@ class MetricReport:
 def write_metric_reports(path, reports: list[MetricReport]):
     """CSV rows metric,prompt_id,value; each metric closes with aggregate
     mean and std rows."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "prompt_id", "value"])
-        for report in reports:
-            for prompt_id, value in report.per_prompt.items():
-                writer.writerow([report.metric, prompt_id, repr(float(value))])
-            writer.writerow([report.metric, "mean", repr(report.mean)])
-            writer.writerow([report.metric, "std", repr(report.std)])
+    rows = [("metric", "prompt_id", "value")]
+    for report in reports:
+        rows += [(report.metric, prompt_id, repr(float(value))) for prompt_id, value in report.per_prompt.items()]
+        rows += [(report.metric, "mean", repr(report.mean)), (report.metric, "std", repr(report.std))]
+    write_file(path, csv_text(rows))
 
 
 def read_metric_reports(path) -> dict[str, dict[str, float]]:

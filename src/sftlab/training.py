@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hashing import config_hash
+from .hashing import config_hash, read_jsonl, write_file
 # token_loss stays importable from here: perfbench traces it under this module's name
 from .losses import LossConfig, batch_loss, token_loss  # noqa: F401
 from .model import Gradients, ToyModel, Vocab, backward_batch, forward, forward_batch, pad_context
@@ -53,28 +53,11 @@ class Corpus:
 
     @classmethod
     def load_jsonl(cls, path) -> "Corpus":
-        examples = []
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{line_no}: bad JSON: {exc}") from None
-                if not isinstance(row, dict) or set(row) != {"prompt", "response"}:
-                    raise ValueError(f"{path}:{line_no}: expected keys prompt/response")
-                examples.append(CorpusExample(str(row["prompt"]), str(row["response"])))
-        return cls(examples)
+        keys = ("prompt", "response")
+        return cls([CorpusExample(**row) for _, row in read_jsonl(path, keys, keys)])
 
     def save_jsonl(self, path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            for ex in self.examples:
-                fh.write(json.dumps({"prompt": ex.prompt, "response": ex.response}, sort_keys=True))
-                fh.write("\n")
+        write_file(path, "".join(json.dumps(asdict(ex), sort_keys=True) + "\n" for ex in self.examples))
 
 
 @dataclass(frozen=True)
@@ -163,8 +146,6 @@ class Checkpoint:
     VERSION = 2
 
     def save(self, path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         arrays = [(name, np.ascontiguousarray(p, dtype=np.float64)) for name, p in self.model.named_params()]
         header = {
             "format_version": self.VERSION,
@@ -175,13 +156,8 @@ class Checkpoint:
             "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
         }
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(self.MAGIC)
-            fh.write(self.VERSION.to_bytes(4, "little"))
-            fh.write(len(header_bytes).to_bytes(8, "little"))
-            fh.write(header_bytes)
-            for _, a in arrays:
-                fh.write(a.tobytes())
+        prefix = self.MAGIC + self.VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(8, "little")
+        write_file(path, b"".join([prefix, header_bytes, *(a.tobytes() for _, a in arrays)]))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

@@ -55,6 +55,11 @@ def strip_wall_clock(path):
     return data
 
 
+def assert_no_temp_files(root):
+    # every file is written to a hidden sibling first, then moved into place
+    assert sorted(root.rglob(".*.tmp")) == []
+
+
 # ----------------------------------------------------------------- train ----
 
 
@@ -72,6 +77,7 @@ def test_train_writes_outputs_and_reruns_byte_identical(tmp_path, capsys):
     assert (dir_a / "checkpoint.bin").read_bytes() == (dir_b / "checkpoint.bin").read_bytes()
     assert (dir_a / "trace.csv").read_bytes() == (dir_b / "trace.csv").read_bytes()
     assert strip_wall_clock(dir_a / "run.json") == strip_wall_clock(dir_b / "run.json")
+    assert_no_temp_files(tmp_path)
 
 
 def test_train_trace_has_step_rows(tmp_path):
@@ -120,6 +126,22 @@ def test_train_config_takes_no_seeds_or_sampling(tmp_path, capsys, key, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "row",
+    [{"prompt": None, "response": "ab"}, {"prompt": "a", "response": 12}, {"prompt": ["a"], "response": "b"}],
+    ids=["null_prompt", "number_response", "list_prompt"],
+)
+def test_train_non_string_corpus_value_is_runtime_error(tmp_path, capsys, row):
+    # a corpus value that is not a JSON string fails like any other bad corpus
+    # row; it is never trained on as its str() text
+    cfg = write_experiment(tmp_path)
+    with open(tmp_path / "corpus.jsonl", "a") as fh:
+        fh.write(json.dumps(row) + "\n")
+    assert main(["train", str(cfg)]) == 1
+    assert "corpus.jsonl:5: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ------------------------------------------------------------------ eval ----
 
 
@@ -152,6 +174,45 @@ def test_eval_writes_outputs_and_reruns_byte_identical(tmp_path, capsys):
     assert set(loaded) == {"self_bleu", "distinct_1", "entropy"}
     for table in loaded.values():
         assert set(table) == {"p0", "p1", "mean", "std"}
+    assert_no_temp_files(tmp_path)
+
+
+def test_eval_failing_between_prompts_leaves_no_generations_file(tmp_path, monkeypatch):
+    # sampling dies after the first prompt's set: a generations.jsonl holding
+    # only p0's rows would read as a complete file
+    import sftlab.harness
+
+    ckpt = trained_checkpoint(tmp_path)
+    prompts = write_prompts(tmp_path / "prompts.jsonl")
+    sample = sftlab.harness.sample_generation_set
+    calls = []
+
+    def dies_on_second_prompt(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("sampling died")
+        return sample(*args)
+
+    monkeypatch.setattr(sftlab.harness, "sample_generation_set", dies_on_second_prompt)
+    out = tmp_path / "ev"
+    assert main(["eval", str(ckpt), str(prompts), "--out", str(out), "--samples", "2", "--max-tokens", "4"]) == 1
+    assert len(calls) == 2
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize(
+    "row",
+    [{"id": 3, "prompt": "a"}, {"id": "p2", "prompt": None}, {"id": "p2", "prompt": "a", "answer": 4}],
+    ids=["number_id", "null_prompt", "number_answer"],
+)
+def test_eval_non_string_prompt_value_is_usage_error(tmp_path, capsys, row):
+    ckpt = trained_checkpoint(tmp_path)
+    prompts = write_prompts(tmp_path / "prompts.jsonl")
+    with open(prompts, "a") as fh:
+        fh.write(json.dumps(row) + "\n")
+    assert main(["eval", str(ckpt), str(prompts), "--out", str(tmp_path / "ev")]) == 2
+    assert "prompts.jsonl:3: " in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_eval_undefined_metric_is_runtime_error(tmp_path, capsys):
@@ -312,6 +373,7 @@ def test_sweep_cli_summary_shape(tmp_path, capsys):
         for seed in ("seed_0", "seed_1"):
             assert (tmp_path / "sweep" / cell / seed / "checkpoint.bin").exists()
             assert (tmp_path / "sweep" / cell / seed / "eval" / "metrics.csv").exists()
+    assert_no_temp_files(tmp_path)
 
 
 def test_sweep_cli_rerun_summary_byte_identical(tmp_path):
@@ -471,6 +533,7 @@ def test_probe_cli_end_to_end(tmp_path, capsys):
             by_seed_total[row["seed"]] = by_seed_total.get(row["seed"], 0.0) + float(row["probability"])
     for seed, mass in by_seed_total.items():
         assert 0.0 < mass <= 1.0 + 1e-12
+    assert_no_temp_files(tmp_path)
 
 
 def test_probe_cli_negative_seed_is_usage_error(tmp_path):
@@ -486,6 +549,39 @@ def test_probe_cli_negative_seed_is_usage_error(tmp_path):
     cfg.write_text(json.dumps(payload))
     assert main(["probe", str(cfg)]) == 2
     assert not (tmp_path / "probe").exists()
+
+
+def write_probe(tmp_path, pretrain_train=None, sft_train=None):
+    write_corpus(tmp_path / "corpus.jsonl")
+    payload = {
+        "pretrain": {"corpus": "corpus.jsonl", "train": pretrain_train or {}},
+        "sft": {"corpus": "corpus.jsonl", "train": sft_train or {}, "objectives": [{"name": "ce"}]},
+        "model": MODEL,
+        "probe": {"prompt": "a", "valid_tokens": ["a"]},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "probe"),
+    }
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(payload))
+    return cfg
+
+
+# each run's seed comes from the spec's `seeds`, which replace these four keys
+SEED_KEYS = {
+    "sweep.train.seed": lambda tmp_path: write_sweep(tmp_path, train={**TRAIN, "seed": 5}),
+    "sweep.sampling.seed": lambda tmp_path: write_sweep(tmp_path, sampling={"max_tokens": 6, "seed": 5}),
+    "probe.pretrain.train.seed": lambda tmp_path: write_probe(tmp_path, pretrain_train={"seed": 5}),
+    "probe.sft.train.seed": lambda tmp_path: write_probe(tmp_path, sft_train={"seed": 5}),
+}
+
+
+@pytest.mark.parametrize("key", SEED_KEYS)
+def test_sweep_and_probe_take_no_per_run_seed(tmp_path, capsys, key):
+    cfg = SEED_KEYS[key](tmp_path)
+    command = key.split(".")[0]
+    assert main([command, str(cfg)]) == 2
+    assert "unknown key(s) ['seed']" in capsys.readouterr().err
+    assert not (tmp_path / command).exists()
 
 
 def test_probe_run_hash_covers_sft_corpus(tmp_path):
