@@ -1,7 +1,7 @@
 """Strict loading of experiment, sweep, and probe config files.
 
 Configs are JSON trees. Unknown keys are rejected everywhere (a typo must not
-silently become a default), referenced input paths must exist at load time,
+silently become a default), referenced input paths must name files at load time,
 and every value error surfaces as ConfigError so the CLI can map it to the
 usage exit code. Relative input paths resolve against the config file's
 directory; relative output paths resolve against SFTLAB_OUT_ROOT when set.
@@ -140,12 +140,17 @@ def resolve_output_dir(raw) -> Path:
     return path
 
 
+def _output_dir(data: dict, where: str) -> Path:
+    return resolve_output_dir(_typed(_require(data, "output_dir", where), str, "output_dir"))
+
+
 def _input_path(raw, base_dir: Path, where: str) -> Path:
-    path = Path(raw)
+    """An input file's path string, relative ones resolved against base_dir."""
+    path = Path(_typed(raw, str, where))
     if not path.is_absolute():
         path = base_dir / path
-    if not path.exists():
-        raise ConfigError(f"{where}: path {path} does not exist")
+    if not path.is_file():
+        raise ConfigError(f"{where}: path {path} is not a file")
     return path
 
 
@@ -199,7 +204,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         train=parse_train(data.get("train", {}), objective),
         model=parse_model(data.get("model", {})),
         corpus=_input_path(_require(data, "corpus", str(path)), base, "corpus"),
-        output_dir=resolve_output_dir(_require(data, "output_dir", str(path))),
+        output_dir=_output_dir(data, str(path)),
     )
 
 
@@ -280,7 +285,7 @@ def load_sweep_spec(path) -> SweepSpec:
         samples_per_prompt=samples,
         metrics=metrics,
         workers=_positive_int(data, "workers", 1),
-        output_dir=resolve_output_dir(_require(data, "output_dir", str(path))),
+        output_dir=_output_dir(data, str(path)),
     )
 
 
@@ -311,7 +316,8 @@ def load_probe_spec(path) -> ProbeSpec:
         raise ConfigError("sft.objectives must be a non-empty list")
     probe = _require(data, "probe", str(path))
     _check_keys(probe, {"prompt", "valid_tokens"}, "probe")
-    valid_tokens = tuple(_require(probe, "valid_tokens", "probe"))
+    _require(probe, "valid_tokens", "probe")
+    valid_tokens = _list_of(probe, "valid_tokens", [], str)
     if not valid_tokens or any(len(t) != 1 for t in valid_tokens):
         raise ConfigError("probe.valid_tokens must be single characters")
     return ProbeSpec(
@@ -324,10 +330,10 @@ def load_probe_spec(path) -> ProbeSpec:
             parse_objective(o, f"sft.objectives[{i}]") for i, o in enumerate(raw_objectives)
         ),
         model=parse_model(data.get("model", {})),
-        prompt=str(_require(probe, "prompt", "probe")),
+        prompt=_typed(_require(probe, "prompt", "probe"), str, "probe.prompt"),
         valid_tokens=valid_tokens,
         seeds=_parse_seeds(data, str(path)),
-        output_dir=resolve_output_dir(_require(data, "output_dir", str(path))),
+        output_dir=_output_dir(data, str(path)),
     )
 
 

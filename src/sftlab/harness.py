@@ -244,6 +244,19 @@ def _sweep_task(args: tuple[SweepSpec, str, TrainConfig]) -> tuple:
         return label, seed, {}, f"{type(exc).__name__}: {exc}"
 
 
+def _distinct_objectives(cells) -> tuple[list[tuple[str, LossConfig]], dict[str, str]]:
+    """Split (label, loss config) pairs by LossConfig.key(): the first pair of
+    each key, in order, and {alias label: the label whose key it shares}.
+    Runs that differ only in configs with equal keys train identically."""
+    trained: dict[str, tuple[str, LossConfig]] = {}  # canonical key -> (label, loss config)
+    aliases: dict[str, str] = {}
+    for label, loss_cfg in cells:
+        ran, _ = trained.setdefault(canonical_json(loss_cfg.key()), (label, loss_cfg))
+        if ran != label:
+            aliases[label] = ran
+    return list(trained.values()), aliases
+
+
 def run_sweep(spec: SweepSpec) -> dict:
     """Grid of (objective, gamma, beta) cells x seeds, then one summary CSV.
 
@@ -258,16 +271,10 @@ def run_sweep(spec: SweepSpec) -> dict:
     out_dir = spec.output_dir
     cells = spec.cells()
     labels = [label for label, _ in cells]
-    trained: dict[str, tuple[str, LossConfig]] = {}  # canonical key -> (label, loss config)
-    aliases: dict[str, str] = {}
-    for label, loss_cfg in cells:
-        ran, _ = trained.setdefault(canonical_json(loss_cfg.key()), (label, loss_cfg))
-        if ran != label:
-            aliases[label] = ran
-
+    trained, aliases = _distinct_objectives(cells)
     tasks = [
         (spec, label, replace(spec.train, objective=loss_cfg, seed=seed))
-        for label, loss_cfg in trained.values()
+        for label, loss_cfg in trained
         for seed in spec.seeds
     ]
 
@@ -327,7 +334,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     return {
         "summary": summary_path,
         "cells": labels,
-        "trained": [label for label, _ in trained.values()],
+        "trained": [label for label, _ in trained],
         "failures": failures,
     }
 
@@ -336,9 +343,11 @@ def run_probe(spec: ProbeSpec) -> dict:
     """Pretrain broad, branch SFT per objective, probe the answer distribution.
 
     Per seed: one pretraining run, then one SFT continuation per objective from
-    that same pretrained model. Emits a probe CSV per branch (plus the
-    pretrained baseline) and a verdict JSON with median entropies, argmax
-    agreement, and tail-mass comparisons against the pretrained model.
+    that same pretrained model; objectives with equal LossConfig.key() train
+    once, under the first label, and the others take its probe. Emits a probe
+    CSV per branch (plus the pretrained baseline) and a verdict JSON with
+    median entropies, argmax agreement, and tail-mass comparisons against the
+    pretrained model.
     """
     started = time.monotonic()
     pre_corpus = Corpus.load_jsonl(spec.pretrain_corpus)
@@ -358,6 +367,7 @@ def run_probe(spec: ProbeSpec) -> dict:
         labels.append(label)
 
     probes: dict[str, dict[int, object]] = {label: {} for label in ["pretrained", *labels]}
+    trained, aliases = _distinct_objectives(zip(labels, spec.sft_objectives))
 
     model_spec = replace(spec.model, vocab=chars)  # the vocab covers both corpora and the probe
     for seed in spec.seeds:
@@ -366,12 +376,14 @@ def run_probe(spec: ProbeSpec) -> dict:
         probes["pretrained"][seed] = probe_token_distribution(
             pre_ckpt.model, spec.prompt, spec.valid_tokens
         )
-        for label, objective in zip(labels, spec.sft_objectives):
+        for label, objective in trained:
             sft_cfg = replace(spec.sft_base, objective=objective, seed=seed)
             ckpt, _ = train(pre_ckpt.model, sft_corpus, sft_cfg)
             probes[label][seed] = probe_token_distribution(
                 ckpt.model, spec.prompt, spec.valid_tokens
             )
+        for label, ran in aliases.items():
+            probes[label][seed] = probes[ran][seed]
 
     out_dir = spec.output_dir
     summary: dict[str, dict] = {}

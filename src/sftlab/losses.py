@@ -27,14 +27,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .numerics import (
-    LOG_FLOOR,
-    as_logits,
-    check_temperature,
-    log_softmax,
-    temper,
-    tempered_log_softmax,
-)
+from .numerics import check_temperature, log_softmax, temper, tempered_log_softmax
 
 # Flagged defaults: the GEM temperature is inherited from its original
 # publication rather than re-derived here, and the lambda-PR pair (1.0, 0.5)
@@ -212,7 +205,7 @@ def focal_scaling(p_hat, gamma: float):
 
 def ce(z, target: Target) -> LossResult:
     """Cross-entropy: value -sum_i q_i l_i, gradient p - q."""
-    l = log_softmax(as_logits(z))
+    l = log_softmax(z)
     q = target.dense(l.size)
     p = np.exp(l)
     return LossResult(float(-np.dot(q, l)), p - q)
@@ -225,7 +218,7 @@ def scaled_ce(z, target: Target, beta: float) -> LossResult:
     jacobian, so the gradient is exactly the tempered residual.
     """
     beta = check_temperature(beta)
-    l = log_softmax(as_logits(z))
+    l = log_softmax(z)
     lb = tempered_log_softmax(l, beta)
     q = target.dense(l.size)
     return LossResult(float(-beta * np.dot(q, lb)), np.exp(lb) - q)
@@ -241,7 +234,7 @@ def gem(z, target: Target, beta: float = GEM_DEFAULT_BETA) -> LossResult:
     than differentiating the value expression naively.
     """
     beta = check_temperature(beta)
-    l = log_softmax(as_logits(z))
+    l = log_softmax(z)
     pb = temper(l, beta)  # detached: a constant from here on
     q = target.dense(l.size)
     value = float(-np.dot(q, l) + np.dot(pb, l))
@@ -257,7 +250,7 @@ def focal(z, target: Target, cfg: FocalConfig) -> LossResult:
     g_i = focal_scaling(p_i, gamma), which is not proportional to p - q in
     general (the per-component factors differ).
     """
-    l = log_softmax(as_logits(z))
+    l = log_softmax(z)
     p = np.exp(l)
     q = target.dense(l.size)
     value = float(-np.dot(q, (1.0 - p) ** cfg.gamma * l))
@@ -279,7 +272,7 @@ def lambda_pr(z, target: Target, cfg: PrConfig) -> LossResult:
     """
     if not target.is_one_hot:
         raise UnsupportedTargetError("lambda_pr is defined for one-hot targets only")
-    l = log_softmax(as_logits(z))
+    l = log_softmax(z)
     p = np.exp(l)
     q = target.dense(l.size)
     w = pr_weight(p[target.index], cfg)
@@ -296,7 +289,7 @@ def tofu(z, target: Target, cfg: TofuConfig) -> LossResult:
     """
     if not target.is_one_hot:
         raise UnsupportedTargetError("tofu is defined for one-hot targets only")
-    l = log_softmax(as_logits(z))
+    l = log_softmax(z)
     lb = tempered_log_softmax(l, cfg.beta)
     q = target.dense(l.size)
     k = target.index
@@ -316,7 +309,7 @@ def naive_tempered_focal(z, target: Target, cfg: TofuConfig) -> LossResult:
     """
     if not target.is_one_hot:
         raise UnsupportedTargetError("naive_tempered_focal is defined for one-hot targets only")
-    l = log_softmax(as_logits(z))
+    l = log_softmax(z)
     lb = tempered_log_softmax(l, cfg.beta)
     q = target.dense(l.size)
     k = target.index
@@ -433,24 +426,6 @@ def token_loss(z, target: Target, cfg: LossConfig, position: int = 1, length: in
     return OBJECTIVE_TABLE[cfg.objective].oracle(z, target, cfg.params(position, length))
 
 
-def _rows_log_softmax(z: np.ndarray) -> np.ndarray:
-    """numerics.log_softmax applied to each row, with the same operations."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return np.maximum(out, LOG_FLOOR)
-
-
-def _rows_tempered_log_softmax(l: np.ndarray, beta: float) -> np.ndarray:
-    """numerics.tempered_log_softmax applied to each row, as_log_probs' checks included."""
-    if np.any(l > 1e-12):
-        raise ValueError(f"log-probs must be <= 0, max entry {l.max()}")
-    m = l.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(l - m).sum(axis=1, keepdims=True))
-    if np.any(np.abs(lse) > 1e-9):
-        raise ValueError(f"log-probs must normalize: logsumexp up to {np.abs(lse).max()}")
-    return _rows_log_softmax(np.minimum(l, 0.0) / beta)
-
-
 def _residual(p: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """p - q for one-hot rows q."""
     out = p.copy()
@@ -463,19 +438,21 @@ def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np
 
     Row i is token_loss(logits[i], Target.one_hot(targets[i]), cfg,
     position=positions[i], length=lengths[i]) bit for bit, and a batch the
-    scalar path rejects raises the same error class. The kernel repeats the
-    scalar arithmetic operation for operation, with its checks in vectorised
-    form. The scalars the oracle takes from Python float powers (lambda-PR's
-    powers of lam, the naive focal value's (1 - p^beta_k)^gamma) or from a
-    BLAS dot (the GEM value) are computed the same way here, row by row,
-    because numpy's vectorised pow and reductions round differently.
+    scalar path rejects raises the same error class. The kernel calls the
+    oracle's numerics.log_softmax and tempered_log_softmax on all rows at once,
+    input checks included, and repeats the rest of the scalar arithmetic
+    operation for operation, with its checks in vectorised form. The scalars
+    the oracle takes from Python float powers (lambda-PR's powers of lam, the
+    naive focal value's (1 - p^beta_k)^gamma) or from a BLAS dot (the GEM
+    value) are computed the same way here, row by row, because numpy's
+    vectorised pow and reductions round differently.
     """
     name = cfg.objective
     beta = check_temperature(cfg.resolved_beta())
     cfg.params()  # the scalar path's params, built here only for the errors they raise
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] < 2:
-        raise ValueError(f"logits must be an (N, V) array with V >= 2, got shape {z.shape}")
+    if z.ndim != 2:
+        raise ValueError(f"logits must be an (N, V) array, got shape {z.shape}")
     n, v = z.shape
     k, positions, lengths = (np.asarray(a, dtype=np.int64) for a in (targets, positions, lengths))
     if not k.shape == positions.shape == lengths.shape == (n,):
@@ -491,13 +468,11 @@ def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np
         position_factor = np.array(
             [cfg.lam ** ((i - 1) / m) for i, m in zip(positions.tolist(), lengths.tolist())]
         )
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
+    l = log_softmax(z)
     if np.any(k < 0) or np.any(k >= v):
         raise ValueError(f"target index out of range for vocab {v}")
 
     rows = np.arange(n)
-    l = _rows_log_softmax(z)
     p = np.exp(l)
     l_k, p_hat = l[rows, k], p[rows, k]
     if name == "ce":
@@ -511,7 +486,7 @@ def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np
         w = np.where(p_hat > delta, 0.0, position_factor * p_hat / (cfg.alpha + (1.0 - cfg.alpha) * p_hat))
         return -w * l_k, w[:, None] * _residual(p, k)
 
-    lb = _rows_tempered_log_softmax(l, beta)
+    lb = tempered_log_softmax(l, beta)
     pb = np.exp(lb)
     lb_k, residual = lb[rows, k], _residual(pb, k)
     if name == "scaled_ce":

@@ -8,7 +8,7 @@ finite-difference oracle check the whole composite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,17 +79,13 @@ class ToyModel:
         unit normal, biases zero."""
         if context < 1:
             raise ValueError(f"context window must be >= 1, got {context}")
+        model = cls.zeros(vocab, context, embed_dim, hidden_dim)
         rng = np.random.default_rng(seed)
         fan_hidden = context * embed_dim
-        return cls(
-            vocab=vocab,
-            context=context,
-            embed=rng.normal(0.0, 1.0, (vocab.size, embed_dim)),
-            w_hidden=rng.normal(0.0, 1.0 / np.sqrt(fan_hidden), (fan_hidden, hidden_dim)),
-            b_hidden=np.zeros(hidden_dim),
-            w_out=rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), (hidden_dim, vocab.size)),
-            b_out=np.zeros(vocab.size),
-        )
+        model.embed[:] = rng.normal(0.0, 1.0, model.embed.shape)
+        model.w_hidden[:] = rng.normal(0.0, 1.0 / np.sqrt(fan_hidden), model.w_hidden.shape)
+        model.w_out[:] = rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), model.w_out.shape)
+        return model
 
     @classmethod
     def zeros(cls, vocab: Vocab, context: int = 8, embed_dim: int = 32, hidden_dim: int = 128) -> "ToyModel":
@@ -107,15 +103,7 @@ class ToyModel:
         )
 
     def copy(self) -> "ToyModel":
-        return ToyModel(
-            vocab=self.vocab,
-            context=self.context,
-            embed=self.embed.copy(),
-            w_hidden=self.w_hidden.copy(),
-            b_hidden=self.b_hidden.copy(),
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-        )
+        return replace(self, **{name: p.copy() for name, p in self.named_params()})
 
     def named_params(self):
         for name in self.PARAM_NAMES:

@@ -16,27 +16,27 @@ LOG_FLOOR = -745.0
 
 
 def as_logits(z) -> np.ndarray:
-    """Validate an unnormalized logit vector: float64, 1-d, length >= 2, finite."""
+    """Validate unnormalized logits, a vector (V,) or rows (N, V): float64,
+    V >= 2, finite."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError(f"logits must be a 1-d vector, got shape {z.shape}")
-    if z.size < 2:
-        raise ValueError(f"logits need at least 2 entries, got {z.size}")
-    if not np.all(np.isfinite(z)):
+    if z.ndim not in (1, 2) or z.shape[-1] < 2:
+        raise ValueError(f"logits must be a vector (V,) or rows (N, V) with V >= 2, got shape {z.shape}")
+    if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
     return z
 
 
 def as_log_probs(l) -> np.ndarray:
-    """Validate a log-probability vector: entries <= 0, logsumexp within 1e-9 of 0."""
+    """Validate log-probabilities, a vector (V,) or rows (N, V) with V >= 2:
+    entries <= 0, each row's logsumexp within 1e-9 of 0."""
     l = np.asarray(l, dtype=np.float64)
-    if l.ndim != 1 or l.size < 2:
-        raise ValueError(f"log-probs must be a 1-d vector of length >= 2, got shape {l.shape}")
-    if np.any(l > 1e-12):
+    if l.ndim not in (1, 2) or l.shape[-1] < 2:
+        raise ValueError(f"log-probs must be a vector (V,) or rows (N, V) with V >= 2, got shape {l.shape}")
+    if (l > 1e-12).any():
         raise ValueError(f"log-probs must be <= 0, max entry {l.max()}")
-    lse = logsumexp(l)
-    if abs(lse) > 1e-9:
-        raise ValueError(f"log-probs must normalize: logsumexp = {lse}")
+    lse = np.abs(logsumexp(l))
+    if (lse > 1e-9).any():
+        raise ValueError(f"log-probs must normalize: |logsumexp| up to {lse.max()}")
     return np.minimum(l, 0.0)
 
 
@@ -61,52 +61,43 @@ def check_temperature(beta) -> float:
     return beta
 
 
-def logsumexp(x) -> float:
+def logsumexp(x):
+    """log(sum(exp(x))) over the last axis: 0-d for a vector, (N,) for rows."""
     x = np.asarray(x, dtype=np.float64)
-    m = float(x.max())
-    return m + float(np.log(np.exp(x - m).sum()))
+    m = x.max(axis=-1, keepdims=True)
+    return (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
-def log_softmax(z) -> np.ndarray:
-    """Normalized log-probabilities of a logit vector, floored at LOG_FLOOR.
+def _normalize(s: np.ndarray) -> np.ndarray:
+    """s - logsumexp(s) over the last axis, max-shifted and floored at LOG_FLOOR.
 
     Max-subtraction guarantees every output entry is <= 0 exactly, and the
     floor never disturbs normalization beyond a few denormals.
     """
-    z = as_logits(z)
-    shifted = z - z.max()
-    out = shifted - np.log(np.exp(shifted).sum())
-    return np.maximum(out, LOG_FLOOR)
+    s = s - s.max(axis=-1, keepdims=True)
+    return np.maximum(s - np.log(np.exp(s).sum(axis=-1, keepdims=True)), LOG_FLOOR)
+
+
+def log_softmax(z) -> np.ndarray:
+    """Normalized log-probabilities of logits, a vector or each of N rows,
+    floored at LOG_FLOOR."""
+    return _normalize(as_logits(z))
 
 
 def tempered_log_softmax(l, beta) -> np.ndarray:
-    """Log-probabilities of the tempered distribution softmax(l / beta).
+    """Log-probabilities of the tempered distribution softmax(l / beta), of a
+    vector or each of N rows.
 
     Dividing log-probabilities by beta < 1 sharpens the distribution; beta = 1
     returns l unchanged up to rounding. Equivalent to tempering the underlying
     logits, since the shared logsumexp shift cancels.
     """
-    l = as_log_probs(l)
-    beta = check_temperature(beta)
-    s = l / beta
-    s = s - s.max()
-    out = s - np.log(np.exp(s).sum())
-    return np.maximum(out, LOG_FLOOR)
+    return _normalize(as_log_probs(l) / check_temperature(beta))
 
 
 def temper(l, beta) -> np.ndarray:
     """Tempered probabilities softmax(l / beta) as a materialized vector."""
     return np.exp(tempered_log_softmax(l, beta))
-
-
-def logit_jacobian_row(l, i) -> np.ndarray:
-    """Row i of d log_softmax / d logits: delta_ij - p_j."""
-    l = as_log_probs(l)
-    if not 0 <= int(i) < l.size:
-        raise IndexError(f"row index {i} out of range for size {l.size}")
-    row = -np.exp(l)
-    row[int(i)] += 1.0
-    return row
 
 
 def entropy_from_log_probs(l) -> float:

@@ -631,6 +631,71 @@ def test_probe_run_hash_covers_sft_hyperparameters(tmp_path):
     assert hashes[0] != hashes[1]
 
 
+def test_probe_trains_each_distinct_objective_once(tmp_path, monkeypatch):
+    from sftlab import harness
+
+    calls = []
+    real_train = harness.train
+
+    def counting_train(model, corpus, cfg):
+        calls.append(cfg)
+        return real_train(model, corpus, cfg)
+
+    monkeypatch.setattr(harness, "train", counting_train)
+    cfg = write_probe(tmp_path)
+    data = json.loads(cfg.read_text())
+    data["sft"]["objectives"] = [{"name": "ce"}, {"name": "ce", "gamma": 1.0}, {"name": "tofu"}]
+    data["seeds"] = [0, 1]
+    cfg.write_text(json.dumps(data))
+    assert main(["probe", str(cfg)]) == 0
+    # per seed: one pretraining run, then ce and tofu; ce's gamma is not in its key
+    assert [c.objective.objective for c in calls] == ["ce", "ce", "tofu"] * 2
+    probe_dir = tmp_path / "probe"
+    assert (probe_dir / "probe_ce_x.csv").read_bytes() == (probe_dir / "probe_ce.csv").read_bytes()
+    verdict = json.loads((probe_dir / "verdict.json").read_text())
+    assert list(verdict["summary"]) == ["ce", "ce_x", "pretrained", "tofu"]
+    assert verdict["summary"]["ce_x"] == verdict["summary"]["ce"]
+    assert set(verdict["vs_ce"]) == {"ce_x", "tofu"}
+
+
+# ------------------------------------------- typed paths and probe values ----
+
+CONFIG_WRITERS = {"train": write_experiment, "sweep": write_sweep, "probe": write_probe}
+
+# every path a config names, by command and dotted config-file key
+PATH_KEYS = {
+    "train": ("corpus", "output_dir"),
+    "sweep": ("corpus", "prompts", "output_dir"),
+    "probe": ("pretrain.corpus", "sft.corpus", "output_dir"),
+}
+BAD_VALUE_CASES = [
+    pytest.param(command, key, value, id=f"{command}.{key}={value!r}")
+    for command, keys in PATH_KEYS.items()
+    for key in keys
+    # an empty input path names the config's directory, not a file
+    for value in (5, None, True) + (() if key == "output_dir" else ("",))
+] + [
+    pytest.param("probe", "probe.prompt", None, id="probe.prompt=None"),
+    pytest.param("probe", "probe.valid_tokens", [5], id="probe.valid_tokens=[5]"),
+    pytest.param("probe", "probe.valid_tokens", "ab", id="probe.valid_tokens='ab'"),
+]
+
+
+@pytest.mark.parametrize("command, key, value", BAD_VALUE_CASES)
+def test_mistyped_path_or_probe_value_is_usage_error(tmp_path, capsys, command, key, value):
+    cfg = CONFIG_WRITERS[command](tmp_path)
+    data = json.loads(cfg.read_text())
+    *parents, last = key.split(".")
+    node = data
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    cfg.write_text(json.dumps(data))
+    assert main([command, str(cfg)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert [p for p in tmp_path.iterdir() if p.is_dir()] == []
+
+
 # ----------------------------------------------------- typed config fields ----
 
 # every field of the four config records, by section and config-file key

@@ -289,6 +289,12 @@ def test_load_probe_spec_rejects_multichar_tokens(tmp_path):
         load_probe_spec(write_config(tmp_path, payload, "probe.json"))
 
 
+def test_load_probe_spec_collapses_repeated_tokens(tmp_path):
+    payload = probe_payload(tmp_path)
+    payload["probe"]["valid_tokens"] = ["b", "a", "b"]
+    assert load_probe_spec(write_config(tmp_path, payload, "probe.json")).valid_tokens == ("b", "a")
+
+
 def test_load_probe_spec_requires_objectives(tmp_path):
     payload = probe_payload(tmp_path)
     payload["sft"]["objectives"] = []

@@ -1,10 +1,15 @@
-"""Log-space primitive tests: hand-derived values, invariants, and the
-finite-difference oracle for the log-softmax jacobian."""
+"""Log-space primitive tests: hand-derived values, invariants, row-wise calls,
+and the finite-difference oracle for the entropy gradient."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import sftlab
 
 from sftlab.numerics import (
     LOG_FLOOR,
@@ -15,7 +20,6 @@ from sftlab.numerics import (
     entropy_from_log_probs,
     entropy_logit_gradient,
     log_softmax,
-    logit_jacobian_row,
     logsumexp,
     temper,
     tempered_log_softmax,
@@ -129,36 +133,54 @@ class TestTemper:
         np.testing.assert_allclose(direct, via_logits, atol=1e-12)
 
 
-class TestJacobian:
-    def test_uniform_row(self):
-        l = log_softmax([0.0, 0.0, 0.0])
-        np.testing.assert_allclose(logit_jacobian_row(l, 0), [2 / 3, -1 / 3, -1 / 3], atol=1e-15)
+class TestRows:
+    """Each last-axis primitive maps (N, V) rows exactly as N vector calls do."""
 
-    def test_saturated_row_vanishes(self):
-        l = as_log_probs([0.0, LOG_FLOOR])
-        np.testing.assert_allclose(logit_jacobian_row(l, 0), [0.0, 0.0], atol=1e-300)
-
-    def test_hand_case(self):
-        row = logit_jacobian_row(log_probs_of([0.2, 0.8]), 1)
-        np.testing.assert_allclose(row, [-0.2, 0.2], atol=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            logit_jacobian_row(log_probs_of([0.2, 0.8]), 2)
-
-    def test_matches_finite_differences(self):
-        z = np.array([0.4, -0.9, 1.3, 0.1])
+    @pytest.mark.parametrize("vocab", [2, 3, 28, 64])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0, 1000.0])  # 1000 drives entries to LOG_FLOOR
+    def test_rows_equal_vector_calls_bitwise(self, vocab, scale):
+        z = np.random.default_rng(vocab).normal(0.0, scale, (6, vocab))
         l = log_softmax(z)
-        h = 1e-5
-        for i in range(z.size):
-            fd = np.empty_like(z)
-            for j in range(z.size):
-                zp, zm = z.copy(), z.copy()
-                zp[j] += h
-                zm[j] -= h
-                fd[j] = (log_softmax(zp)[i] - log_softmax(zm)[i]) / (2 * h)
-            row = logit_jacobian_row(l, i)
-            assert np.abs(fd - row).max() / (np.abs(row).max() + 1e-12) < 1e-6
+        if scale == 1000.0:
+            assert (l == LOG_FLOOR).any()
+        cases = (
+            (log_softmax, z, l),
+            (lambda x: tempered_log_softmax(x, 0.7), l, tempered_log_softmax(l, 0.7)),
+            (logsumexp, z, logsumexp(z)),
+        )
+        for vector_call, inputs, rows in cases:
+            assert rows.shape == inputs.shape[: rows.ndim]
+            for i, row in enumerate(rows):
+                assert np.asarray(vector_call(inputs[i])).tobytes() == row.tobytes(), (vocab, scale, i)
+
+    def test_logits_reject_one_non_finite_row(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            z = np.zeros((4, 3))
+            z[2, 1] = bad
+            with pytest.raises(ValueError):
+                as_logits(z)
+            with pytest.raises(ValueError):
+                log_softmax(z)
+
+    def test_log_probs_reject_one_bad_row(self):
+        good = log_softmax(np.random.default_rng(0).normal(size=(4, 3)))
+        positive, unnormalized = good.copy(), good.copy()
+        positive[1] = [0.1, -2.0, -2.0]
+        unnormalized[3] -= 1e-6
+        for bad in (positive, unnormalized):
+            with pytest.raises(ValueError):
+                as_log_probs(bad)
+            with pytest.raises(ValueError):
+                tempered_log_softmax(bad, 0.5)
+        np.testing.assert_array_equal(as_log_probs(good), good)
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4), (3, 1), (3, 0)])
+    def test_reject_other_shapes(self, shape):
+        # uniform log-probs over the last axis, so only the shape is wrong
+        uniform = np.full(shape, -np.log(max(shape[-1:] + (1,))))
+        for check in (as_logits, as_log_probs):
+            with pytest.raises(ValueError, match="vector"):
+                check(uniform)
 
 
 class TestEntropy:
@@ -202,3 +224,28 @@ class TestEntropy:
             mags.append(abs(grad[1]))
         assert all(b < a for a, b in zip(mags, mags[1:]))
         assert mags[-1] < 1e-8
+
+
+# ----------------------------------------------------------------- guard ----
+
+HAND_LOGSUMEXP = re.compile(r"np\.log\(\s*np\.exp\(")
+
+
+def test_guard_finds_a_planted_logsumexp():
+    source = "def f(x):\n    m = x.max()\n    return m + np.log(np.exp(x - m).sum())\n"
+    assert HAND_LOGSUMEXP.search(source)
+    assert HAND_LOGSUMEXP.search("np.log(\n    np.exp(s).sum(axis=1))")
+    assert not HAND_LOGSUMEXP.search("np.log(p) + np.exp(l)")
+
+
+def test_only_numerics_computes_logsumexp():
+    package = Path(sftlab.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "numerics.py" in modules
+    found = {
+        path.name: len(HAND_LOGSUMEXP.findall(path.read_text(encoding="utf-8")))
+        for path in modules
+        if path.name != "numerics.py"
+    }
+    assert {name: n for name, n in found.items() if n} == {}
+    assert HAND_LOGSUMEXP.search((package / "numerics.py").read_text(encoding="utf-8"))
