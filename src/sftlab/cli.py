@@ -76,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.trials < 1 or args.seed < 0:
+        raise ConfigError(f"need --trials >= 1 and --seed >= 0, got {args.trials} and {args.seed}")
     objectives = (args.objective,) if args.objective else None
     reports = run_all_checks(trials=args.trials, seed=args.seed, objectives=objectives)
     for report in reports:

@@ -21,7 +21,7 @@ from .hashing import read_jsonl
 from .losses import LossConfig
 from .model import Vocab
 from .sampling import SamplingConfig
-from .training import TrainConfig
+from .training import Corpus, TrainConfig
 
 OUTPUT_ROOT_ENV = "SFTLAB_OUT_ROOT"
 
@@ -117,6 +117,10 @@ class ModelSpec:
             raise ValueError("dimensions must be >= 1")
         if self.vocab is not None:
             Vocab(self.vocab)  # rejects repeated characters
+
+    def chars(self, corpus: Corpus) -> str:
+        """The model's vocab chars: the pinned vocab, else the corpus charset."""
+        return self.vocab if self.vocab is not None else corpus.charset()
 
 
 def parse_model(data: dict, where: str = "model") -> ModelSpec:
@@ -266,11 +270,13 @@ def load_sweep_spec(path) -> SweepSpec:
                 "give gammas and betas that differ in their first 6 significant digits"
             )
     samples = _positive_int(data, "samples_per_prompt", 8)
+    model = parse_model(data.get("model", {}))
+    corpus = _input_path(_require(data, "corpus", str(path)), base, "corpus")
     prompts = _input_path(_require(data, "prompts", str(path)), base, "prompts")
     # a request no cell could evaluate fails here, before any cell trains
-    metrics = validate_eval_request(
-        _list_of(data, "metrics", list(DEFAULT_EVAL_METRICS), str), samples, load_prompts(prompts)
-    )
+    rows = load_prompts(prompts)
+    metrics = validate_eval_request(_list_of(data, "metrics", list(DEFAULT_EVAL_METRICS), str), samples, rows)
+    check_encodable(model.chars(Corpus.load_jsonl(corpus)), {f"prompt {p.id!r}": p.prompt for p in rows})
     return SweepSpec(
         objectives=objectives,
         gammas=gammas,
@@ -278,9 +284,9 @@ def load_sweep_spec(path) -> SweepSpec:
         seeds=_parse_seeds(data, str(path)),
         # each task's seed replaces both seeds, so a spec may not name them
         train=parse_train(data.get("train", {}), LossConfig("ce"), seed=0),
-        model=parse_model(data.get("model", {})),
+        model=model,
         sampling=parse_sampling(data.get("sampling", {}), seed=0),
-        corpus=_input_path(_require(data, "corpus", str(path)), base, "corpus"),
+        corpus=corpus,
         prompts=prompts,
         samples_per_prompt=samples,
         metrics=metrics,
@@ -354,6 +360,15 @@ def load_prompts(path) -> list[PromptSpec]:
     if not prompts:
         raise ConfigError(f"{path}: no prompts")
     return list(prompts.values())
+
+
+def check_encodable(chars: str, texts: dict[str, str]):
+    """ConfigError naming the first of `texts` ({where: text}) with a
+    character outside the vocab chars, which the model cannot encode."""
+    for where, text in texts.items():
+        missing = sorted(set(text) - set(chars))
+        if missing:
+            raise ConfigError(f"{where} has characters {missing} outside the model vocab {chars!r}")
 
 
 def validate_eval_request(metrics, samples: int, prompts: list[PromptSpec]) -> tuple[str, ...]:

@@ -7,12 +7,15 @@ Two layers of evidence, never collapsed into one:
   2. central finite differences of the value expressions, with every detached
      quantity frozen at the base point, held to the looser fd tolerance.
 
-A CheckReport records both error channels; passing requires both.
+Every check keeps its verdict in one _Tally, so one rule decides them all: a
+check passes when each error channel's worst error is finite and within its
+bound and the check's own conditions hold.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -21,8 +24,11 @@ import numpy as np
 from .losses import (
     OBJECTIVE_TABLE,
     OBJECTIVES,
+    FocalConfig,
     LossConfig,
     Target,
+    TofuConfig,
+    ce,
     focal,
     focal_scaling,
     gem,
@@ -80,8 +86,9 @@ class CheckReport:
     """Outcome of one verification battery.
 
     passed requires max_rel_error <= tolerance and, when a finite-difference
-    channel ran, fd_max_rel_error <= fd_tolerance, plus any extra predicate
-    the check tracks in extras (witness found, zero separation violations).
+    channel ran, fd_max_rel_error <= fd_tolerance, each finite, plus any extra
+    predicate the check tracks in extras (witness found, zero separation
+    violations). counterexample holds the inputs of the first trial that broke.
     """
 
     name: str
@@ -107,11 +114,56 @@ class Trial:
 
     def describe(self) -> dict:
         return {
-            "z": [float(v) for v in self.z],
+            "z": self.z.tolist(),
             "target": self.index,
             "beta": self.beta,
             "gamma": self.gamma,
         }
+
+
+class _Tally:
+    """One check's verdict: each error channel's bound and worst error, and the
+    first trial that broke the check, as the dict its `inputs()` returns.
+
+    The first channel is the report's max_rel_error; one named fd is also its
+    fd_max_rel_error. A non-finite error counts as inf, which breaks any bound.
+    """
+
+    def __init__(self, **bounds: float):
+        self.bounds = bounds
+        self.worst = dict.fromkeys(bounds, 0.0)
+        self.counterexample = None
+
+    def add(self, channel: str, err: float, inputs: Callable[[], dict]) -> float:
+        """Fold one trial's error into a channel; returns it, inf if non-finite."""
+        if not math.isfinite(err):
+            err = math.inf
+        if err > self.bounds[channel]:
+            self.flag(inputs)
+        self.worst[channel] = max(self.worst[channel], err)
+        return err
+
+    def flag(self, inputs: Callable[[], dict]):
+        """Record a trial that broke the check, unless an earlier one did."""
+        if self.counterexample is None:
+            self.counterexample = inputs()
+
+    def report(self, name: str, trials: int, holds: bool = True, extras: dict | None = None) -> CheckReport:
+        """The check's report: it passes when every channel's worst error is
+        within its bound and the check's own conditions `holds`."""
+        first = next(iter(self.bounds))
+        passed = holds and all(self.worst[c] <= bound for c, bound in self.bounds.items())
+        return CheckReport(
+            name=name,
+            trials=trials,
+            max_rel_error=self.worst[first],
+            tolerance=self.bounds[first],
+            passed=passed,
+            counterexample=None if passed else self.counterexample,
+            fd_max_rel_error=self.worst.get("fd"),
+            fd_tolerance=self.bounds.get("fd"),
+            extras=extras or {},
+        )
 
 
 def draw_trial(rng: np.random.Generator) -> Trial:
@@ -182,59 +234,32 @@ def verify_gem_equivalence(trials: int = 1000, seed: int = 0, fd: FiniteDiffSpec
     match finite differences of the GEM value with the tempered distribution
     frozen at the base point."""
     rng = np.random.default_rng(seed)
-    max_identity = 0.0
-    max_fd = 0.0
-    counterexample = None
+    tally = _Tally(identity=IDENTITY_TOL, fd=fd.tolerance)
     for _ in range(trials):
         t = draw_trial(rng)
         target = Target.one_hot(t.index)
         g_gem = gem(t.z, target, t.beta).grad
         g_sce = scaled_ce(t.z, target, t.beta).grad
-        err = rel_error(g_gem, g_sce)
+        tally.add("identity", rel_error(g_gem, g_sce), t.describe)
         numeric = fd_gradient(frozen_value_fn(LossConfig("gem", beta=t.beta), t.z, target), t.z, fd)
-        err_fd = max(
-            rel_error(numeric, g_gem, fd.norm_floor),
-            rel_error(numeric, g_sce, fd.norm_floor),
-        )
-        if (err > IDENTITY_TOL or err_fd > fd.tolerance) and counterexample is None:
-            counterexample = t.describe()
-        max_identity = max(max_identity, err)
-        max_fd = max(max_fd, err_fd)
-    passed = max_identity <= IDENTITY_TOL and max_fd <= fd.tolerance
-    return CheckReport(
-        name="gem_equivalence",
-        trials=trials,
-        max_rel_error=max_identity,
-        tolerance=IDENTITY_TOL,
-        passed=passed,
-        counterexample=None if passed else counterexample,
-        fd_max_rel_error=max_fd,
-        fd_tolerance=fd.tolerance,
-    )
+        for analytic in (g_gem, g_sce):
+            tally.add("fd", rel_error(numeric, analytic, fd.norm_floor), t.describe)
+    return tally.report("gem_equivalence", trials)
 
 
 def verify_focal_scaling(trials: int = 1000, seed: int = 0, fd: FiniteDiffSpec = FiniteDiffSpec()) -> CheckReport:
     """One-hot focal gradients are g(p_hat, gamma)-rescaled CE gradients; the
     rescaling does NOT survive soft targets, witnessed by componentwise ratios."""
     rng = np.random.default_rng(seed)
-    max_proportion = 0.0
-    max_fd = 0.0
-    counterexample = None
-    from .losses import FocalConfig, ce
-
+    tally = _Tally(identity=FOCAL_PROPORTION_TOL, fd=fd.tolerance)
     for _ in range(trials):
         t = draw_trial(rng)
         target = Target.one_hot(t.index)
-        got = focal(t.z, target, FocalConfig(t.gamma))
+        got = focal(t.z, target, FocalConfig(t.gamma)).grad
         p_hat = float(np.exp(log_softmax(t.z))[t.index])
-        expected = focal_scaling(p_hat, t.gamma) * ce(t.z, target).grad
-        err = rel_error(got.grad, expected)
+        tally.add("identity", rel_error(got, focal_scaling(p_hat, t.gamma) * ce(t.z, target).grad), t.describe)
         numeric = fd_gradient(frozen_value_fn(LossConfig("focal", gamma=t.gamma), t.z, target), t.z, fd)
-        err_fd = rel_error(numeric, got.grad, fd.norm_floor)
-        if (err > FOCAL_PROPORTION_TOL or err_fd > fd.tolerance) and counterexample is None:
-            counterexample = t.describe()
-        max_proportion = max(max_proportion, err)
-        max_fd = max(max_fd, err_fd)
+        tally.add("fd", rel_error(numeric, got, fd.norm_floor), t.describe)
 
     # Soft-target witness. Needs vocab >= 3: gradients of both losses sum to
     # zero, so at size 2 they are always collinear and the ratios cannot split.
@@ -247,34 +272,23 @@ def verify_focal_scaling(trials: int = 1000, seed: int = 0, fd: FiniteDiffSpec =
         q = rng.dirichlet(np.ones(size))
         gamma = float(rng.choice([1.0, 2.0, 3.0, 5.0]))
         target = Target.soft(q)
-        fg = focal(z, target, FocalConfig(gamma))
+        got = focal(z, target, FocalConfig(gamma)).grad
         cg = ce(z, target).grad
         numeric = fd_gradient(frozen_value_fn(LossConfig("focal", gamma=gamma), z, target), z, fd)
-        max_fd = max(max_fd, rel_error(numeric, fg.grad, fd.norm_floor))
+
+        def inputs():
+            return {"z": z.tolist(), "q": q.tolist(), "gamma": gamma}
+
+        tally.add("fd", rel_error(numeric, got, fd.norm_floor), inputs)
         keep = np.abs(cg) > 1e-6 * np.abs(cg).max()
-        ratios = fg.grad[keep] / cg[keep]
+        ratios = got[keep] / cg[keep]
         spread = float(ratios.max() - ratios.min())
         if spread > max_spread:
             max_spread = spread
-            witness = {"z": [float(v) for v in z], "q": [float(v) for v in q], "gamma": gamma}
-    witness_found = max_spread > RATIO_SPREAD_MIN
-    passed = max_proportion <= FOCAL_PROPORTION_TOL and max_fd <= fd.tolerance and witness_found
-    return CheckReport(
-        name="focal_scaling",
-        trials=trials,
-        max_rel_error=max_proportion,
-        tolerance=FOCAL_PROPORTION_TOL,
-        passed=passed,
-        counterexample=None if passed else counterexample,
-        fd_max_rel_error=max_fd,
-        fd_tolerance=fd.tolerance,
-        extras={
-            "soft_trials": soft_trials,
-            "max_ratio_spread": max_spread,
-            "witness": witness,
-            "witness_found": witness_found,
-        },
-    )
+            witness = inputs()
+    found = max_spread > RATIO_SPREAD_MIN
+    extras = {"soft_trials": soft_trials, "max_ratio_spread": max_spread, "witness": witness, "witness_found": found}
+    return tally.report("focal_scaling", trials, found, extras)
 
 
 def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
@@ -291,15 +305,12 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
     be nonzero; with that, equal gradients would be an implementation bug, and
     every excluded trial is counted in extras rather than silently dropped.
     """
-    from .losses import TofuConfig
-
     rng = np.random.default_rng(seed)
-    max_identity = 0.0
+    tally = _Tally(identity=IDENTITY_TOL)
     min_separation = np.inf
     violations = 0
     eligible = 0
     excluded = {"gamma_zero": 0, "beta_high": 0, "uniform_logits": 0, "float_degenerate": 0}
-    counterexample = None
     for _ in range(trials):
         t = draw_trial(rng)
         target = Target.one_hot(t.index)
@@ -312,14 +323,8 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
         g_tempered = focal_scaling(pb_hat, t.gamma)
         grad_tofu = tofu(t.z, target, cfg).grad
         grad_naive = naive_tempered_focal(t.z, target, cfg).grad
-        err = max(
-            rel_error(grad_tofu, g_raw * base.grad),
-            rel_error(grad_naive, g_tempered * base.grad),
-        )
-        if err > max_identity:
-            max_identity = err
-            if err > IDENTITY_TOL and counterexample is None:
-                counterexample = t.describe()
+        tally.add("identity", rel_error(grad_tofu, g_raw * base.grad), t.describe)
+        tally.add("identity", rel_error(grad_naive, g_tempered * base.grad), t.describe)
 
         if t.gamma == 0.0:
             excluded["gamma_zero"] += 1
@@ -340,55 +345,39 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
         )
         if np.array_equal(grad_tofu, grad_naive):
             violations += 1
-            if counterexample is None:
-                counterexample = t.describe()
-    passed = max_identity <= IDENTITY_TOL and violations == 0 and eligible >= max(1, trials // 5)
-    return CheckReport(
-        name="tofu_scaling",
-        trials=trials,
-        max_rel_error=max_identity,
-        tolerance=IDENTITY_TOL,
-        passed=passed,
-        counterexample=None if passed else counterexample,
-        extras={
-            "eligible_trials": eligible,
-            "excluded": excluded,
-            "equal_gradient_violations": violations,
-            "min_factor_separation": None if not np.isfinite(min_separation) else float(min_separation),
-        },
-    )
+            tally.flag(t.describe)
+    extras = {
+        "eligible_trials": eligible,
+        "excluded": excluded,
+        "equal_gradient_violations": violations,
+        "min_factor_separation": None if not np.isfinite(min_separation) else float(min_separation),
+    }
+    return tally.report("tofu_scaling", trials, violations == 0 and eligible >= max(1, trials // 5), extras)
 
 
 def verify_entropy_bounded(min_probs=None) -> CheckReport:
     """The entropy logit gradient stays finite as a probability vanishes, and
-    the vanishing component's magnitude decays monotonically toward zero."""
+    the vanishing component's magnitude decays monotonically toward zero.
+    A failure's counterexample is the first min-prob where either broke."""
     if min_probs is None:
         min_probs = [10.0**-e for e in range(3, 301)]
-    magnitudes = []
-    all_finite = True
+    tally = _Tally(identity=1e-8)
+    all_finite = monotone = True
+    final = math.inf
     for eps in min_probs:
-        l = np.log(np.array([1.0 - eps, eps]))
-        grad = entropy_logit_gradient(l)
+        grad = entropy_logit_gradient(np.log(np.array([1.0 - eps, eps])))
         if not np.all(np.isfinite(grad)):
-            all_finite = False
+            all_finite, final = False, math.inf
+            tally.flag(lambda: {"min_prob": eps})
             break
-        magnitudes.append(abs(float(grad[1])))
-    monotone = all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
-    final = magnitudes[-1] if magnitudes else np.inf
-    passed = all_finite and monotone and final < 1e-8
-    return CheckReport(
-        name="entropy_gradient_bounded",
-        trials=len(min_probs),
-        max_rel_error=final,
-        tolerance=1e-8,
-        passed=passed,
-        counterexample=None,
-        extras={
-            "all_finite": all_finite,
-            "monotone": monotone,
-            "min_prob_floor": float(min(min_probs)),
-        },
-    )
+        magnitude = abs(float(grad[1]))
+        if magnitude >= final:
+            monotone = False
+            tally.flag(lambda: {"min_prob": eps})
+        final = magnitude
+    extras = {"all_finite": all_finite, "monotone": monotone, "min_prob_floor": float(min(min_probs))}
+    tally.add("identity", final, lambda: {"min_prob": eps})
+    return tally.report("entropy_gradient_bounded", len(min_probs), all_finite and monotone, extras)
 
 
 def _trial_loss_config(name: str, t: Trial, rng: np.random.Generator) -> tuple[LossConfig, int, int]:
@@ -419,9 +408,8 @@ def verify_finite_difference(
         if name not in OBJECTIVES:
             raise ValueError(f"unknown objective {name!r}")
     rng = np.random.default_rng(seed)
-    max_err = 0.0
+    tally = _Tally(fd=fd.tolerance)
     per_objective = {}
-    counterexample = None
     for name in names:
         soft_targets = OBJECTIVE_TABLE[name].soft_targets
         worst = 0.0
@@ -434,25 +422,14 @@ def verify_finite_difference(
             cfg, position, length = _trial_loss_config(name, t, rng)
             analytic = token_loss(t.z, target, cfg, position=position, length=length).grad
             numeric = fd_gradient(frozen_value_fn(cfg, t.z, target, position, length), t.z, fd)
-            err = rel_error(numeric, analytic, fd.norm_floor)
-            if err > worst:
-                worst = err
-                if err > fd.tolerance and counterexample is None:
-                    counterexample = {**t.describe(), "objective": name}
+
+            def inputs():
+                drawn = {"target": t.index} if target.is_one_hot else {"q": target.dist.tolist()}
+                return {**cfg.key(), "z": t.z.tolist(), **drawn, "position": position, "length": length}
+
+            worst = max(worst, tally.add("fd", rel_error(numeric, analytic, fd.norm_floor), inputs))
         per_objective[name] = worst
-        max_err = max(max_err, worst)
-    passed = max_err <= fd.tolerance
-    return CheckReport(
-        name="finite_difference_oracle",
-        trials=trials * len(names),
-        max_rel_error=max_err,
-        tolerance=fd.tolerance,
-        passed=passed,
-        counterexample=None if passed else counterexample,
-        fd_max_rel_error=max_err,
-        fd_tolerance=fd.tolerance,
-        extras={"per_objective": per_objective},
-    )
+    return tally.report("finite_difference_oracle", trials * len(names), extras={"per_objective": per_objective})
 
 
 def run_all_checks(trials: int = 1000, seed: int = 0, objectives=None) -> list[CheckReport]:

@@ -20,11 +20,11 @@ import numpy as np
 
 from .config import (
     DEFAULT_EVAL_METRICS,
-    ConfigError,
     ExperimentConfig,
     ModelSpec,
     ProbeSpec,
     SweepSpec,
+    check_encodable,
     load_prompts,
     validate_eval_request,
 )
@@ -65,9 +65,8 @@ class RunRecord:
 
 
 def build_model(spec: ModelSpec, corpus: Corpus, seed: int) -> ToyModel:
-    chars = spec.vocab if spec.vocab is not None else corpus.charset()
     return ToyModel.init(
-        Vocab(chars),
+        Vocab(spec.chars(corpus)),
         context=spec.context,
         embed_dim=spec.embed_dim,
         hidden_dim=spec.hidden_dim,
@@ -120,6 +119,7 @@ def run_eval(
     prompts = load_prompts(prompts_path)
     metrics = validate_eval_request(metrics, samples, prompts)
     model = Checkpoint.load(checkpoint_path).model
+    check_encodable(model.vocab.chars, {f"prompt {p.id!r}": p.prompt for p in prompts})
     out_dir = Path(out_dir)
 
     sets: dict[str, GenerationSet] = {
@@ -355,9 +355,7 @@ def run_probe(spec: ProbeSpec) -> dict:
     chars = spec.model.vocab
     if chars is None:
         chars = Vocab.from_text(pre_corpus.charset(), sft_corpus.charset(), spec.prompt, *spec.valid_tokens).chars
-    missing = [t for t in spec.valid_tokens if t not in chars]
-    if missing:
-        raise ConfigError(f"valid tokens {missing} not in vocab {chars!r}")
+    check_encodable(chars, {"probe.prompt": spec.prompt, "probe.valid_tokens": "".join(spec.valid_tokens)})
 
     labels = []
     for cfg in spec.sft_objectives:

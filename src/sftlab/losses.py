@@ -27,7 +27,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .numerics import check_temperature, log_softmax, temper, tempered_log_softmax
+from .numerics import as_probs, as_vector, check_temperature, log_softmax, temper, tempered_log_softmax
 
 # Flagged defaults: the GEM temperature is inherited from its original
 # publication rather than re-derived here, and the lambda-PR pair (1.0, 0.5)
@@ -68,8 +68,6 @@ class Target:
 
     @classmethod
     def soft(cls, dist) -> "Target":
-        from .numerics import as_probs
-
         d = as_probs(dist)
         d.setflags(write=False)
         return cls(dist=d)
@@ -205,7 +203,7 @@ def focal_scaling(p_hat, gamma: float):
 
 def ce(z, target: Target) -> LossResult:
     """Cross-entropy: value -sum_i q_i l_i, gradient p - q."""
-    l = log_softmax(z)
+    l = log_softmax(as_vector(z))
     q = target.dense(l.size)
     p = np.exp(l)
     return LossResult(float(-np.dot(q, l)), p - q)
@@ -218,7 +216,7 @@ def scaled_ce(z, target: Target, beta: float) -> LossResult:
     jacobian, so the gradient is exactly the tempered residual.
     """
     beta = check_temperature(beta)
-    l = log_softmax(z)
+    l = log_softmax(as_vector(z))
     lb = tempered_log_softmax(l, beta)
     q = target.dense(l.size)
     return LossResult(float(-beta * np.dot(q, lb)), np.exp(lb) - q)
@@ -234,7 +232,7 @@ def gem(z, target: Target, beta: float = GEM_DEFAULT_BETA) -> LossResult:
     than differentiating the value expression naively.
     """
     beta = check_temperature(beta)
-    l = log_softmax(z)
+    l = log_softmax(as_vector(z))
     pb = temper(l, beta)  # detached: a constant from here on
     q = target.dense(l.size)
     value = float(-np.dot(q, l) + np.dot(pb, l))
@@ -250,7 +248,7 @@ def focal(z, target: Target, cfg: FocalConfig) -> LossResult:
     g_i = focal_scaling(p_i, gamma), which is not proportional to p - q in
     general (the per-component factors differ).
     """
-    l = log_softmax(z)
+    l = log_softmax(as_vector(z))
     p = np.exp(l)
     q = target.dense(l.size)
     value = float(-np.dot(q, (1.0 - p) ** cfg.gamma * l))
@@ -272,7 +270,7 @@ def lambda_pr(z, target: Target, cfg: PrConfig) -> LossResult:
     """
     if not target.is_one_hot:
         raise UnsupportedTargetError("lambda_pr is defined for one-hot targets only")
-    l = log_softmax(z)
+    l = log_softmax(as_vector(z))
     p = np.exp(l)
     q = target.dense(l.size)
     w = pr_weight(p[target.index], cfg)
@@ -289,7 +287,7 @@ def tofu(z, target: Target, cfg: TofuConfig) -> LossResult:
     """
     if not target.is_one_hot:
         raise UnsupportedTargetError("tofu is defined for one-hot targets only")
-    l = log_softmax(z)
+    l = log_softmax(as_vector(z))
     lb = tempered_log_softmax(l, cfg.beta)
     q = target.dense(l.size)
     k = target.index
@@ -309,7 +307,7 @@ def naive_tempered_focal(z, target: Target, cfg: TofuConfig) -> LossResult:
     """
     if not target.is_one_hot:
         raise UnsupportedTargetError("naive_tempered_focal is defined for one-hot targets only")
-    l = log_softmax(z)
+    l = log_softmax(as_vector(z))
     lb = tempered_log_softmax(l, cfg.beta)
     q = target.dense(l.size)
     k = target.index

@@ -26,6 +26,14 @@ def as_logits(z) -> np.ndarray:
     return z
 
 
+def as_vector(x) -> np.ndarray:
+    """x as a float64 vector (V,), for the functions of one distribution."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"expected a vector (V,), got shape {x.shape}")
+    return x
+
+
 def as_log_probs(l) -> np.ndarray:
     """Validate log-probabilities, a vector (V,) or rows (N, V) with V >= 2:
     entries <= 0, each row's logsumexp within 1e-9 of 0."""
@@ -102,7 +110,7 @@ def temper(l, beta) -> np.ndarray:
 
 def entropy_from_log_probs(l) -> float:
     """Shannon entropy in nats, H = -sum p * l, safe at floored entries."""
-    l = as_log_probs(l)
+    l = as_log_probs(as_vector(l))
     return float(-np.dot(np.exp(l), l))
 
 
@@ -113,7 +121,7 @@ def entropy_logit_gradient(l) -> np.ndarray:
     jacobian; the +1 terms cancel. Each component carries a factor p_j, so the
     gradient stays bounded as any probability vanishes: no 1/p explosion.
     """
-    l = as_log_probs(l)
+    l = as_log_probs(as_vector(l))
     p = np.exp(l)
     mean_log = float(np.dot(l, p))
     return -p * (l - mean_log)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from sftlab import harness
 from sftlab.cli import main
 from sftlab.config import ConfigError, parse_model, parse_objective, parse_sampling, parse_train
 from sftlab.losses import LossConfig
@@ -277,6 +278,21 @@ def test_eval_usage_errors(tmp_path):
     assert not (tmp_path / "ev").exists()
 
 
+def write_unencodable_prompts(path):
+    # the second prompt has a character outside write_corpus's charset "abcd"
+    rows = [{"id": "p0", "prompt": "ab"}, {"id": "p1", "prompt": "bz"}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return path
+
+
+def test_eval_unencodable_prompt_is_usage_error(tmp_path, capsys):
+    ckpt = trained_checkpoint(tmp_path)
+    prompts = write_unencodable_prompts(tmp_path / "prompts.jsonl")
+    assert main(["eval", str(ckpt), str(prompts), "--out", str(tmp_path / "ev")]) == 2
+    assert "prompt 'p1'" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
 def test_eval_garbage_checkpoint_is_runtime_error(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOTACKPT" + b"\x00" * 32)
@@ -295,6 +311,12 @@ def test_gradcheck_cli_small_battery(capsys):
     reports = [json.loads(l) for l in lines]
     assert len(reports) == 5
     assert all(r["passed"] for r in reports)
+
+
+@pytest.mark.parametrize("args", [["--trials", "0"], ["--trials", "-3"], ["--seed", "-1"]])
+def test_gradcheck_cli_bad_trials_or_seed_is_usage_error(capsys, args):
+    assert main(["gradcheck", *args]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_gradcheck_cli_single_objective(capsys):
@@ -412,6 +434,14 @@ def test_sweep_cli_out_of_range_hyperparameter_is_usage_error(tmp_path, grid):
 def test_sweep_cli_non_numeric_value_is_usage_error(tmp_path, field):
     spec = write_sweep(tmp_path, **field)
     assert main(["sweep", str(spec)]) == 2
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_cli_unencodable_prompt_is_usage_error(tmp_path, capsys):
+    spec = write_sweep(tmp_path)
+    write_unencodable_prompts(tmp_path / "prompts.jsonl")
+    assert main(["sweep", str(spec)]) == 2
+    assert "prompt 'p1'" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
 
 
@@ -549,6 +579,19 @@ def test_probe_cli_negative_seed_is_usage_error(tmp_path):
     cfg.write_text(json.dumps(payload))
     assert main(["probe", str(cfg)]) == 2
     assert not (tmp_path / "probe").exists()
+
+
+def test_probe_prompt_outside_pinned_vocab_is_usage_error(tmp_path, capsys, monkeypatch):
+    cfg = write_probe(tmp_path)
+    payload = json.loads(cfg.read_text())
+    payload["model"] = {**MODEL, "vocab": "abcd"}
+    payload["probe"]["prompt"] = "az"
+    cfg.write_text(json.dumps(payload))
+    trained = []
+    monkeypatch.setattr(harness, "train", lambda *args: trained.append(args))
+    assert main(["probe", str(cfg)]) == 2
+    assert "probe.prompt" in capsys.readouterr().err
+    assert trained == [] and not (tmp_path / "probe").exists()
 
 
 def write_probe(tmp_path, pretrain_train=None, sft_train=None):

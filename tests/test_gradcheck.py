@@ -2,10 +2,14 @@
 freezing, and small deterministic runs of every check."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sftlab import gradcheck
+from sftlab.cli import main
 from sftlab.gradcheck import (
     FACTOR_DISTINCT_EPS,
     CheckReport,
@@ -23,7 +27,9 @@ from sftlab.gradcheck import (
     verify_gem_equivalence,
     verify_tofu_scaling,
 )
-from sftlab.losses import LossConfig, Target, gem, scaled_ce, token_loss
+from sftlab.losses import FocalConfig, LossConfig, LossResult, Target, gem, scaled_ce, token_loss
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestFdGradient:
@@ -208,3 +214,121 @@ class TestCheckReport:
     def test_norm_floor_derivation(self):
         spec = FiniteDiffSpec(step=1e-5, tolerance=1e-5, atol=1e-8)
         assert spec.norm_floor == pytest.approx(1e-3)
+
+
+# ------------------------------------------------------------- verdicts ----
+
+
+def test_battery_matches_golden_reports():
+    """Byte-exact replay of a small battery run, every passing report.
+
+    tests/data/golden_gradcheck.jsonl holds run_all_checks(trials=60, seed=3)
+    as one JSON line per report, written before the checks shared one verdict
+    rule; regenerate it deliberately if a check's draws or report change.
+    """
+    reports = run_all_checks(trials=60, seed=3)
+    assert "".join(r.to_json() + "\n" for r in reports) == (DATA / "golden_gradcheck.jsonl").read_text()
+
+
+def nan_gradients(oracle):
+    def broken(*args, **kwargs):
+        out = oracle(*args, **kwargs)
+        return LossResult(out.value, np.full_like(out.grad, np.nan))
+
+    return broken
+
+
+# each trial check and the oracle it calls, as gradcheck imports it
+NAN_CASES = {
+    "gem": verify_gem_equivalence,
+    "focal": verify_focal_scaling,
+    "tofu": verify_tofu_scaling,
+    "token_loss": verify_finite_difference,
+}
+
+
+@pytest.mark.parametrize("oracle", NAN_CASES)
+def test_non_finite_gradients_fail_the_check(monkeypatch, capsys, oracle):
+    monkeypatch.setattr(gradcheck, oracle, nan_gradients(getattr(gradcheck, oracle)))
+    report = NAN_CASES[oracle](trials=20, seed=0)
+    assert not report.passed
+    assert report.counterexample is not None
+    assert math.inf in (report.max_rel_error, report.fd_max_rel_error)
+    assert main(["gradcheck", "--trials", "20"]) == 1
+
+
+def loss_config(objective, params):
+    """The LossConfig whose key() is {"objective": objective, "params": params}."""
+    if params is None:
+        cfg = LossConfig(objective)
+    elif isinstance(params, float):
+        cfg = LossConfig(objective, beta=params)
+    else:
+        cfg = LossConfig(objective, **{k: v for k, v in params.items() if k in ("gamma", "beta", "lam", "alpha")})
+    assert cfg.key() == {"objective": objective, "params": params}
+    return cfg
+
+
+def offset_gradients_when(broken):
+    real = gradcheck.token_loss
+
+    def oracle(z, target, cfg, position=1, length=1):
+        out = real(z, target, cfg, position=position, length=length)
+        return LossResult(out.value, out.grad + 0.01) if broken(target, position) else out
+
+    return oracle
+
+
+# an objective and the part of its input space whose gradient is broken
+BROKEN_PATHS = {
+    "soft_target": ("focal", lambda target, position: not target.is_one_hot),
+    "lambda_pr_late_position": ("lambda_pr", lambda target, position: position > 1),
+}
+
+
+@pytest.mark.parametrize("path", BROKEN_PATHS)
+def test_finite_difference_counterexample_reproduces_the_failure(monkeypatch, path):
+    objective, broken = BROKEN_PATHS[path]
+    monkeypatch.setattr(gradcheck, "token_loss", offset_gradients_when(broken))
+    report = verify_finite_difference(trials=30, seed=9, objectives=(objective,))
+    assert not report.passed
+    found = json.loads(json.dumps(report.counterexample))
+    z = np.array(found["z"])
+    target = Target.soft(found["q"]) if "q" in found else Target.one_hot(found["target"])
+    cfg = loss_config(found["objective"], found["params"])
+    position, length = found["position"], found["length"]
+    assert broken(target, position)
+    analytic = gradcheck.token_loss(z, target, cfg, position=position, length=length).grad
+    numeric = fd_gradient(frozen_value_fn(cfg, z, target, position, length), z)
+    assert rel_error(numeric, analytic, FiniteDiffSpec().norm_floor) > report.tolerance
+
+
+def test_focal_soft_phase_counterexample_reproduces_the_failure(monkeypatch):
+    real = gradcheck.focal
+
+    def oracle(z, target, cfg):
+        out = real(z, target, cfg)
+        return out if target.is_one_hot else LossResult(out.value, out.grad + 0.01)
+
+    monkeypatch.setattr(gradcheck, "focal", oracle)
+    report = verify_focal_scaling(trials=30, seed=5)
+    assert not report.passed and report.max_rel_error <= report.tolerance
+    found = json.loads(json.dumps(report.counterexample))
+    assert set(found) == {"z", "q", "gamma"}
+    z, target, gamma = np.array(found["z"]), Target.soft(found["q"]), found["gamma"]
+    numeric = fd_gradient(frozen_value_fn(LossConfig("focal", gamma=gamma), z, target), z)
+    got = oracle(z, target, FocalConfig(gamma)).grad
+    assert rel_error(numeric, got, FiniteDiffSpec().norm_floor) > report.fd_tolerance
+
+
+@pytest.mark.parametrize("fault", [[np.nan, np.nan], [1.0, -1.0]], ids=["non_finite", "not_decreasing"])
+def test_entropy_counterexample_is_the_first_bad_min_prob(monkeypatch, fault):
+    real = gradcheck.entropy_logit_gradient
+
+    def gradient(l):  # breaks from min-prob 1e-100 down
+        return real(l) if l[1] > -99.5 * np.log(10.0) else np.array(fault)
+
+    monkeypatch.setattr(gradcheck, "entropy_logit_gradient", gradient)
+    report = verify_entropy_bounded()
+    assert not report.passed
+    assert report.counterexample == {"min_prob": 10.0**-100}

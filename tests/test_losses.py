@@ -358,6 +358,13 @@ def test_table_soft_targets_flag_matches_oracle(name):
             entry.oracle(z, soft, params)
 
 
+@pytest.mark.parametrize("name", OBJECTIVES)
+def test_scalar_oracle_rejects_rows_naming_their_shape(name):
+    # batch_loss takes (N, V) rows; the scalar oracle takes one vector
+    with pytest.raises(ValueError, match=r"\(3, 4\)"):
+        token_loss(np.zeros((3, 4)), Target.one_hot(0), LossConfig(name))
+
+
 def test_key_is_json_and_resolves_the_default_beta():
     assert LossConfig("tofu").key() == LossConfig("tofu", beta=0.8).key()
     assert LossConfig("tofu", gamma=1.0).key() != LossConfig("tofu", gamma=3.0).key()

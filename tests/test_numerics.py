@@ -215,6 +215,12 @@ class TestEntropy:
         grad = entropy_logit_gradient(log_softmax(z))
         assert np.abs(fd - grad).max() < 1e-6
 
+    def test_rows_are_rejected_naming_their_shape(self):
+        rows = np.full((4, 4), -np.log(4.0))  # valid log-prob rows: only the shape is wrong
+        for entropy_function in (entropy_from_log_probs, entropy_logit_gradient):
+            with pytest.raises(ValueError, match=r"\(4, 4\)"):
+                entropy_function(rows)
+
     def test_vanishing_component_bounded_and_decaying(self):
         mags = []
         for e in (3, 10, 50, 150, 300):
