@@ -304,6 +304,10 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
     FACTOR_DISTINCT_EPS apart (relative) and the shared direction p^beta - q
     be nonzero; with that, equal gradients would be an implementation bug, and
     every excluded trial is counted in extras rather than silently dropped.
+
+    Draws go on past `trials` until max(1, trials // 5) of them are eligible,
+    up to trials + 100 times that floor; a check that hits the cap fails. The
+    report's trials is the number of draws made.
     """
     rng = np.random.default_rng(seed)
     tally = _Tally(identity=IDENTITY_TOL)
@@ -311,7 +315,10 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
     violations = 0
     eligible = 0
     excluded = {"gamma_zero": 0, "beta_high": 0, "uniform_logits": 0, "float_degenerate": 0}
-    for _ in range(trials):
+    floor = max(1, trials // 5)
+    draws = 0
+    while draws < trials or (eligible < floor and draws < trials + 100 * floor):
+        draws += 1
         t = draw_trial(rng)
         target = Target.one_hot(t.index)
         cfg = TofuConfig(t.gamma, t.beta)
@@ -352,7 +359,7 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
         "equal_gradient_violations": violations,
         "min_factor_separation": None if not np.isfinite(min_separation) else float(min_separation),
     }
-    return tally.report("tofu_scaling", trials, violations == 0 and eligible >= max(1, trials // 5), extras)
+    return tally.report("tofu_scaling", draws, violations == 0 and eligible >= floor, extras)
 
 
 def verify_entropy_bounded(min_probs=None) -> CheckReport:

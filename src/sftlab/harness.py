@@ -1,10 +1,12 @@
 """Experiment orchestration behind the CLI subcommands.
 
-Every run directory gets a run.json RunRecord carrying the canonical config
-hash, the corpus content hash, and the exact invocation, so a run can be
-reproduced from its outputs alone. Primary outputs (checkpoints, generations,
-CSVs) are byte-identical across reruns; run.json is the one file allowed to
-differ, and only in its wall-clock field.
+Every run directory gets one run.json, written by write_run_record. It holds
+the run's invocation, every setting its primary outputs depend on, and each
+input file's path and sha256; its config_hash is the hash of the invocation
+and those sha256s, so it is a function of what run.json shows and never of a
+path. A run can thus be reproduced from its outputs alone. Primary outputs
+(checkpoints, generations, CSVs) are byte-identical across reruns; run.json
+is the one file allowed to differ, and only in its wall-clock field.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,18 +52,23 @@ CURVE_PR_GRID = ((1.0, 1.0), (1.0, 0.5), (0.5, 0.5), (0.5, 0.9))
 CURVE_POINTS = 512
 
 
-@dataclass
-class RunRecord:
-    command: str
-    config_hash: str
-    corpus_hash: str | None
-    invocation: dict
-    outputs: dict = field(default_factory=dict)
-    status: str = "ok"
-    wall_clock_s: float = 0.0
-
-    def write(self, out_dir: Path):
-        write_file(out_dir / "run.json", json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+def write_run_record(out_dir, command, started, invocation, inputs, outputs, status="ok"):
+    """Write out_dir/run.json: the `invocation` (every setting the primary
+    outputs depend on), each of `inputs` ({name: path}) as its path and
+    sha256, the `outputs`, the status and the seconds since `started`.
+    config_hash covers the invocation and the input sha256s, never a path."""
+    inputs = {name: {"path": str(path), "sha256": content_hash(path)} for name, path in inputs.items()}
+    digests = {name: entry["sha256"] for name, entry in inputs.items()}
+    record = {
+        "command": command,
+        "config_hash": config_hash({"invocation": invocation, "inputs": digests}),
+        "invocation": invocation,
+        "inputs": inputs,
+        "outputs": outputs,
+        "status": status,
+        "wall_clock_s": time.monotonic() - started,
+    }
+    write_file(Path(out_dir) / "run.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def build_model(spec: ModelSpec, corpus: Corpus, seed: int) -> ToyModel:
@@ -84,15 +91,8 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> dict:
     checkpoint.save(out_dir / "checkpoint.bin")
     trace_rows = [(row.step, repr(row.loss), repr(row.lr)) for row in trace]
     write_file(out_dir / "trace.csv", csv_text([("step", "loss", "lr"), *trace_rows]))
-    record = RunRecord(
-        command="train",
-        config_hash=config_hash(cfg.to_dict()),
-        corpus_hash=content_hash(cfg.corpus),
-        invocation={"config": cfg.to_dict(), "corpus": str(cfg.corpus)},
-        outputs={"checkpoint": "checkpoint.bin", "trace": "trace.csv"},
-        wall_clock_s=time.monotonic() - started,
-    )
-    record.write(out_dir)
+    outputs = {"checkpoint": "checkpoint.bin", "trace": "trace.csv"}
+    write_run_record(out_dir, "train", started, cfg.to_dict(), {"corpus": cfg.corpus}, outputs)
     return {
         "checkpoint": out_dir / "checkpoint.bin",
         "trace": out_dir / "trace.csv",
@@ -114,7 +114,8 @@ def run_eval(
     samples: int = 10,
     metrics=DEFAULT_EVAL_METRICS,
 ) -> dict:
-    """Sample completions for every prompt, write generations and metric CSVs."""
+    """Sample completions for every prompt and score them, then write the
+    generations, the metric CSV and run.json; a failure writes none of them."""
     started = time.monotonic()
     prompts = load_prompts(prompts_path)
     metrics = validate_eval_request(metrics, samples, prompts)
@@ -125,6 +126,27 @@ def run_eval(
     sets: dict[str, GenerationSet] = {
         p.id: sample_generation_set(model, p.prompt, samples, sampling, p.id) for p in prompts
     }
+    reports = []
+    for name in metrics:
+        if name == "self_bleu":
+            reports.append(MetricReport(name, {p.id: self_bleu(sets[p.id]) for p in prompts}))
+        elif name.startswith("distinct_"):
+            n = int(name.split("_", 1)[1])
+            reports.append(MetricReport(name, {p.id: distinct_n(sets[p.id], n) for p in prompts}))
+        elif name == "entropy":
+            reports.append(MetricReport(name, {p.id: completion_entropy(sets[p.id]) for p in prompts}))
+        elif name == "coverage":
+            matrix = np.array([[_success(c, p.answer) for c in sets[p.id].completions] for p in prompts])
+            coverage, mean_success = coverage_and_mean(matrix)
+            reports.append(MetricReport("coverage", {p.id: float(row.any()) for p, row in zip(prompts, matrix)}))
+            reports.append(MetricReport("mean_success", {p.id: float(row.mean()) for p, row in zip(prompts, matrix)}))
+            # aggregate rows of these two reports equal (coverage, mean_success)
+            means = (reports[-2].mean, reports[-1].mean)
+            if not (abs(means[0] - coverage) < 1e-12 and abs(means[1] - mean_success) < 1e-12):
+                raise RuntimeError(
+                    f"coverage report means {means} disagree with coverage_and_mean {(coverage, mean_success)}"
+                )
+
     write_file(
         out_dir / "generations.jsonl",
         "".join(
@@ -133,69 +155,15 @@ def run_eval(
             for i, completion in enumerate(sets[p.id].completions)
         ),
     )
-
-    reports = []
-    for name in metrics:
-        if name == "self_bleu":
-            reports.append(
-                MetricReport(name, {p.id: self_bleu(sets[p.id]) for p in prompts})
-            )
-        elif name.startswith("distinct_"):
-            n = int(name.split("_", 1)[1])
-            reports.append(
-                MetricReport(name, {p.id: distinct_n(sets[p.id], n) for p in prompts})
-            )
-        elif name == "entropy":
-            reports.append(
-                MetricReport(name, {p.id: completion_entropy(sets[p.id]) for p in prompts})
-            )
-        elif name == "coverage":
-            matrix = np.array(
-                [[_success(c, p.answer) for c in sets[p.id].completions] for p in prompts]
-            )
-            coverage, mean_success = coverage_and_mean(matrix)
-            reports.append(
-                MetricReport(
-                    "coverage",
-                    {p.id: float(row.any()) for p, row in zip(prompts, matrix)},
-                )
-            )
-            reports.append(
-                MetricReport(
-                    "mean_success",
-                    {p.id: float(row.mean()) for p, row in zip(prompts, matrix)},
-                )
-            )
-            # aggregate rows of these two reports equal (coverage, mean_success)
-            means = (reports[-2].mean, reports[-1].mean)
-            if not (abs(means[0] - coverage) < 1e-12 and abs(means[1] - mean_success) < 1e-12):
-                raise RuntimeError(
-                    f"coverage report means {means} disagree with "
-                    f"coverage_and_mean {(coverage, mean_success)}"
-                )
     write_metric_reports(out_dir / "metrics.csv", reports)
-
-    record = RunRecord(
-        command="eval",
-        config_hash=config_hash(
-            {
-                "checkpoint": content_hash(checkpoint_path),
-                "sampling": asdict(sampling),
-                "samples": samples,
-                "metrics": list(metrics),
-            }
-        ),
-        corpus_hash=content_hash(prompts_path),
-        invocation={
-            "checkpoint": str(checkpoint_path),
-            "prompts": str(prompts_path),
-            "samples": samples,
-            "metrics": list(metrics),
-        },
-        outputs={"generations": "generations.jsonl", "metrics": "metrics.csv"},
-        wall_clock_s=time.monotonic() - started,
+    write_run_record(
+        out_dir,
+        "eval",
+        started,
+        {"sampling": asdict(sampling), "samples": samples, "metrics": list(metrics)},
+        {"checkpoint": checkpoint_path, "prompts": prompts_path},
+        {"generations": "generations.jsonl", "metrics": "metrics.csv"},
     )
-    record.write(out_dir)
     return {
         "generations": out_dir / "generations.jsonl",
         "metrics": out_dir / "metrics.csv",
@@ -221,11 +189,14 @@ def run_curves(out_path) -> Path:
     return out_path
 
 
-def _sweep_task(args: tuple[SweepSpec, str, TrainConfig]) -> tuple:
+def _failure(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _sweep_task(args: tuple[SweepSpec, str, TrainConfig]) -> tuple[dict, str | None]:
     """One (cell, seed) unit of the sweep: train the cell's config, whose seed
     is the task's, then eval with the sampling seed set to it. Top-level so it
-    pickles for the process pool. Returns (label, seed, metric means dict,
-    error or None)."""
+    pickles for the process pool. Returns (metric means dict, error or None)."""
     spec, label, train_cfg = args
     seed = train_cfg.seed
     cell_dir = spec.output_dir / label / f"seed_{seed}"
@@ -239,9 +210,9 @@ def _sweep_task(args: tuple[SweepSpec, str, TrainConfig]) -> tuple:
             samples=spec.samples_per_prompt,
             metrics=spec.metrics,
         )
-        return label, seed, {"final_loss": train_out["final_loss"], **eval_out["reports"]}, None
+        return {"final_loss": train_out["final_loss"], **eval_out["reports"]}, None
     except Exception as exc:  # cell failures are recorded, not fatal to the sweep
-        return label, seed, {}, f"{type(exc).__name__}: {exc}"
+        return {}, _failure(exc)
 
 
 def _distinct_objectives(cells) -> tuple[list[tuple[str, LossConfig]], dict[str, str]]:
@@ -265,7 +236,9 @@ def run_sweep(spec: SweepSpec) -> dict:
     once per seed, under the first label that has it, and the other labels
     (its aliases) get that label's values in the summary and no run directory.
     Cell failures are recorded in the summary as empty values and reported in
-    the return value; the sweep itself keeps going.
+    the return value; the sweep itself keeps going. A worker process that dies
+    fails its task and every task still pending in the pool, and the finished
+    cells keep their values.
     """
     started = time.monotonic()
     out_dir = spec.output_dir
@@ -280,16 +253,22 @@ def run_sweep(spec: SweepSpec) -> dict:
 
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_sweep_task, tasks))
+            futures = [pool.submit(_sweep_task, t) for t in tasks]
+            results = []
+            for future in futures:
+                try:
+                    results.append(future.result())
+                except Exception as exc:  # a dead worker fails its tasks; finished ones keep their values
+                    results.append(({}, _failure(exc)))
     else:
         results = [_sweep_task(t) for t in tasks]
 
     values: dict[tuple[str, int], dict] = {}
     failures = []
-    for label, seed, metrics_out, error in results:
-        values[(label, seed)] = metrics_out
+    for (_, label, train_cfg), (metrics_out, error) in zip(tasks, results):
+        values[(label, train_cfg.seed)] = metrics_out
         if error is not None:
-            failures.append({"cell": label, "seed": seed, "error": error})
+            failures.append({"cell": label, "seed": train_cfg.seed, "error": error})
     for label, ran in aliases.items():
         for seed in spec.seeds:
             values[(label, seed)] = values[(ran, seed)]
@@ -308,29 +287,22 @@ def run_sweep(spec: SweepSpec) -> dict:
     summary_path = out_dir / "sweep_summary.csv"
     write_file(summary_path, csv_text(rows))
 
-    record = RunRecord(
-        command="sweep",
-        config_hash=config_hash(
-            {
-                "objectives": list(spec.objectives),
-                "gammas": list(spec.gammas),
-                "betas": list(spec.betas),
-                "seeds": list(spec.seeds),
-                "train": spec.train.to_dict(),
-                "model": asdict(spec.model),
-                "sampling": asdict(spec.sampling),
-                "prompts": content_hash(spec.prompts),
-                "samples_per_prompt": spec.samples_per_prompt,
-                "metrics": list(spec.metrics),
-            }
-        ),
-        corpus_hash=content_hash(spec.corpus),
-        invocation={"cells": labels, "seeds": list(spec.seeds), "aliases": aliases},
-        outputs={"summary": "sweep_summary.csv"},
-        status="ok" if not failures else f"{len(failures)} cell(s) failed",
-        wall_clock_s=time.monotonic() - started,
-    )
-    record.write(out_dir)
+    invocation = {
+        "objectives": list(spec.objectives),
+        "gammas": list(spec.gammas),
+        "betas": list(spec.betas),
+        "seeds": list(spec.seeds),
+        "train": spec.train.to_dict(),
+        "model": asdict(spec.model),
+        "sampling": asdict(spec.sampling),
+        "samples_per_prompt": spec.samples_per_prompt,
+        "metrics": list(spec.metrics),
+        "cells": labels,
+        "aliases": aliases,
+    }
+    status = "ok" if not failures else f"{len(failures)} cell(s) failed"
+    inputs = {"corpus": spec.corpus, "prompts": spec.prompts}
+    write_run_record(out_dir, "sweep", started, invocation, inputs, {"summary": "sweep_summary.csv"}, status)
     return {
         "summary": summary_path,
         "cells": labels,
@@ -432,25 +404,16 @@ def run_probe(spec: ProbeSpec) -> dict:
         verdict["vs_ce"] = comparisons
     write_file(out_dir / "verdict.json", json.dumps(verdict, indent=2, sort_keys=True) + "\n")
 
-    record = RunRecord(
-        command="probe",
-        config_hash=config_hash(
-            {
-                "pretrain": spec.pretrain.to_dict(),
-                "sft": spec.sft_base.to_dict(),
-                "objectives": [c.key() for c in spec.sft_objectives],
-                "model": asdict(spec.model),
-                "prompt": spec.prompt,
-                "valid_tokens": list(spec.valid_tokens),
-                "seeds": list(spec.seeds),
-                "sft_corpus": content_hash(spec.sft_corpus),
-            }
-        ),
-        corpus_hash=content_hash(spec.pretrain_corpus),
-        invocation={"pretrain_corpus": str(spec.pretrain_corpus), "sft_corpus": str(spec.sft_corpus)},
-        outputs={f"probe_{label}": f"probe_{label}.csv" for label in probes}
-        | {"verdict": "verdict.json"},
-        wall_clock_s=time.monotonic() - started,
-    )
-    record.write(out_dir)
+    invocation = {
+        "pretrain": spec.pretrain.to_dict(),
+        "sft": spec.sft_base.to_dict(),
+        "objectives": [c.key() for c in spec.sft_objectives],
+        "model": asdict(spec.model),
+        "prompt": spec.prompt,
+        "valid_tokens": list(spec.valid_tokens),
+        "seeds": list(spec.seeds),
+    }
+    inputs = {"pretrain_corpus": spec.pretrain_corpus, "sft_corpus": spec.sft_corpus}
+    outputs = {f"probe_{label}": f"probe_{label}.csv" for label in probes} | {"verdict": "verdict.json"}
+    write_run_record(out_dir, "probe", started, invocation, inputs, outputs)
     return verdict

@@ -158,20 +158,20 @@ def backward_batch(model: ToyModel, cache, dlogits: np.ndarray) -> Gradients:
     """Exact reverse pass. dlogits rows carry whatever per-position scaling the
     caller chose; this function is linear in them."""
     contexts, x, hidden = cache
-    grads = Gradients.zeros_like(model)
-    grads.w_out[:] = hidden.T @ dlogits
-    grads.b_out[:] = dlogits.sum(axis=0)
     dhidden = dlogits @ model.w_out.T
     dpre = (1.0 - hidden**2) * dhidden
-    grads.w_hidden[:] = x.T @ dpre
-    grads.b_hidden[:] = dpre.sum(axis=0)
     dx = dpre @ model.w_hidden.T
     # one bincount over flat (token, column) slots sums each slot's terms in
     # row order, the order np.add.at would use, so the result is bit-equal
-    V, d = grads.embed.shape
+    V, d = model.embed.shape
     slots = (contexts[..., None] * d + np.arange(d)).ravel()
-    grads.embed[:] = np.bincount(slots, weights=dx.ravel(), minlength=V * d).reshape(V, d)
-    return grads
+    return Gradients(
+        embed=np.bincount(slots, weights=dx.ravel(), minlength=V * d).reshape(V, d),
+        w_hidden=x.T @ dpre,
+        b_hidden=dpre.sum(axis=0),
+        w_out=hidden.T @ dlogits,
+        b_out=dlogits.sum(axis=0),
+    )
 
 
 def forward(model: ToyModel, context_tokens) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .hashing import config_hash, read_jsonl, write_file
 # token_loss stays importable from here: perfbench traces it under this module's name
 from .losses import LossConfig, batch_loss, token_loss  # noqa: F401
-from .model import Gradients, ToyModel, Vocab, backward_batch, forward, forward_batch, pad_context
+from .model import Gradients, ToyModel, Vocab, backward_batch, forward, forward_batch
 from .numerics import log_softmax
 
 
@@ -118,17 +118,14 @@ class EncodedExample:
 
 def encode_example(vocab: Vocab, example: CorpusExample, context: int) -> EncodedExample:
     """Training positions for one example: the prompt only conditions, every
-    response character plus the closing EOS is a prediction target."""
+    response character plus the closing EOS is a prediction target. Response
+    position j sees the last `context` tokens of the prompt and the response
+    before it, left-padded with EOS (pad_context's window, taken as a slice)."""
     prompt_ids = vocab.encode(example.prompt)
     response_ids = vocab.encode(example.response) + [vocab.eos_id]
-    seq = prompt_ids + response_ids
-    contexts = []
-    for j in range(len(response_ids)):
-        prefix = seq[: len(prompt_ids) + j]
-        if not prefix:
-            prefix = [vocab.eos_id]
-        contexts.append(pad_context(prefix, context, vocab.eos_id))
-    return EncodedExample(np.stack(contexts), np.array(response_ids, dtype=np.int64))
+    padded = np.array([vocab.eos_id] * context + prompt_ids + response_ids[:-1], dtype=np.int64)
+    contexts = np.lib.stride_tricks.sliding_window_view(padded, context)[len(prompt_ids) :]
+    return EncodedExample(contexts.copy(), np.array(response_ids, dtype=np.int64))
 
 
 @dataclass

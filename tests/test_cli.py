@@ -2,12 +2,17 @@
 
 import csv
 import json
+import multiprocessing
+import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 from sftlab import harness
 from sftlab.cli import main
 from sftlab.config import ConfigError, parse_model, parse_objective, parse_sampling, parse_train
+from sftlab.hashing import config_hash, content_hash
 from sftlab.losses import LossConfig
 from sftlab.metrics import read_metric_reports
 
@@ -829,3 +834,165 @@ def test_eval_sampling_flags_are_checked_as_config_fields(tmp_path):
     assert main([*base, "--temperature", "inf"]) == 2
     assert main([*base, "--top-p", "nan"]) == 2
     assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize(
+    "metrics, patch",
+    [("entropy,distinct_2", False), ("coverage", True)],
+    ids=["undefined_metric", "coverage_disagreement"],
+)
+def test_eval_failing_to_score_writes_no_file(tmp_path, monkeypatch, metrics, patch):
+    # every report is computed before the first file is written, so a metric
+    # that cannot be scored leaves no generations.jsonl that reads as a run
+    ckpt = trained_checkpoint(tmp_path)
+    prompts = write_prompts(tmp_path / "prompts.jsonl", with_answers=True)
+    if patch:
+        monkeypatch.setattr(harness, "coverage_and_mean", lambda matrix: (0.25, 0.125))
+    out = tmp_path / "ev"
+    code = main(["eval", str(ckpt), str(prompts), "--out", str(out), "--metrics", metrics,
+                 "--samples", "3", "--max-tokens", "6"])
+    assert code == 1
+    assert not out.exists() or [p for p in out.rglob("*") if p.is_file()] == []
+
+
+# ---------------------------------------------------------- sweep workers ----
+
+
+def test_sweep_workers_write_the_same_summary(tmp_path):
+    summaries = []
+    for workers in (1, 2):
+        spec = write_sweep(tmp_path, workers=workers, output_dir=str(tmp_path / f"w{workers}"))
+        assert main(["sweep", str(spec)]) == 0
+        summaries.append((tmp_path / f"w{workers}" / "sweep_summary.csv").read_bytes())
+    assert summaries[0] == summaries[1]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched run_train reaches workers only by fork"
+)
+def test_sweep_worker_crash_keeps_finished_cells(tmp_path, capsys, monkeypatch):
+    # a worker that dies breaks the pool: its task, and any task still pending
+    # then, is a recorded failure; every finished cell keeps its values
+    real_train = harness.run_train
+
+    def dies_on_one_task(cfg, out_dir=None):
+        if cfg.train.objective.gamma == 3.0 and cfg.train.seed == 1:
+            os._exit(1)
+        return real_train(cfg, out_dir)
+
+    monkeypatch.setattr(harness, "run_train", dies_on_one_task)
+    spec = write_sweep(tmp_path, workers=2)
+    assert main(["sweep", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert "cell tofu_g3_b0.7 seed 1 failed: BrokenProcessPool" in err
+    failed = {(line.split()[1], int(line.split()[3])) for line in err.splitlines() if line.startswith("cell ")}
+
+    out = tmp_path / "sweep"
+    summary = read_summary(out / "sweep_summary.csv")
+    for label in ("tofu_g1_b0.7", "tofu_g3_b0.7"):
+        for seed in (0, 1):
+            for metric in ("final_loss", "self_bleu", "entropy"):
+                assert (summary[(metric, str(seed))][label] == "") == ((label, seed) in failed)
+    run = json.loads((out / "run.json").read_text())
+    assert run["status"] == f"{len(failed)} cell(s) failed"
+
+
+# ------------------------------------------------------------ run records ----
+
+
+def write_probe_inputs(d):
+    write_corpus(d / "pre.jsonl")
+    write_corpus(d / "sft.jsonl")
+    short = {"total_steps": 2, "warmup_steps": 1, "batch_size": 2}
+    payload = {
+        "pretrain": {"corpus": "pre.jsonl", "train": short},
+        "sft": {"corpus": "sft.jsonl", "train": short, "objectives": [{"name": "tofu"}]},
+        "model": MODEL,
+        "probe": {"prompt": "a", "valid_tokens": ["a", "b"]},
+        "seeds": [0],
+        "output_dir": "out",
+    }
+    (d / "probe.json").write_text(json.dumps(payload))
+
+
+def write_eval_inputs(d):
+    shutil.copy(trained_checkpoint(d), d / "checkpoint.bin")
+    write_prompts(d / "prompts.jsonl")
+
+
+# command: (write its inputs and config into a directory, its arguments there,
+# the keys of its invocation, its inputs by name and file, a row to add to the last)
+RUNS = {
+    "train": (
+        lambda d: write_experiment(d, "cfg", output_dir="out"),
+        lambda d: ["train", str(d / "cfg.json")],
+        {"train", "model"},
+        {"corpus": "corpus.jsonl"},
+        {"prompt": "a", "response": "b"},
+    ),
+    "eval": (
+        write_eval_inputs,
+        lambda d: ["eval", str(d / "checkpoint.bin"), str(d / "prompts.jsonl"), "--out", "out", "--samples", "3",
+                   "--max-tokens", "6", "--top-p", "0.5", "--metrics", "self_bleu,entropy"],
+        {"sampling", "samples", "metrics"},
+        {"checkpoint": "checkpoint.bin", "prompts": "prompts.jsonl"},
+        {"id": "p2", "prompt": "a"},
+    ),
+    "sweep": (
+        lambda d: write_sweep(d, gammas=[3.0], seeds=[0], output_dir="out"),
+        lambda d: ["sweep", str(d / "sweep.json")],
+        {"objectives", "gammas", "betas", "seeds", "train", "model", "sampling", "samples_per_prompt", "metrics",
+         "cells", "aliases"},
+        {"prompts": "prompts.jsonl", "corpus": "corpus.jsonl"},
+        {"prompt": "a", "response": "b"},
+    ),
+    "probe": (
+        write_probe_inputs,
+        lambda d: ["probe", str(d / "probe.json")],
+        {"pretrain", "sft", "objectives", "model", "prompt", "valid_tokens", "seeds"},
+        {"pretrain_corpus": "pre.jsonl", "sft_corpus": "sft.jsonl"},
+        {"prompt": "a", "response": "b"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_run_hash_is_the_recorded_invocation_and_input_contents(tmp_path, monkeypatch, command):
+    write_inputs, args, keys, inputs, row = RUNS[command]
+
+    def record(d):
+        monkeypatch.setenv("SFTLAB_OUT_ROOT", str(d))
+        assert main(args(d)) == 0
+        return json.loads((d / "out" / "run.json").read_text())
+
+    first, copy = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    write_inputs(first)
+    shutil.copytree(first, copy)
+    run = record(first)
+    assert set(run["invocation"]) == keys
+    assert {name: Path(entry["path"]) for name, entry in run["inputs"].items()} == {
+        name: first / file for name, file in inputs.items()
+    }
+    for entry in run["inputs"].values():
+        assert entry["sha256"] == content_hash(entry["path"])
+    # the hash is recomputed from what run.json shows, and no path enters it
+    digests = {name: entry["sha256"] for name, entry in run["inputs"].items()}
+    assert run["config_hash"] == config_hash({"invocation": run["invocation"], "inputs": digests})
+
+    copied = record(copy)
+    assert copied["inputs"] != run["inputs"]
+    assert copied["config_hash"] == run["config_hash"]
+    with open(copy / list(inputs.values())[-1], "a") as fh:
+        fh.write(json.dumps(row) + "\n")
+    assert record(copy)["config_hash"] != run["config_hash"]
+
+
+def test_eval_run_records_its_sampling_config(tmp_path):
+    ckpt = trained_checkpoint(tmp_path)
+    prompts = write_prompts(tmp_path / "prompts.jsonl")
+    out = tmp_path / "ev"
+    assert main(["eval", str(ckpt), str(prompts), "--out", str(out), "--samples", "2", "--max-tokens", "5",
+                 "--top-p", "0.5", "--metrics", "entropy"]) == 0
+    sampling = json.loads((out / "run.json").read_text())["invocation"]["sampling"]
+    assert sampling["top_p"] == 0.5 and sampling["max_tokens"] == 5

@@ -3,6 +3,7 @@ freezing, and small deterministic runs of every check."""
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -332,3 +333,21 @@ def test_entropy_counterexample_is_the_first_bad_min_prob(monkeypatch, fault):
     report = verify_entropy_bounded()
     assert not report.passed
     assert report.counterexample == {"min_prob": 10.0**-100}
+
+
+def test_tofu_scaling_draws_until_enough_trials_are_eligible(capsys):
+    # at trials 1, seed 1 the one draw is ineligible; the check draws on
+    assert main(["gradcheck", "--trials", "1", "--seed", "1"]) == 0
+    tofu = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line.strip()][2]
+    assert tofu["name"] == "tofu_scaling" and tofu["passed"] and tofu["trials"] > 1
+    assert tofu["extras"]["eligible_trials"] + sum(tofu["extras"]["excluded"].values()) == tofu["trials"]
+
+
+def test_tofu_scaling_fails_at_its_draw_cap(monkeypatch):
+    # no draw with gamma 0 is eligible: the check stops at trials + 100 x floor and fails
+    real = gradcheck.draw_trial
+    monkeypatch.setattr(gradcheck, "draw_trial", lambda rng: replace(real(rng), gamma=0.0))
+    report = verify_tofu_scaling(trials=10, seed=0)
+    assert not report.passed
+    assert report.trials == 10 + 100 * 2
+    assert report.extras["excluded"]["gamma_zero"] == report.trials

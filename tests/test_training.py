@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftlab.losses import OBJECTIVES, LossConfig, Target, token_loss
 from sftlab.hashing import config_hash
-from sftlab.model import ToyModel, Vocab, backward_batch, forward, forward_batch
+from sftlab.model import ToyModel, Vocab, backward_batch, forward, forward_batch, pad_context
 from sftlab.training import (
     Checkpoint,
     Corpus,
@@ -120,6 +122,24 @@ def test_encode_example_truncates_long_prefix():
     enc = encode_example(vocab, CorpusExample("abab", "cd"), context=2)
     a, b, c, d = vocab.encode("abcd")
     assert enc.contexts.tolist() == [[a, b], [b, c], [c, d]]
+
+
+@given(
+    prompt=st.text(alphabet="abcd", max_size=12),
+    response=st.text(alphabet="abcd", min_size=1, max_size=12),
+    context=st.integers(1, 8),
+)
+@settings(max_examples=200, deadline=None)
+def test_encode_example_windows_are_pad_context_of_each_prefix(prompt, response, context):
+    # response position j sees pad_context of the prompt and the response before j
+    vocab = Vocab("abcd")
+    enc = encode_example(vocab, CorpusExample(prompt, response), context)
+    ids = vocab.encode(prompt + response)
+    expected = [
+        pad_context(ids[: len(prompt) + j] or [vocab.eos_id], context, vocab.eos_id) for j in range(len(response) + 1)
+    ]
+    assert enc.contexts.dtype == np.int64 and enc.contexts.flags.writeable
+    np.testing.assert_array_equal(enc.contexts, np.stack(expected))
 
 
 # ------------------------------------------------------------- schedule ----
