@@ -45,28 +45,22 @@ def ngrams(tokens: list[str], n: int) -> list[tuple[str, ...]]:
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def _bleu_against(hypothesis: list[str], references: list[list[str]], max_n: int) -> float:
-    """Multi-reference BLEU on [0, 100] with uniform weights over the n-gram
-    orders the hypothesis actually has.
+def _bleu_score(c: int, matches: list[tuple[int, int]], ref_lens: list[int]) -> float:
+    """Multi-reference BLEU on [0, 100] of a hypothesis of c words, from its
+    (clipped, total) n-gram counts per order 1..max_n, with uniform weights
+    over the orders the hypothesis actually has.
 
-    Clipped precision per order; a zero precision at order > 1 is smoothed by
-    adding BLEU_SMOOTHING_EPS to the numerator, while a zero unigram precision
-    (no shared words at all) sends the score to 0 unsoftened. Brevity penalty
-    uses the reference length closest to the hypothesis (ties to the shorter).
+    A zero clipped count at order > 1 is smoothed by adding BLEU_SMOOTHING_EPS
+    to the numerator, while a zero unigram count (no shared words at all) sends
+    the score to 0 unsoftened. Brevity penalty uses the reference length
+    closest to the hypothesis (ties to the shorter).
     """
-    c = len(hypothesis)
     if c == 0:
         return 0.0
     log_precisions = []
-    for n in range(1, max_n + 1):
-        hyp_counts = Counter(ngrams(hypothesis, n))
-        total = sum(hyp_counts.values())
+    for n, (clipped, total) in enumerate(matches, start=1):
         if total == 0:
             continue  # hypothesis too short for this order
-        clipped = 0
-        for gram, count in hyp_counts.items():
-            best = max((Counter(ngrams(ref, n))[gram] for ref in references), default=0)
-            clipped += min(count, best)
         if clipped == 0:
             if n == 1:
                 return 0.0
@@ -77,22 +71,52 @@ def _bleu_against(hypothesis: list[str], references: list[list[str]], max_n: int
     if not log_precisions:
         return 0.0
     geo_mean = float(np.exp(np.mean(log_precisions)))
-    ref_lens = sorted(len(r) for r in references)
     r = min(ref_lens, key=lambda L: (abs(L - c), L))
     brevity = 1.0 if c >= r else float(np.exp(1.0 - r / c))
     return 100.0 * brevity * geo_mean
 
 
+def _clip_bounds(counts: list[Counter]) -> dict[tuple[str, ...], tuple[int, int, int]]:
+    """gram -> (its largest count over the completions, the first completion
+    holding that count, the largest count among the others). The largest
+    count in any completion but i is the third entry when i is the holder,
+    else the first; a gram only completion i has thus clips to 0 there."""
+    bounds: dict[tuple[str, ...], tuple[int, int, int]] = {}
+    for i, counter in enumerate(counts):
+        for gram, count in counter.items():
+            first, holder, second = bounds.get(gram, (0, -1, 0))
+            if count > first:
+                bounds[gram] = (count, i, first)
+            elif count > second:
+                bounds[gram] = (first, holder, count)
+    return bounds
+
+
 def self_bleu(gen_set: GenerationSet, max_n: int = 4) -> float:
-    """Mean BLEU of each completion against the other k-1. Needs k >= 2."""
+    """Mean BLEU of each completion against the other k-1. Needs k >= 2.
+
+    Each completion's n-grams are counted once per order; a hypothesis gram
+    clips to its largest count in any other completion.
+    """
     k = len(gen_set.completions)
     if k < 2:
         raise ArityError(f"self_bleu needs at least 2 completions, got {k}")
     tokenized = [tokenize_words(c) for c in gen_set.completions]
+    lengths = [len(t) for t in tokenized]
+    orders = []  # (counts per completion, their clip bounds) for n = 1..max_n
+    for n in range(1, max_n + 1):
+        counts = [Counter(ngrams(t, n)) for t in tokenized]
+        orders.append((counts, _clip_bounds(counts)))
     scores = []
-    for i, hyp in enumerate(tokenized):
-        refs = tokenized[:i] + tokenized[i + 1 :]
-        scores.append(_bleu_against(hyp, refs, max_n))
+    for i, c in enumerate(lengths):
+        matches = []
+        for counts, bounds in orders:
+            clipped = 0
+            for gram, count in counts[i].items():
+                first, holder, second = bounds[gram]
+                clipped += min(count, second if holder == i else first)
+            matches.append((clipped, sum(counts[i].values())))
+        scores.append(_bleu_score(c, matches, lengths[:i] + lengths[i + 1 :]))
     return float(np.mean(scores))
 
 

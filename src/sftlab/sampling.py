@@ -57,20 +57,29 @@ def completion_seed(base_seed: int, prompt_id: str, completion_index: int) -> in
 
 def nucleus_sample(model: ToyModel, prompt: str, cfg: SamplingConfig, rng: np.random.Generator | None = None) -> str:
     """Sample one completion, stopping at EOS or max_tokens. Returns the
-    generated text without the prompt."""
+    generated text without the prompt.
+
+    Each token takes one rng.random() through the inverse CDF of the nucleus
+    weights, the draw Generator.choice(kept.size, p=weights) makes, so the
+    stream and the tokens are choice's without its per-call validation.
+    """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    tokens = model.vocab.encode(prompt) if prompt else [model.vocab.eos_id]
+    window = model.vocab.encode(prompt) if prompt else [model.vocab.eos_id]
+    del window[: -model.context]  # forward reads only the last model.context tokens
     generated: list[int] = []
     for _ in range(cfg.max_tokens):
-        logits = forward(model, tokens)
+        logits = forward(model, window)
         probs = np.exp(log_softmax(logits / cfg.temperature))
         kept, weights = nucleus_filter(probs, cfg.top_p)
-        token = int(kept[rng.choice(kept.size, p=weights)])
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        token = int(kept[cdf.searchsorted(rng.random(), "right")])
         if token == model.vocab.eos_id:
             break
         generated.append(token)
-        tokens.append(token)
+        window.append(token)
+        del window[: -model.context]
     return model.vocab.decode(generated)
 
 
