@@ -5,13 +5,17 @@ the run's invocation, every setting its primary outputs depend on, and each
 input file's path and sha256; its config_hash is the hash of the invocation
 and those sha256s, so it is a function of what run.json shows and never of a
 path. A run can thus be reproduced from its outputs alone. Primary outputs
-(checkpoints, generations, CSVs) are byte-identical across reruns; run.json
-is the one file allowed to differ, and only in its wall-clock field.
+(checkpoints, generations, CSVs) are byte-identical across reruns within one
+BLAS build; run.json is the one file allowed to differ, and only in its
+wall-clock field and in its environment block (the interpreter, numpy and
+BLAS that wrote it), both outside config_hash.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -50,18 +54,38 @@ from .training import Checkpoint, Corpus, TrainConfig, probe_token_distribution,
 CURVE_GAMMAS = (1.0, 2.0, 3.0, 5.0)
 CURVE_PR_GRID = ((1.0, 1.0), (1.0, 0.5), (0.5, 0.5), (0.5, 0.9))
 CURVE_POINTS = 512
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_environment() -> dict:
+    """The Python, numpy and BLAS build that ran, and the BLAS thread
+    variables: what a byte-identical rerun must share. The BLAS entry is None
+    where numpy cannot report it (numpy < 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
 
 
 def write_run_record(out_dir, command, started, invocation, inputs, outputs, status="ok"):
     """Write out_dir/run.json: the `invocation` (every setting the primary
     outputs depend on), each of `inputs` ({name: path}) as its path and
-    sha256, the `outputs`, the status and the seconds since `started`.
-    config_hash covers the invocation and the input sha256s, never a path."""
+    sha256, the `outputs`, the status, the _run_environment() and the seconds
+    since `started`. config_hash covers the invocation and the input sha256s,
+    never a path, the environment or the clock."""
     inputs = {name: {"path": str(path), "sha256": content_hash(path)} for name, path in inputs.items()}
     digests = {name: entry["sha256"] for name, entry in inputs.items()}
     record = {
         "command": command,
         "config_hash": config_hash({"invocation": invocation, "inputs": digests}),
+        "environment": _run_environment(),
         "invocation": invocation,
         "inputs": inputs,
         "outputs": outputs,
@@ -69,6 +93,12 @@ def write_run_record(out_dir, command, started, invocation, inputs, outputs, sta
         "wall_clock_s": time.monotonic() - started,
     }
     write_file(Path(out_dir) / "run.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _shared_train_settings(cfg: TrainConfig, *set_per_run: str) -> dict:
+    """cfg.to_dict() less the fields a sweep or probe sets for each of its
+    runs, whose values in cfg are placeholders no run uses."""
+    return {name: value for name, value in cfg.to_dict().items() if name not in set_per_run}
 
 
 def build_model(spec: ModelSpec, corpus: Corpus, seed: int) -> ToyModel:
@@ -292,7 +322,7 @@ def run_sweep(spec: SweepSpec) -> dict:
         "gammas": list(spec.gammas),
         "betas": list(spec.betas),
         "seeds": list(spec.seeds),
-        "train": spec.train.to_dict(),
+        "train": _shared_train_settings(spec.train, "objective", "seed"),
         "model": asdict(spec.model),
         "sampling": asdict(spec.sampling),
         "samples_per_prompt": spec.samples_per_prompt,
@@ -405,8 +435,8 @@ def run_probe(spec: ProbeSpec) -> dict:
     write_file(out_dir / "verdict.json", json.dumps(verdict, indent=2, sort_keys=True) + "\n")
 
     invocation = {
-        "pretrain": spec.pretrain.to_dict(),
-        "sft": spec.sft_base.to_dict(),
+        "pretrain": _shared_train_settings(spec.pretrain, "seed"),
+        "sft": _shared_train_settings(spec.sft_base, "objective", "seed"),
         "objectives": [c.key() for c in spec.sft_objectives],
         "model": asdict(spec.model),
         "prompt": spec.prompt,

@@ -49,6 +49,16 @@ def nucleus_filter(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndar
     return kept, weights / weights.sum()
 
 
+def inverse_cdf_draw(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probabilities `weights` (summing to 1) by the
+    inverse-CDF step Generator.choice(weights.size, p=weights) takes: one
+    rng.random() per draw, so index and stream are choice's, without the
+    validation choice runs on every call."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), "right"))
+
+
 def completion_seed(base_seed: int, prompt_id: str, completion_index: int) -> int:
     """Stable 64-bit stream seed; never Python's salted hash()."""
     digest = hashlib.sha256(f"{base_seed}/{prompt_id}/{completion_index}".encode("utf-8")).digest()
@@ -57,34 +67,31 @@ def completion_seed(base_seed: int, prompt_id: str, completion_index: int) -> in
 
 def nucleus_sample(model: ToyModel, prompt: str, cfg: SamplingConfig, rng: np.random.Generator | None = None) -> str:
     """Sample one completion, stopping at EOS or max_tokens. Returns the
-    generated text without the prompt.
-
-    Each token takes one rng.random() through the inverse CDF of the nucleus
-    weights, the draw Generator.choice(kept.size, p=weights) makes, so the
-    stream and the tokens are choice's without its per-call validation.
-    """
+    generated text without the prompt."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     window = model.vocab.encode(prompt) if prompt else [model.vocab.eos_id]
-    del window[: -model.context]  # forward reads only the last model.context tokens
     generated: list[int] = []
     for _ in range(cfg.max_tokens):
         logits = forward(model, window)
         probs = np.exp(log_softmax(logits / cfg.temperature))
         kept, weights = nucleus_filter(probs, cfg.top_p)
-        cdf = weights.cumsum()
-        cdf /= cdf[-1]
-        token = int(kept[cdf.searchsorted(rng.random(), "right")])
+        token = int(kept[inverse_cdf_draw(weights, rng)])
         if token == model.vocab.eos_id:
             break
         generated.append(token)
         window.append(token)
-        del window[: -model.context]
+        del window[: -model.context]  # forward reads only the last model.context tokens
     return model.vocab.decode(generated)
 
 
 def sample_generation_set(model: ToyModel, prompt: str, k: int, cfg: SamplingConfig, prompt_id: str) -> GenerationSet:
-    """k completions for one prompt, each on its own hashed RNG stream."""
+    """k completions for one prompt, each on its own hashed RNG stream.
+
+    Completions are decoded one at a time, never as rows of one batched
+    forward pass: a row of a matrix product can differ from the same row
+    computed alone by up to 2e-15, which would make a completion's bits
+    depend on its siblings."""
     if k < 1:
         raise ValueError(f"need k >= 1 completions, got {k}")
     completions = []

@@ -7,6 +7,7 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sftlab import harness
@@ -996,3 +997,44 @@ def test_eval_run_records_its_sampling_config(tmp_path):
                  "--top-p", "0.5", "--metrics", "entropy"]) == 0
     sampling = json.loads((out / "run.json").read_text())["invocation"]["sampling"]
     assert sampling["top_p"] == 0.5 and sampling["max_tokens"] == 5
+
+
+@pytest.mark.parametrize("command", ["sweep", "probe"])
+def test_sweep_and_probe_records_hold_no_per_run_train_fields(tmp_path, monkeypatch, command):
+    # each cell's objective comes from the grid or the SFT objectives and each
+    # seed from `seeds`, so the shared train configs' own values are not shown
+    write_inputs, args, _, _, _ = RUNS[command]
+    monkeypatch.setenv("SFTLAB_OUT_ROOT", str(tmp_path))
+    write_inputs(tmp_path)
+    assert main(args(tmp_path)) == 0
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    per_run = {"sweep": {"train": {"objective", "seed"}},
+               "probe": {"sft": {"objective", "seed"}, "pretrain": {"seed"}}}[command]
+    for key, dropped in per_run.items():
+        shown = run["invocation"][key]
+        assert not dropped & set(shown), key
+        assert set(shown) | dropped == set(parse_train({}, LossConfig("ce"), key).to_dict())
+    if command == "probe":  # pretraining runs its configured objective
+        assert run["invocation"]["pretrain"]["objective"] == LossConfig("ce").to_dict()
+    digests = {name: entry["sha256"] for name, entry in run["inputs"].items()}
+    assert run["config_hash"] == config_hash({"invocation": run["invocation"], "inputs": digests})
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_run_record_environment_is_outside_the_hash(tmp_path, monkeypatch, command):
+    write_inputs, args, _, _, _ = RUNS[command]
+    records = []
+    for threads in ("1", "2"):
+        d = tmp_path / threads
+        d.mkdir()
+        write_inputs(d)
+        monkeypatch.setenv("SFTLAB_OUT_ROOT", str(d))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert main(args(d)) == 0
+        records.append(json.loads((d / "out" / "run.json").read_text()))
+    first, second = (r["environment"] for r in records)
+    assert set(first) == {"python", "numpy", "blas", "threads"}
+    assert first["numpy"] == np.__version__
+    assert set(first["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert (first["threads"]["OPENBLAS_NUM_THREADS"], second["threads"]["OPENBLAS_NUM_THREADS"]) == ("1", "2")
+    assert records[0]["config_hash"] == records[1]["config_hash"]

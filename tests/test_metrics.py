@@ -62,6 +62,23 @@ def test_self_bleu_matches_brute_force_oracle():
         assert abs(self_bleu(gs) - oracle_self_bleu(gs.completions)) <= EPS
 
 
+def test_self_bleu_matches_oracle_on_duplicate_heavy_sets_at_k64():
+    # 64 completions drawn from a few short strings over a 3-4 word lexicon,
+    # empty ones among them, and one word only a single completion has: as
+    # a hypothesis it must clip that word to 0 (no other completion has it),
+    # never to its own count
+    rng = random.Random(64)
+    for _ in range(4):
+        lexicon = rng.sample(["a", "b", "c", "dd"], rng.randint(3, 4))
+        pool = [" ".join(rng.choice(lexicon) for _ in range(rng.randint(0, 7))) for _ in range(6)] + ["", ""]
+        completions = [rng.choice(pool) for _ in range(64)]
+        completions[rng.randrange(64)] += " solo"
+        gs = GenerationSet("p", tuple(completions))
+        assert abs(self_bleu(gs) - oracle_self_bleu(gs.completions)) <= EPS
+    pair = ("a b solo", "a b")
+    assert abs(self_bleu(GenerationSet("p", pair)) - oracle_self_bleu(pair)) <= EPS
+
+
 def test_self_bleu_duplicate_never_decreases():
     # duplicating a non-empty completion adds a perfect-score hypothesis, so
     # the mean cannot drop (an empty string scores 0 even against its twin,

@@ -7,6 +7,7 @@ from sftlab.model import TokenizationError, ToyModel, Vocab
 from sftlab.sampling import (
     SamplingConfig,
     completion_seed,
+    inverse_cdf_draw,
     nucleus_filter,
     nucleus_sample,
     sample_generation_set,
@@ -72,6 +73,39 @@ def test_nucleus_ties_resolve_in_index_order():
     probs = np.full(4, 0.25)
     kept, _ = nucleus_filter(probs, 0.5)
     assert kept.tolist() == [0, 1]
+
+
+# ----------------------------------------------------------------- draw ----
+
+
+def test_inverse_cdf_draw_is_generator_choice():
+    # nucleus weight vectors of every kept size 1-28, with exact ties (equal
+    # levels, uniform) and single kept tokens (tiny top_p); index and stream
+    # state after the draw must both be choice's
+    rng = np.random.default_rng(2024)
+    sizes, tied = set(), 0
+    for trial in range(2000):
+        V = int(rng.integers(1, 29))
+        kind = trial % 4
+        if kind == 0:
+            probs = rng.dirichlet(np.ones(V))
+        elif kind == 1:
+            levels = rng.integers(1, 4, size=V).astype(np.float64)
+            probs = levels / levels.sum()
+        elif kind == 2:
+            probs = np.full(V, 1.0 / V)
+        else:
+            probs = rng.dirichlet(np.full(V, 0.05))
+        top_p = (1.0, 1e-9, float(rng.uniform(0.05, 1.0)))[trial % 3]
+        kept, weights = nucleus_filter(probs, top_p)
+        sizes.add(kept.size)
+        tied += len(set(weights.tolist())) < weights.size
+        seed = int(rng.integers(1 << 62))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert inverse_cdf_draw(weights, ours) == theirs.choice(weights.size, p=weights), (trial, weights)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    assert sizes == set(range(1, 29))
+    assert tied >= 100
 
 
 # ---------------------------------------------------------------- seeds ----
