@@ -95,10 +95,10 @@ def write_run_record(out_dir, command, started, invocation, inputs, outputs, sta
     write_file(Path(out_dir) / "run.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _shared_train_settings(cfg: TrainConfig, *set_per_run: str) -> dict:
-    """cfg.to_dict() less the fields a sweep or probe sets for each of its
-    runs, whose values in cfg are placeholders no run uses."""
-    return {name: value for name, value in cfg.to_dict().items() if name not in set_per_run}
+def _shared_settings(settings: dict, *set_per_run: str) -> dict:
+    """A sweep's or probe's config less the fields it sets for each of its
+    runs, whose values in the config are placeholders no run uses."""
+    return {name: value for name, value in settings.items() if name not in set_per_run}
 
 
 def build_model(spec: ModelSpec, corpus: Corpus, seed: int) -> ToyModel:
@@ -322,9 +322,9 @@ def run_sweep(spec: SweepSpec) -> dict:
         "gammas": list(spec.gammas),
         "betas": list(spec.betas),
         "seeds": list(spec.seeds),
-        "train": _shared_train_settings(spec.train, "objective", "seed"),
+        "train": _shared_settings(spec.train.to_dict(), "objective", "seed"),
         "model": asdict(spec.model),
-        "sampling": asdict(spec.sampling),
+        "sampling": _shared_settings(asdict(spec.sampling), "seed"),
         "samples_per_prompt": spec.samples_per_prompt,
         "metrics": list(spec.metrics),
         "cells": labels,
@@ -435,8 +435,8 @@ def run_probe(spec: ProbeSpec) -> dict:
     write_file(out_dir / "verdict.json", json.dumps(verdict, indent=2, sort_keys=True) + "\n")
 
     invocation = {
-        "pretrain": _shared_train_settings(spec.pretrain, "seed"),
-        "sft": _shared_train_settings(spec.sft_base, "objective", "seed"),
+        "pretrain": _shared_settings(spec.pretrain.to_dict(), "seed"),
+        "sft": _shared_settings(spec.sft_base.to_dict(), "objective", "seed"),
         "objectives": [c.key() for c in spec.sft_objectives],
         "model": asdict(spec.model),
         "prompt": spec.prompt,

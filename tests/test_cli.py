@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -1000,9 +1001,9 @@ def test_eval_run_records_its_sampling_config(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["sweep", "probe"])
-def test_sweep_and_probe_records_hold_no_per_run_train_fields(tmp_path, monkeypatch, command):
+def test_sweep_and_probe_records_hold_no_per_run_fields(tmp_path, monkeypatch, command):
     # each cell's objective comes from the grid or the SFT objectives and each
-    # seed from `seeds`, so the shared train configs' own values are not shown
+    # seed from `seeds`, so the shared configs' own values are not shown
     write_inputs, args, _, _, _ = RUNS[command]
     monkeypatch.setenv("SFTLAB_OUT_ROOT", str(tmp_path))
     write_inputs(tmp_path)
@@ -1014,6 +1015,8 @@ def test_sweep_and_probe_records_hold_no_per_run_train_fields(tmp_path, monkeypa
         shown = run["invocation"][key]
         assert not dropped & set(shown), key
         assert set(shown) | dropped == set(parse_train({}, LossConfig("ce"), key).to_dict())
+    if command == "sweep":
+        assert set(run["invocation"]["sampling"]) == set(asdict(parse_sampling({}))) - {"seed"}
     if command == "probe":  # pretraining runs its configured objective
         assert run["invocation"]["pretrain"]["objective"] == LossConfig("ce").to_dict()
     digests = {name: entry["sha256"] for name, entry in run["inputs"].items()}
