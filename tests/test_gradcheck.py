@@ -28,7 +28,7 @@ from sftlab.gradcheck import (
     verify_gem_equivalence,
     verify_tofu_scaling,
 )
-from sftlab.losses import FocalConfig, LossConfig, LossResult, Target, gem, scaled_ce, token_loss
+from sftlab.losses import OBJECTIVES, FocalConfig, LossConfig, LossResult, Target, gem, scaled_ce, token_loss
 
 DATA = Path(__file__).parent / "data"
 
@@ -229,6 +229,14 @@ def test_battery_matches_golden_reports():
     """
     reports = run_all_checks(trials=60, seed=3)
     assert "".join(r.to_json() + "\n" for r in reports) == (DATA / "golden_gradcheck.jsonl").read_text()
+
+
+def test_objective_filter_matches_golden_reports():
+    """Byte-exact replay of the `gradcheck --objective` path: line i of
+    tests/data/golden_gradcheck_objective.jsonl is
+    run_all_checks(trials=40, seed=3, objectives=(OBJECTIVES[i],))."""
+    lines = [r.to_json() + "\n" for o in OBJECTIVES for r in run_all_checks(trials=40, seed=3, objectives=(o,))]
+    assert "".join(lines) == (DATA / "golden_gradcheck_objective.jsonl").read_text()
 
 
 def nan_gradients(oracle):
