@@ -28,6 +28,7 @@ from .losses import (
     LossConfig,
     Target,
     TofuConfig,
+    batch_loss,
     ce,
     focal,
     focal_scaling,
@@ -192,41 +193,55 @@ def rel_error(candidate, reference, floor: float = 1e-12) -> float:
     return float(np.abs(candidate - reference).max() / (np.abs(reference).max() + floor))
 
 
-def fd_gradient(value_fn: Callable[[np.ndarray], float], z, spec: FiniteDiffSpec = FiniteDiffSpec()) -> np.ndarray:
-    """Central-difference gradient of a scalar function of the logits."""
+def fd_gradient(value_fn: Callable[[np.ndarray], np.ndarray], z, spec: FiniteDiffSpec = FiniteDiffSpec()) -> np.ndarray:
+    """Central-difference gradient of a function of the logits, from one call.
+
+    value_fn maps stencil rows (N, V) to their values (N,). It gets the whole
+    stencil at once: row j is z with spec.step added to component j, row V + j
+    is z with it subtracted. Raises OracleError naming the first component
+    whose pair of values is not finite.
+    """
     z = np.asarray(z, dtype=np.float64)
-    grad = np.empty_like(z)
-    for j in range(z.size):
-        zp = z.copy()
-        zp[j] += spec.step
-        zm = z.copy()
-        zm[j] -= spec.step
-        fp = value_fn(zp)
-        fm = value_fn(zm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise OracleError(f"non-finite value at component {j}: f+={fp} f-={fm}")
-        grad[j] = (fp - fm) / (2.0 * spec.step)
-    return grad
+    size = z.size
+    cols = np.arange(size)
+    rows = np.tile(z, (2 * size, 1))
+    rows[cols, cols] += spec.step
+    rows[size + cols, cols] -= spec.step
+    values = np.asarray(value_fn(rows), dtype=np.float64)
+    if values.shape != (2 * size,):
+        raise ValueError(f"value_fn must map {2 * size} stencil rows to {2 * size} values, got shape {values.shape}")
+    fp, fm = values[:size], values[size:]
+    bad = ~(np.isfinite(fp) & np.isfinite(fm))
+    if bad.any():
+        j = int(bad.argmax())
+        raise OracleError(f"non-finite value at component {j}: f+={float(fp[j])} f-={float(fm[j])}")
+    return (fp - fm) / (2.0 * spec.step)
 
 
 def frozen_value_fn(
     cfg: LossConfig, z0, target: Target, position: int = 1, length: int = 1
-) -> Callable[[np.ndarray], float]:
-    """Value function of the logits with detached quantities frozen at z0.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Values of logit rows (N, V) with detached quantities frozen at z0.
 
     GEM freezes its tempered distribution, lambda-PR freezes the weight (and
     with it the drop indicator), TOFU freezes the focal factor, each through
     its OBJECTIVE_TABLE entry. The remaining objectives differentiate their
-    value expressions as written.
+    value expressions as written: batch_loss's values for a one-hot target,
+    which equal the oracle's row for row, and the oracle once per row for a
+    soft one. Row i's value is the scalar value at that row, bit for bit.
     """
-    freeze = OBJECTIVE_TABLE[cfg.objective].freeze
-    if freeze is not None:
-        return freeze(cfg.params(position, length), target, log_softmax(np.asarray(z0, dtype=np.float64)))
+    objective = OBJECTIVE_TABLE[cfg.objective]
+    params = cfg.params(position, length)
+    if objective.freeze is not None:
+        return objective.freeze(params, target, log_softmax(np.asarray(z0, dtype=np.float64)))
+    if not target.is_one_hot:
+        return lambda rows: np.array([objective.oracle(z, target, params).value for z in rows])
 
-    def value(z):
-        return token_loss(z, target, cfg, position=position, length=length).value
+    def values(rows):
+        n = len(rows)
+        return batch_loss(rows, np.full(n, target.index), np.full(n, position), np.full(n, length), cfg)[0]
 
-    return value
+    return values
 
 
 def verify_gem_equivalence(trials: int = 1000, seed: int = 0, fd: FiniteDiffSpec = FiniteDiffSpec()) -> CheckReport:

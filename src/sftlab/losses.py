@@ -316,30 +316,28 @@ def naive_tempered_focal(z, target: Target, cfg: TofuConfig) -> LossResult:
     return LossResult(value, focal_scaling(pb_k, cfg.gamma) * (np.exp(lb) - q))
 
 
-# Finite-difference value functions of the logits, detached quantity held at base log-probs l0
+# Finite-difference value functions of logit rows (N, V), detached quantity
+# held at base log-probs l0. Row i's value is the scalar expression at that row,
+# bit for bit: log_softmax and tempered_log_softmax work row by row, and the
+# GEM value takes one BLAS dot per row, as its oracle does.
 
 
-def _gem_frozen(beta: float, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], float]:
+def _gem_frozen(beta: float, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     pb0 = np.exp(tempered_log_softmax(l0, beta))
     q = target.dense(l0.size)
-
-    def value(z):
-        l = log_softmax(z)
-        return float(-np.dot(q, l) + np.dot(pb0, l))
-
-    return value
+    return lambda rows: np.array([-np.dot(q, l) + np.dot(pb0, l) for l in log_softmax(rows)])
 
 
-def _lambda_pr_frozen(cfg: PrConfig, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], float]:
+def _lambda_pr_frozen(cfg: PrConfig, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     k = target.index
     w0 = pr_weight(float(np.exp(l0[k])), cfg)
-    return lambda z: float(-w0 * log_softmax(z)[k])
+    return lambda rows: -w0 * log_softmax(rows)[:, k]
 
 
-def _tofu_frozen(cfg: TofuConfig, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], float]:
+def _tofu_frozen(cfg: TofuConfig, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     k = target.index
     g0 = focal_scaling(float(np.exp(l0[k])), cfg.gamma)
-    return lambda z: float(-g0 * cfg.beta * tempered_log_softmax(log_softmax(z), cfg.beta)[k])
+    return lambda rows: -g0 * cfg.beta * tempered_log_softmax(log_softmax(rows), cfg.beta)[:, k]
 
 
 @dataclass(frozen=True)
@@ -348,13 +346,14 @@ class Objective:
     reference; params(cfg, position, length) builds its params argument from
     the hyperparameters the objective consumes, which is also their range
     check; freeze(params, target, l0), set where the objective has a detached
-    quantity, returns the finite-difference value function with it frozen."""
+    quantity, returns the finite-difference value function with it frozen,
+    which maps logit rows (N, V) to their values (N,)."""
 
     oracle: Callable[[Any, Target, Any], LossResult]
     params: Callable[["LossConfig", int, int], Any]
     default_beta: float = 1.0
     soft_targets: bool = False
-    freeze: Callable[[Any, Target, np.ndarray], Callable[[np.ndarray], float]] | None = None
+    freeze: Callable[[Any, Target, np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
 
 
 def _beta_params(cfg: "LossConfig", position: int, length: int) -> float:

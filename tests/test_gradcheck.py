@@ -13,6 +13,10 @@ from sftlab import gradcheck
 from sftlab.cli import main
 from sftlab.gradcheck import (
     FACTOR_DISTINCT_EPS,
+    TRIAL_BETAS,
+    TRIAL_GAMMAS,
+    TRIAL_LOGIT_SCALES,
+    TRIAL_VOCAB_SIZES,
     CheckReport,
     FiniteDiffSpec,
     OracleError,
@@ -28,7 +32,20 @@ from sftlab.gradcheck import (
     verify_gem_equivalence,
     verify_tofu_scaling,
 )
-from sftlab.losses import OBJECTIVES, FocalConfig, LossConfig, LossResult, Target, gem, scaled_ce, token_loss
+from sftlab.losses import (
+    OBJECTIVE_TABLE,
+    OBJECTIVES,
+    FocalConfig,
+    LossConfig,
+    LossResult,
+    Target,
+    focal_scaling,
+    gem,
+    pr_weight,
+    scaled_ce,
+    token_loss,
+)
+from sftlab.numerics import log_softmax, tempered_log_softmax
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,25 +53,58 @@ DATA = Path(__file__).parent / "data"
 class TestFdGradient:
     def test_constant_function(self):
         np.testing.assert_allclose(
-            fd_gradient(lambda z: 1.25, np.zeros(3)), np.zeros(3), atol=0
+            fd_gradient(lambda rows: np.full(len(rows), 1.25), np.zeros(3)), np.zeros(3), atol=0
         )
 
     def test_ce_uniform(self):
-        value = lambda z: token_loss(z, Target.one_hot(0), LossConfig("ce")).value
+        value = lambda rows: np.array([token_loss(z, Target.one_hot(0), LossConfig("ce")).value for z in rows])
         grad = fd_gradient(value, np.zeros(3))
         np.testing.assert_allclose(grad, [-2 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
     def test_quadratic_exact_for_central_differences(self):
         # central differences are exact on quadratics up to roundoff
-        grad = fd_gradient(lambda z: float(np.dot(z, z)), np.array([1.0, -2.0, 0.5]))
+        grad = fd_gradient(lambda rows: (rows * rows).sum(axis=1), np.array([1.0, -2.0, 0.5]))
         np.testing.assert_allclose(grad, [2.0, -4.0, 1.0], atol=1e-9)
 
     def test_non_finite_value_raises(self):
-        def bad(z):
-            return float("nan") if z[0] > 0 else 0.0
+        def bad(rows):
+            return np.where(rows[:, 0] > 0, np.nan, 0.0)
 
         with pytest.raises(OracleError):
             fd_gradient(bad, np.zeros(2))
+
+    def test_scalar_value_function_is_refused(self):
+        with pytest.raises(ValueError, match="6 stencil rows to 6 values, got shape \\(\\)"):
+            fd_gradient(lambda rows: 1.25, np.zeros(3))
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_non_finite_pair_is_named_by_its_component(self, j):
+        z = np.linspace(-1.0, 1.0, 5)
+
+        def bad(rows):  # only component j's stencil pair moves off z
+            return np.where(rows[:, j] != z[j], np.inf, rows.sum(axis=1))
+
+        with pytest.raises(OracleError, match=f"non-finite value at component {j}: f\\+=inf f-=inf$"):
+            fd_gradient(bad, z)
+
+    def test_stencil_rows_are_the_per_component_copies(self):
+        z = np.array([0.3, -1.7, 2.5e-3, 40.0])
+        seen = []
+        fd_gradient(lambda rows: seen.append(rows.copy()) or np.zeros(len(rows)), z)
+        assert len(seen) == 1 and np.array_equal(seen[0], per_component_stencil(z, FiniteDiffSpec().step))
+
+
+def per_component_stencil(z, step):
+    """The 2V central-difference points, each built from its own copy of z:
+    z + step at component j in row j, z - step at component j in row V + j."""
+    plus, minus = [], []
+    for j in range(z.size):
+        zp, zm = z.copy(), z.copy()
+        zp[j] += step
+        zm[j] -= step
+        plus.append(zp)
+        minus.append(zm)
+    return np.array(plus + minus)
 
 
 class TestRelError:
@@ -82,8 +132,8 @@ class TestFrozenValues:
         frozen = fd_gradient(frozen_value_fn(LossConfig("gem", beta=beta), z, target), z)
         assert rel_error(frozen, closed) < 1e-7
 
-        def live(zz):
-            return gem(zz, target, beta).value  # recomputes the tempered term
+        def live(rows):
+            return np.array([gem(zz, target, beta).value for zz in rows])  # recomputes the tempered term
 
         naive = fd_gradient(live, z)
         assert rel_error(naive, closed) > 1e-3
@@ -111,6 +161,56 @@ class TestFrozenValues:
             closed = token_loss(z, target, cfg).grad
             numeric = fd_gradient(frozen_value_fn(cfg, z, target), z)
             assert rel_error(numeric, closed) < 1e-7
+
+
+def scalar_frozen_value(cfg, z0, target, position, length):
+    """The frozen value of one logit vector z, as a scalar expression with the
+    detached quantity taken at z0 (None for objectives without one)."""
+    params, l0 = cfg.params(position, length), log_softmax(z0)
+    if cfg.objective == "gem":
+        pb0, q = np.exp(tempered_log_softmax(l0, params)), target.dense(z0.size)
+        return lambda z: float(-np.dot(q, log_softmax(z)) + np.dot(pb0, log_softmax(z)))
+    k = target.index
+    if cfg.objective == "lambda_pr":
+        w0 = pr_weight(float(np.exp(l0[k])), params)
+        return lambda z: float(-w0 * log_softmax(z)[k])
+    if cfg.objective == "tofu":
+        g0 = focal_scaling(float(np.exp(l0[k])), params.gamma)
+        return lambda z: float(-g0 * params.beta * tempered_log_softmax(log_softmax(z), params.beta)[k])
+    return None
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_rows_values_equal_the_scalar_values_at_every_stencil_row(objective):
+    rng = np.random.default_rng(OBJECTIVES.index(objective))
+    soft = OBJECTIVE_TABLE[objective].soft_targets
+    cases = 0
+    for size in TRIAL_VOCAB_SIZES:
+        for scale in TRIAL_LOGIT_SCALES:
+            for draw in range(2):
+                z0 = rng.normal(0.0, scale, size)
+                cfg = LossConfig(
+                    objective,
+                    gamma=float(rng.choice(TRIAL_GAMMAS)),
+                    beta=float(rng.choice(TRIAL_BETAS)),
+                    lam=float(rng.choice([0.5, 0.8, 1.0])),
+                    alpha=float(rng.choice([0.25, 0.5, 1.0])),
+                )
+                length = int(rng.integers(2, 9)) if objective == "lambda_pr" else 1
+                position = int(rng.integers(2, length + 1)) if objective == "lambda_pr" else 1
+                targets = [Target.one_hot(int(rng.integers(size)))]
+                if soft:
+                    targets.append(Target.soft(rng.dirichlet(np.ones(size))))
+                for target in targets:
+                    rows = per_component_stencil(z0, FiniteDiffSpec().step)
+                    got = frozen_value_fn(cfg, z0, target, position, length)(rows)
+                    scalar = scalar_frozen_value(cfg, z0, target, position, length) or (
+                        lambda z: token_loss(z, target, cfg, position=position, length=length).value
+                    )
+                    assert got.shape == (len(rows),)
+                    assert got.tolist() == [scalar(z) for z in rows], (size, scale, cfg, target)
+                    cases += 1
+    assert cases == len(TRIAL_VOCAB_SIZES) * len(TRIAL_LOGIT_SCALES) * 2 * (2 if soft else 1)
 
 
 class TestTrialDraws:
