@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .hashing import read_jsonl
 from .losses import LossConfig
+from .metrics import AGGREGATE_IDS
 from .model import Vocab
 from .sampling import SamplingConfig
 from .training import Corpus, TrainConfig
@@ -351,11 +352,14 @@ class PromptSpec:
 
 
 def load_prompts(path) -> list[PromptSpec]:
-    """Eval prompt file: JSONL rows of strings {"id", "prompt", optional "answer"}."""
+    """Eval prompt file: JSONL rows of strings {"id", "prompt", optional "answer"}.
+    Ids are unique and none is one of metrics.AGGREGATE_IDS."""
     prompts: dict[str, PromptSpec] = {}
     for where, row in read_jsonl(path, ("id", "prompt", "answer"), ("id", "prompt"), ConfigError):
         if row["id"] in prompts:
             raise ConfigError(f"{where}: duplicate prompt id {row['id']!r}")
+        if row["id"] in AGGREGATE_IDS:
+            raise ConfigError(f"{where}: prompt id {row['id']!r} is reserved for the aggregate rows of metrics.csv")
         prompts[row["id"]] = PromptSpec(**row)
     if not prompts:
         raise ConfigError(f"{path}: no prompts")

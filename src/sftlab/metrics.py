@@ -219,13 +219,18 @@ class MetricReport:
         return float(np.std(list(self.per_prompt.values())))
 
 
+# The prompt_id of each metric's aggregate rows in metrics.csv, which no
+# prompt may take: read_metric_reports could not tell the two rows apart.
+AGGREGATE_IDS = ("mean", "std")
+
+
 def write_metric_reports(path, reports: list[MetricReport]):
     """CSV rows metric,prompt_id,value; each metric closes with aggregate
     mean and std rows."""
     rows = [("metric", "prompt_id", "value")]
     for report in reports:
         rows += [(report.metric, prompt_id, repr(float(value))) for prompt_id, value in report.per_prompt.items()]
-        rows += [(report.metric, "mean", repr(report.mean)), (report.metric, "std", repr(report.std))]
+        rows += [(report.metric, name, repr(getattr(report, name))) for name in AGGREGATE_IDS]
     write_file(path, csv_text(rows))
 
 

@@ -223,6 +223,23 @@ def test_eval_non_string_prompt_value_is_usage_error(tmp_path, capsys, row):
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("prompt_id", ["mean", "std"])
+def test_aggregate_row_prompt_id_is_usage_error(tmp_path, capsys, command, prompt_id):
+    # metrics.csv closes each metric with rows whose prompt_id is mean and std;
+    # a prompt of that id would be read back as the aggregate
+    if command == "eval":
+        argv = ["eval", str(trained_checkpoint(tmp_path)), str(tmp_path / "prompts.jsonl"), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["sweep", str(write_sweep(tmp_path, output_dir=str(tmp_path / "out")))]
+    (tmp_path / "prompts.jsonl").write_text(
+        json.dumps({"id": "p0", "prompt": "ab"}) + "\n" + json.dumps({"id": prompt_id, "prompt": "b"}) + "\n"
+    )
+    assert main(argv) == 2
+    assert f"prompts.jsonl:2: prompt id {prompt_id!r} is reserved" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_undefined_metric_is_runtime_error(tmp_path, capsys):
     # completions over a space-free vocab are single words, so the pooled
     # bigram denominator is empty and distinct_2 is undefined

@@ -325,6 +325,14 @@ def test_load_prompts_rejects_duplicates(tmp_path):
         load_prompts(path)
 
 
+@pytest.mark.parametrize("prompt_id", ["mean", "std"])
+def test_load_prompts_rejects_aggregate_row_ids(tmp_path, prompt_id):
+    path = tmp_path / "p.jsonl"
+    path.write_text(f'{{"id": "p0", "prompt": "a"}}\n{{"id": "{prompt_id}", "prompt": "b"}}\n')
+    with pytest.raises(ConfigError, match="reserved"):
+        load_prompts(path)
+
+
 def test_load_prompts_rejects_unknown_key(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_text('{"id": "p0", "prompt": "a", "gold": "b"}\n')
