@@ -163,31 +163,28 @@ class TestFrozenValues:
             assert rel_error(numeric, closed) < 1e-7
 
 
-def scalar_frozen_value(cfg, z0, target, position, length):
-    """The frozen value of one logit vector z, as a scalar expression with the
-    detached quantity taken at z0 (None for objectives without one)."""
+def scalar_value(cfg, z0, target, position, length):
+    """The value of one logit vector z as the scalar path computes it; a
+    detached quantity is frozen at z0 and written out as a scalar expression."""
     params, l0 = cfg.params(position, length), log_softmax(z0)
     if cfg.objective == "gem":
         pb0, q = np.exp(tempered_log_softmax(l0, params)), target.dense(z0.size)
         return lambda z: float(-np.dot(q, log_softmax(z)) + np.dot(pb0, log_softmax(z)))
-    k = target.index
     if cfg.objective == "lambda_pr":
-        w0 = pr_weight(float(np.exp(l0[k])), params)
-        return lambda z: float(-w0 * log_softmax(z)[k])
+        w0 = pr_weight(float(np.exp(l0[target.index])), params)
+        return lambda z: float(-w0 * log_softmax(z)[target.index])
     if cfg.objective == "tofu":
-        g0 = focal_scaling(float(np.exp(l0[k])), params.gamma)
-        return lambda z: float(-g0 * params.beta * tempered_log_softmax(log_softmax(z), params.beta)[k])
-    return None
+        g0 = focal_scaling(float(np.exp(l0[target.index])), params.gamma)
+        return lambda z: float(-g0 * params.beta * tempered_log_softmax(log_softmax(z), params.beta)[target.index])
+    return lambda z: token_loss(z, target, cfg, position=position, length=length).value
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_rows_values_equal_the_scalar_values_at_every_stencil_row(objective):
     rng = np.random.default_rng(OBJECTIVES.index(objective))
-    soft = OBJECTIVE_TABLE[objective].soft_targets
-    cases = 0
     for size in TRIAL_VOCAB_SIZES:
         for scale in TRIAL_LOGIT_SCALES:
-            for draw in range(2):
+            for _ in range(2):
                 z0 = rng.normal(0.0, scale, size)
                 cfg = LossConfig(
                     objective,
@@ -199,18 +196,14 @@ def test_rows_values_equal_the_scalar_values_at_every_stencil_row(objective):
                 length = int(rng.integers(2, 9)) if objective == "lambda_pr" else 1
                 position = int(rng.integers(2, length + 1)) if objective == "lambda_pr" else 1
                 targets = [Target.one_hot(int(rng.integers(size)))]
-                if soft:
+                if OBJECTIVE_TABLE[objective].soft_targets:
                     targets.append(Target.soft(rng.dirichlet(np.ones(size))))
+                rows = per_component_stencil(z0, FiniteDiffSpec().step)
                 for target in targets:
-                    rows = per_component_stencil(z0, FiniteDiffSpec().step)
                     got = frozen_value_fn(cfg, z0, target, position, length)(rows)
-                    scalar = scalar_frozen_value(cfg, z0, target, position, length) or (
-                        lambda z: token_loss(z, target, cfg, position=position, length=length).value
-                    )
+                    scalar = scalar_value(cfg, z0, target, position, length)
                     assert got.shape == (len(rows),)
                     assert got.tolist() == [scalar(z) for z in rows], (size, scale, cfg, target)
-                    cases += 1
-    assert cases == len(TRIAL_VOCAB_SIZES) * len(TRIAL_LOGIT_SCALES) * 2 * (2 if soft else 1)
 
 
 class TestTrialDraws:
