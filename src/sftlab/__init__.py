@@ -54,6 +54,7 @@ from .numerics import (
     LOG_FLOOR,
     entropy_from_log_probs,
     entropy_logit_gradient,
+    entropy_logit_gradient_rows,
     log_softmax,
     logsumexp,
     temper,

@@ -28,6 +28,7 @@ from .losses import (
     LossConfig,
     Target,
     TofuConfig,
+    UnsupportedTargetError,
     batch_loss,
     ce,
     focal,
@@ -38,7 +39,7 @@ from .losses import (
     token_loss,
     tofu,
 )
-from .numerics import entropy_logit_gradient, log_softmax, tempered_log_softmax
+from .numerics import as_vector, entropy_logit_gradient_rows, log_softmax, tempered_log_softmax
 
 IDENTITY_TOL = 1e-12
 FOCAL_PROPORTION_TOL = 1e-10
@@ -227,15 +228,21 @@ def frozen_value_fn(
     with it the drop indicator), TOFU freezes the focal factor, each through
     its OBJECTIVE_TABLE entry. The remaining objectives differentiate their
     value expressions as written: batch_loss's values for a one-hot target,
-    which equal the oracle's row for row, and the oracle once per row for a
-    soft one. Row i's value is the scalar value at that row, bit for bit.
+    which equal the oracle's row for row, and the table entry's soft_value,
+    the oracle's own value formula, on all rows at once for a soft one. Row
+    i's value is the scalar value at that row, bit for bit. A target or z0
+    the oracle rejects raises the oracle's error class.
     """
     objective = OBJECTIVE_TABLE[cfg.objective]
     params = cfg.params(position, length)
+    z0 = as_vector(z0)
+    if not (target.is_one_hot or objective.soft_targets):
+        raise UnsupportedTargetError(f"{cfg.objective} is defined for one-hot targets only")
+    q = target.dense(z0.size)  # the oracle's ValueError for a target that does not fit z0
     if objective.freeze is not None:
-        return objective.freeze(params, target, log_softmax(np.asarray(z0, dtype=np.float64)))
+        return objective.freeze(params, target, log_softmax(z0))
     if not target.is_one_hot:
-        return lambda rows: np.array([objective.oracle(z, target, params).value for z in rows])
+        return lambda rows: objective.soft_value(log_softmax(rows), q, params)
 
     def values(rows):
         n = len(rows)
@@ -380,14 +387,16 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
 def verify_entropy_bounded(min_probs=None) -> CheckReport:
     """The entropy logit gradient stays finite as a probability vanishes, and
     the vanishing component's magnitude decays monotonically toward zero.
-    A failure's counterexample is the first min-prob where either broke."""
+    A failure's counterexample is the first min-prob where either broke. The
+    gradients at all min-probs come from one entropy_logit_gradient_rows call."""
     if min_probs is None:
         min_probs = [10.0**-e for e in range(3, 301)]
     tally = _Tally(identity=1e-8)
     all_finite = monotone = True
     final = math.inf
-    for eps in min_probs:
-        grad = entropy_logit_gradient(np.log(np.array([1.0 - eps, eps])))
+    vanishing = np.array(min_probs, dtype=np.float64)
+    grads = entropy_logit_gradient_rows(np.log(np.stack([1.0 - vanishing, vanishing], axis=1)))
+    for eps, grad in zip(min_probs, grads):
         if not np.all(np.isfinite(grad)):
             all_finite, final = False, math.inf
             tally.flag(lambda: {"min_prob": eps})

@@ -10,7 +10,8 @@ computed as plain constants before the gradient is assembled, which is all
 
 OBJECTIVE_TABLE states each objective's facts once: its scalar function, the
 hyperparameters it consumes, its default beta, whether it takes soft targets,
-and how finite differences freeze its detached quantity. Its names, in order,
+how finite differences freeze its detached quantity, and, for a soft-target
+objective with none, its value at a target distribution over log-prob rows. Its names, in order,
 are OBJECTIVES: ce, scaled_ce, gem, focal, lambda_pr, tofu,
 naive_tempered_focal.
 
@@ -201,12 +202,37 @@ def focal_scaling(p_hat, gamma: float):
     return float(out[0]) if scalar else out
 
 
+def _q_dot(q: np.ndarray, m: np.ndarray):
+    """np.dot(q, .) over the last axis of m: 0-d for a vector, (N,) for rows.
+
+    One BLAS dot per row, so a row's value is its vector's value bit for bit;
+    numpy's vectorised reductions (m @ q, (m * q).sum(-1)) round differently.
+    """
+    return np.dot(q, m) if m.ndim == 1 else np.array([np.dot(q, row) for row in m])
+
+
+# Values at a target distribution q of log-probs l, a vector or rows. The
+# oracles return them, and finite differences of a soft target evaluate them
+# on the whole stencil at once.
+
+
+def _ce_value(l: np.ndarray, q: np.ndarray, _) -> np.ndarray:
+    return -_q_dot(q, l)
+
+
+def _scaled_ce_value(l: np.ndarray, q: np.ndarray, beta: float) -> np.ndarray:
+    return -beta * _q_dot(q, tempered_log_softmax(l, beta))
+
+
+def _focal_value(l: np.ndarray, q: np.ndarray, cfg: FocalConfig) -> np.ndarray:
+    return -_q_dot(q, (1.0 - np.exp(l)) ** cfg.gamma * l)
+
+
 def ce(z, target: Target) -> LossResult:
     """Cross-entropy: value -sum_i q_i l_i, gradient p - q."""
     l = log_softmax(as_vector(z))
     q = target.dense(l.size)
-    p = np.exp(l)
-    return LossResult(float(-np.dot(q, l)), p - q)
+    return LossResult(float(_ce_value(l, q, None)), np.exp(l) - q)
 
 
 def scaled_ce(z, target: Target, beta: float) -> LossResult:
@@ -217,9 +243,8 @@ def scaled_ce(z, target: Target, beta: float) -> LossResult:
     """
     beta = check_temperature(beta)
     l = log_softmax(as_vector(z))
-    lb = tempered_log_softmax(l, beta)
     q = target.dense(l.size)
-    return LossResult(float(-beta * np.dot(q, lb)), np.exp(lb) - q)
+    return LossResult(float(_scaled_ce_value(l, q, beta)), temper(l, beta) - q)
 
 
 def gem(z, target: Target, beta: float = GEM_DEFAULT_BETA) -> LossResult:
@@ -251,7 +276,7 @@ def focal(z, target: Target, cfg: FocalConfig) -> LossResult:
     l = log_softmax(as_vector(z))
     p = np.exp(l)
     q = target.dense(l.size)
-    value = float(-np.dot(q, (1.0 - p) ** cfg.gamma * l))
+    value = float(_focal_value(l, q, cfg))
     if target.is_one_hot:
         grad = focal_scaling(p[target.index], cfg.gamma) * (p - q)
     else:
@@ -323,9 +348,14 @@ def naive_tempered_focal(z, target: Target, cfg: TofuConfig) -> LossResult:
 
 
 def _gem_frozen(beta: float, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    pb0 = np.exp(tempered_log_softmax(l0, beta))
+    pb0 = temper(l0, beta)
     q = target.dense(l0.size)
-    return lambda rows: np.array([-np.dot(q, l) + np.dot(pb0, l) for l in log_softmax(rows)])
+
+    def values(rows):
+        l = log_softmax(rows)
+        return -_q_dot(q, l) + _q_dot(pb0, l)
+
+    return values
 
 
 def _lambda_pr_frozen(cfg: PrConfig, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -347,13 +377,18 @@ class Objective:
     the hyperparameters the objective consumes, which is also their range
     check; freeze(params, target, l0), set where the objective has a detached
     quantity, returns the finite-difference value function with it frozen,
-    which maps logit rows (N, V) to their values (N,)."""
+    which maps logit rows (N, V) to their values (N,). soft_value(l, q, params),
+    set for the soft-target objectives without a detached quantity, is the
+    value at target distribution q of log-probs l, a vector or rows (N, V),
+    with one BLAS dot per row: the oracle returns it, and finite differences
+    of a soft target call it once on the whole stencil."""
 
     oracle: Callable[[Any, Target, Any], LossResult]
     params: Callable[["LossConfig", int, int], Any]
     default_beta: float = 1.0
     soft_targets: bool = False
     freeze: Callable[[Any, Target, np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
+    soft_value: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
 
 
 def _beta_params(cfg: "LossConfig", position: int, length: int) -> float:
@@ -365,10 +400,10 @@ def _tofu_params(cfg: "LossConfig", position: int, length: int) -> TofuConfig:
 
 
 OBJECTIVE_TABLE = {
-    "ce": Objective(lambda z, target, _: ce(z, target), lambda cfg, i, m: None, soft_targets=True),
-    "scaled_ce": Objective(scaled_ce, _beta_params, TEMPERED_DEFAULT_BETA, soft_targets=True),
+    "ce": Objective(lambda z, target, _: ce(z, target), lambda cfg, i, m: None, soft_targets=True, soft_value=_ce_value),
+    "scaled_ce": Objective(scaled_ce, _beta_params, TEMPERED_DEFAULT_BETA, soft_targets=True, soft_value=_scaled_ce_value),
     "gem": Objective(gem, _beta_params, GEM_DEFAULT_BETA, soft_targets=True, freeze=_gem_frozen),
-    "focal": Objective(focal, lambda cfg, i, m: FocalConfig(cfg.gamma), soft_targets=True),
+    "focal": Objective(focal, lambda cfg, i, m: FocalConfig(cfg.gamma), soft_targets=True, soft_value=_focal_value),
     "lambda_pr": Objective(lambda_pr, lambda cfg, i, m: PrConfig(cfg.lam, cfg.alpha, i, m), freeze=_lambda_pr_frozen),
     "tofu": Objective(tofu, _tofu_params, TEMPERED_DEFAULT_BETA, freeze=_tofu_frozen),
     "naive_tempered_focal": Objective(naive_tempered_focal, _tofu_params, TEMPERED_DEFAULT_BETA),

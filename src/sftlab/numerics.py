@@ -114,14 +114,24 @@ def entropy_from_log_probs(l) -> float:
     return float(-np.dot(np.exp(l), l))
 
 
-def entropy_logit_gradient(l) -> np.ndarray:
-    """dH/dz_j = -p_j (l_j - sum_i l_i p_i).
+def entropy_logit_gradient_rows(l) -> np.ndarray:
+    """dH/dz_j = -p_j (l_j - sum_i l_i p_i) for each of N log-prob rows (N, V).
 
     Derived by composing dH/dl_i = -(l_i + 1) p_i with the log-softmax
     jacobian; the +1 terms cancel. Each component carries a factor p_j, so the
-    gradient stays bounded as any probability vanishes: no 1/p explosion.
+    gradient stays bounded as any probability vanishes: no 1/p explosion. The
+    mean takes one BLAS dot per row, so each row's gradient is its vector's
+    bit for bit.
     """
-    l = as_log_probs(as_vector(l))
+    l = as_log_probs(l)
+    if l.ndim != 2:
+        raise ValueError(f"expected rows (N, V), got shape {l.shape}")
     p = np.exp(l)
-    mean_log = float(np.dot(l, p))
-    return -p * (l - mean_log)
+    mean_log = np.array([np.dot(a, b) for a, b in zip(l, p)])
+    return -p * (l - mean_log[:, None])
+
+
+def entropy_logit_gradient(l) -> np.ndarray:
+    """entropy_logit_gradient_rows of one log-prob vector (V,), validated as a
+    vector first so that an error names its own shape."""
+    return entropy_logit_gradient_rows(as_log_probs(as_vector(l))[None])[0]

@@ -45,7 +45,13 @@ from sftlab.losses import (
     scaled_ce,
     token_loss,
 )
-from sftlab.numerics import log_softmax, tempered_log_softmax
+from sftlab.numerics import (
+    LOG_FLOOR,
+    entropy_logit_gradient,
+    entropy_logit_gradient_rows,
+    log_softmax,
+    tempered_log_softmax,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -181,9 +187,12 @@ def scalar_value(cfg, z0, target, position, length):
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_rows_values_equal_the_scalar_values_at_every_stencil_row(objective):
+    """At the trial scales and at saturation (scale 1e3, rows floored at
+    LOG_FLOOR); soft targets drawn and with exact zeros (a one-hot q)."""
     rng = np.random.default_rng(OBJECTIVES.index(objective))
+    floored = 0
     for size in TRIAL_VOCAB_SIZES:
-        for scale in TRIAL_LOGIT_SCALES:
+        for scale in (*TRIAL_LOGIT_SCALES, 1e3):
             for _ in range(2):
                 z0 = rng.normal(0.0, scale, size)
                 cfg = LossConfig(
@@ -195,15 +204,43 @@ def test_rows_values_equal_the_scalar_values_at_every_stencil_row(objective):
                 )
                 length = int(rng.integers(2, 9)) if objective == "lambda_pr" else 1
                 position = int(rng.integers(2, length + 1)) if objective == "lambda_pr" else 1
-                targets = [Target.one_hot(int(rng.integers(size)))]
+                k = int(rng.integers(size))
+                targets = [Target.one_hot(k)]
                 if OBJECTIVE_TABLE[objective].soft_targets:
-                    targets.append(Target.soft(rng.dirichlet(np.ones(size))))
+                    targets += [Target.soft(rng.dirichlet(np.ones(size))), Target.soft(np.eye(size)[k])]
                 rows = per_component_stencil(z0, FiniteDiffSpec().step)
+                floored += bool((log_softmax(rows) == LOG_FLOOR).any())
                 for target in targets:
                     got = frozen_value_fn(cfg, z0, target, position, length)(rows)
                     scalar = scalar_value(cfg, z0, target, position, length)
                     assert got.shape == (len(rows),)
                     assert got.tolist() == [scalar(z) for z in rows], (size, scale, cfg, target)
+    assert floored  # the saturated case reached the floor
+
+
+# inputs every oracle rejects, and the soft target only the soft-capable ones take
+REJECTED_TARGETS = {
+    "index_out_of_range": (OBJECTIVES, Target.one_hot(3)),
+    "soft_of_wrong_length": (OBJECTIVES, Target.soft([0.5, 0.5])),
+    "soft_without_soft_targets": (
+        [o for o in OBJECTIVES if not OBJECTIVE_TABLE[o].soft_targets],
+        Target.soft([0.2, 0.5, 0.3]),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "objective, target",
+    [pytest.param(o, t, id=f"{o}-{case}") for case, (names, t) in REJECTED_TARGETS.items() for o in names],
+)
+def test_frozen_value_fn_raises_the_oracles_error_class(objective, target):
+    z = np.array([0.3, -1.2, 0.5])
+    cfg = LossConfig(objective)
+    with pytest.raises(ValueError) as oracle_error:
+        token_loss(z, target, cfg)
+    with pytest.raises(ValueError) as rows_error:
+        frozen_value_fn(cfg, z, target)(per_component_stencil(z, FiniteDiffSpec().step))
+    assert type(rows_error.value) is type(oracle_error.value), rows_error.value
 
 
 class TestTrialDraws:
@@ -423,14 +460,30 @@ def test_focal_soft_phase_counterexample_reproduces_the_failure(monkeypatch):
     assert rel_error(numeric, got, FiniteDiffSpec().norm_floor) > report.fd_tolerance
 
 
+def scalar_entropy_gradient(l):
+    """-p (l - l.p) of one log-prob vector, its mean from one BLAS dot."""
+    p = np.exp(l)
+    return -p * (l - float(np.dot(l, p)))
+
+
+def test_entropy_rows_equal_the_vector_gradient_at_every_default_min_prob():
+    min_probs = [10.0**-e for e in range(3, 301)]
+    eps = np.array(min_probs)
+    rows = entropy_logit_gradient_rows(np.log(np.stack([1.0 - eps, eps], axis=1)))
+    vectors = [np.log(np.array([1.0 - e, e])) for e in min_probs]
+    assert rows.shape == (298, 2)
+    assert rows.tobytes() == np.array([entropy_logit_gradient(l) for l in vectors]).tobytes()
+    assert rows.tobytes() == np.array([scalar_entropy_gradient(l) for l in vectors]).tobytes()
+
+
 @pytest.mark.parametrize("fault", [[np.nan, np.nan], [1.0, -1.0]], ids=["non_finite", "not_decreasing"])
 def test_entropy_counterexample_is_the_first_bad_min_prob(monkeypatch, fault):
-    real = gradcheck.entropy_logit_gradient
+    real = gradcheck.entropy_logit_gradient_rows
 
-    def gradient(l):  # breaks from min-prob 1e-100 down
-        return real(l) if l[1] > -99.5 * np.log(10.0) else np.array(fault)
+    def gradients(l):  # breaks from min-prob 1e-100 down
+        return np.where(l[:, 1:] > -99.5 * np.log(10.0), real(l), np.array(fault))
 
-    monkeypatch.setattr(gradcheck, "entropy_logit_gradient", gradient)
+    monkeypatch.setattr(gradcheck, "entropy_logit_gradient_rows", gradients)
     report = verify_entropy_bounded()
     assert not report.passed
     assert report.counterexample == {"min_prob": 10.0**-100}

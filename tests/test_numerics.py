@@ -19,6 +19,7 @@ from sftlab.numerics import (
     check_temperature,
     entropy_from_log_probs,
     entropy_logit_gradient,
+    entropy_logit_gradient_rows,
     log_softmax,
     logsumexp,
     temper,
@@ -220,6 +221,17 @@ class TestEntropy:
         for entropy_function in (entropy_from_log_probs, entropy_logit_gradient):
             with pytest.raises(ValueError, match=r"\(4, 4\)"):
                 entropy_function(rows)
+
+    def test_rows_gradient_is_each_rows_vector_gradient(self):
+        rows = log_softmax(np.random.default_rng(0).normal(0.0, 10.0, (50, 7)))
+        got = entropy_logit_gradient_rows(rows)
+        assert got.tobytes() == np.array([entropy_logit_gradient(l) for l in rows]).tobytes()
+        mean_logs = [float(np.dot(l, np.exp(l))) for l in rows]  # one BLAS dot per row
+        assert got.tobytes() == np.array([-np.exp(l) * (l - m) for l, m in zip(rows, mean_logs)]).tobytes()
+        with pytest.raises(ValueError, match=r"rows \(N, V\), got shape \(7,\)"):
+            entropy_logit_gradient_rows(rows[0])
+        with pytest.raises(ValueError, match=r"got shape \(1,\)$"):  # the vector's shape, not its row's
+            entropy_logit_gradient([0.0])
 
     def test_vanishing_component_bounded_and_decaying(self):
         mags = []
