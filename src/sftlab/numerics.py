@@ -120,8 +120,8 @@ def entropy_logit_gradient_rows(l) -> np.ndarray:
     Derived by composing dH/dl_i = -(l_i + 1) p_i with the log-softmax
     jacobian; the +1 terms cancel. Each component carries a factor p_j, so the
     gradient stays bounded as any probability vanishes: no 1/p explosion. The
-    mean takes one BLAS dot per row, so each row's gradient is its vector's
-    bit for bit.
+    mean takes one BLAS dot per row, as the formula on one vector does; numpy's
+    vectorised (l * p).sum(-1) rounds differently.
     """
     l = as_log_probs(l)
     if l.ndim != 2:
