@@ -2,13 +2,18 @@
 
 Per-completion RNG streams are derived by hashing (base_seed, prompt_id,
 completion_index), so a generation set is reproducible no matter how the
-completions are scheduled.
+completions are scheduled. The k completions of a prompt are decoded in
+lockstep: each step runs one forward pass per unfinished completion, then
+filters and draws for all of them at once on the stacked logits. Every step
+of a row computes the bits the same step would compute for that completion
+alone, so no completion depends on its siblings.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -27,36 +32,62 @@ class SamplingConfig:
     def __post_init__(self):
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p must lie in (0, 1], got {self.top_p}")
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not 0.0 < self.temperature < float("inf"):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 def nucleus_filter(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest descending-probability prefix reaching cumulative mass top_p.
+    """Smallest descending-probability prefix reaching cumulative mass top_p,
+    of each row of probs (N, V) or of one vector (V,).
 
     The token that crosses the threshold is included, then the prefix is
-    renormalized. Stable sort keeps tie order, and with it determinism.
-    Returns (token ids, renormalized probabilities).
+    renormalized. Stable sort keeps tie order, and with it determinism. Rows
+    give (order, weights), both (N, V): each row's token ids by descending
+    probability and their renormalized probabilities, zero past the row's
+    prefix. A vector is the one-row case cut to its prefix: (token ids,
+    renormalized probabilities).
+
+    A row's prefix mass is one sum over just that prefix, as the vector's
+    would be: zeros summed along would regroup numpy's pairwise additions.
     """
-    order = np.argsort(-probs, kind="stable")
-    csum = np.cumsum(probs[order])
-    cut = int(np.searchsorted(csum, top_p, side="left"))
-    cut = min(cut, probs.size - 1)
-    kept = order[: cut + 1]
-    weights = probs[kept]
-    return kept, weights / weights.sum()
+    probs = np.asarray(probs, dtype=np.float64)
+    rows = probs if probs.ndim == 2 else probs[None]
+    # Negated probabilities after a zero column: argsort then ranks them
+    # descending, negation is exact in every sum, and the cumsum from the
+    # zero column holds at j the mass ranked before entry j.
+    before = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    ranked = np.negative(rows, out=before[:, 1:])
+    order = ranked.argsort(-1, kind="stable")
+    ranked.sort(-1)
+    # an entry is kept while the mass before it is < top_p: the prefix up to
+    # the entry that crosses top_p, never empty, and all V entries when the
+    # row's mass never reaches top_p (as searchsorted's cut capped at V - 1)
+    kept = before.cumsum(-1)[:, :-1] > -top_p
+    mass = np.add.reduce(ranked, -1, keepdims=True, where=kept)
+    weights = np.divide(ranked, mass, out=np.zeros(ranked.shape), where=kept)
+    if probs.ndim == 1:
+        return order[0][kept[0]], weights[0][kept[0]]
+    return order, weights
 
 
-def inverse_cdf_draw(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """An index drawn with probabilities `weights` (summing to 1) by the
-    inverse-CDF step Generator.choice(weights.size, p=weights) takes: one
-    rng.random() per draw, so index and stream are choice's, without the
-    validation choice runs on every call."""
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), "right"))
+def inverse_cdf_draw(weights: np.ndarray, u):
+    """The index each row of weights (N, V) draws at its uniform in [0, 1)
+    in the column u (N, 1), or one vector's index at one u, by the inverse-CDF
+    step Generator.choice(n, p=weights) takes when its one rng.random() is u.
+
+    Zero weights past a row's nonzero prefix (as `nucleus_filter` gives)
+    carry the CDF at exactly 1 there, above any u, so a row's index is its
+    prefix's index.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim == 1:
+        return int(inverse_cdf_draw(weights[None], np.full((1, 1), u))[0])
+    cdf = weights.cumsum(-1)
+    cdf /= cdf[:, -1:]
+    # the first index whose CDF exceeds u; the CDF ends at exactly 1 > u
+    return (cdf <= u).argmin(-1)
 
 
 def completion_seed(base_seed: int, prompt_id: str, completion_index: int) -> int:
@@ -65,37 +96,65 @@ def completion_seed(base_seed: int, prompt_id: str, completion_index: int) -> in
     return int.from_bytes(digest[:8], "little")
 
 
+def nucleus_decode(model: ToyModel, prompt: str, cfg: SamplingConfig, draws: np.ndarray) -> list[str]:
+    """One completion per row of draws (k, cfg.max_tokens), decoded in
+    lockstep; a completion's step t draws draws[row, t]. Each completion
+    stops at EOS or max_tokens. Returns the generated texts without the
+    prompt.
+
+    Each step calls `forward` once per unfinished completion, never on rows
+    of one batched pass: a row of a matrix product can differ from the same
+    row computed alone by up to 2e-15, which would make a completion's bits
+    depend on its siblings. Only the steps after the logits run on the
+    stacked rows, and each of them is exact per row.
+    """
+    k, V = len(draws), model.vocab.size
+    if draws.shape != (k, cfg.max_tokens):
+        raise ValueError(f"draws must have shape (k, {cfg.max_tokens}), got {draws.shape}")
+    eos, context = model.vocab.eos_id, model.context
+    start = model.vocab.encode(prompt) if prompt else [eos]
+    windows = [start[-context:] for _ in range(k)]
+    generated: list[list[int]] = [[] for _ in range(k)]
+    live = list(range(k))  # the completion of each stacked row
+    starts = np.arange(0, k * V, V)  # where each stacked row begins in order.ravel()
+    logits = np.empty((k, V))
+    for step in range(cfg.max_tokens):
+        for row, i in enumerate(live):
+            logits[row] = forward(model, windows[i])
+        probs = np.exp(log_softmax(logits[: len(live)] / cfg.temperature))
+        order, weights = nucleus_filter(probs, cfg.top_p)
+        tokens = order.take(inverse_cdf_draw(weights, draws[:, step, None]) + starts).tolist()
+        if eos in tokens:  # finished rows leave the stack; draws stay aligned with live
+            keep = [token != eos for token in tokens]
+            live, tokens = list(compress(live, keep)), list(compress(tokens, keep))
+            if not live:
+                break
+            draws, starts = draws[keep], starts[: len(live)]
+        for i, token in zip(live, tokens):
+            generated[i].append(token)
+            windows[i].append(token)
+            del windows[i][:-context]  # forward reads only the last model.context tokens
+    return [model.vocab.decode(g) for g in generated]
+
+
 def nucleus_sample(model: ToyModel, prompt: str, cfg: SamplingConfig, rng: np.random.Generator | None = None) -> str:
-    """Sample one completion, stopping at EOS or max_tokens. Returns the
+    """Sample one completion, stopping at EOS or max_tokens: the k = 1 case of
+    `nucleus_decode`. It consumes cfg.max_tokens draws from rng
+    (rng.random(cfg.max_tokens)), however short the completion. Returns the
     generated text without the prompt."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    window = model.vocab.encode(prompt) if prompt else [model.vocab.eos_id]
-    generated: list[int] = []
-    for _ in range(cfg.max_tokens):
-        logits = forward(model, window)
-        probs = np.exp(log_softmax(logits / cfg.temperature))
-        kept, weights = nucleus_filter(probs, cfg.top_p)
-        token = int(kept[inverse_cdf_draw(weights, rng)])
-        if token == model.vocab.eos_id:
-            break
-        generated.append(token)
-        window.append(token)
-        del window[: -model.context]  # forward reads only the last model.context tokens
-    return model.vocab.decode(generated)
+    return nucleus_decode(model, prompt, cfg, rng.random((1, cfg.max_tokens)))[0]
 
 
 def sample_generation_set(model: ToyModel, prompt: str, k: int, cfg: SamplingConfig, prompt_id: str) -> GenerationSet:
-    """k completions for one prompt, each on its own hashed RNG stream.
-
-    Completions are decoded one at a time, never as rows of one batched
-    forward pass: a row of a matrix product can differ from the same row
-    computed alone by up to 2e-15, which would make a completion's bits
-    depend on its siblings."""
+    """k completions for one prompt, decoded in lockstep by `nucleus_decode`,
+    each on its own hashed RNG stream: completion i is
+    nucleus_sample(model, prompt, cfg, default_rng(completion_seed(cfg.seed,
+    prompt_id, i))), whatever k is."""
     if k < 1:
         raise ValueError(f"need k >= 1 completions, got {k}")
-    completions = []
-    for i in range(k):
-        rng = np.random.default_rng(completion_seed(cfg.seed, prompt_id, i))
-        completions.append(nucleus_sample(model, prompt, cfg, rng))
-    return GenerationSet(prompt=prompt, completions=tuple(completions))
+    draws = np.empty((k, cfg.max_tokens))
+    for i, row in enumerate(draws):
+        np.random.default_rng(completion_seed(cfg.seed, prompt_id, i)).random(out=row)
+    return GenerationSet(prompt=prompt, completions=tuple(nucleus_decode(model, prompt, cfg, draws)))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from sftlab.model import TokenizationError, ToyModel, Vocab
+from sftlab import sampling
+from sftlab.model import TokenizationError, ToyModel, Vocab, forward
+from sftlab.numerics import log_softmax
 from sftlab.sampling import (
     SamplingConfig,
     completion_seed,
@@ -19,6 +21,49 @@ def make_model(seed=3):
     return ToyModel.init(vocab, context=4, embed_dim=6, hidden_dim=8, seed=seed)
 
 
+def reference_nucleus(probs, top_p):
+    """The nucleus of one probability vector, one scalar step at a time:
+    the stable descending order, the crossing index by searchsorted, and the
+    prefix renormalized by its own sum."""
+    order = np.argsort(-probs, kind="stable")
+    cut = min(int(np.searchsorted(np.cumsum(probs[order]), top_p, side="left")), probs.size - 1)
+    kept = order[: cut + 1]
+    return kept, probs[kept] / probs[kept].sum()
+
+
+def reference_sample(model, prompt, cfg, rng):
+    """One completion decoded alone, a token per loop, each drawn by
+    Generator.choice from reference_nucleus."""
+    window = model.vocab.encode(prompt) if prompt else [model.vocab.eos_id]
+    generated = []
+    for _ in range(cfg.max_tokens):
+        probs = np.exp(log_softmax(forward(model, window) / cfg.temperature))
+        kept, weights = reference_nucleus(probs, cfg.top_p)
+        token = int(kept[rng.choice(kept.size, p=weights)])
+        if token == model.vocab.eos_id:
+            break
+        generated.append(token)
+        window.append(token)
+    return model.vocab.decode(generated)
+
+
+def decode_grid():
+    """(model, cfg) pairs: random models with output weights scaled 0.1-30
+    and the all-ties zero model, at every temperature in {1e-4, 0.3, 1, 5}
+    and top_p in {1e-9, 0.3, 0.9, 1.0}."""
+    vocab = Vocab("abcdefg ")
+    models = []
+    for seed, scale in ((1, 0.1), (2, 3.0), (3, 30.0)):
+        model = ToyModel.init(vocab, context=3, embed_dim=4, hidden_dim=6, seed=seed)
+        model.w_out *= scale
+        models.append(model)
+    models.append(ToyModel.zeros(vocab, context=3, embed_dim=4, hidden_dim=6))
+    for model in models:
+        for temperature in (1e-4, 0.3, 1.0, 5.0):
+            for top_p in (1e-9, 0.3, 0.9, 1.0):
+                yield model, SamplingConfig(top_p=top_p, temperature=temperature, max_tokens=6, seed=11)
+
+
 def test_sampling_config_validates():
     with pytest.raises(ValueError):
         SamplingConfig(top_p=0.0)
@@ -28,6 +73,14 @@ def test_sampling_config_validates():
         SamplingConfig(temperature=0.0)
     with pytest.raises(ValueError):
         SamplingConfig(max_tokens=0)
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
+def test_sampling_config_rejects_non_finite_temperature(temperature):
+    # nan would construct and fail the first decode step as "logits must be
+    # finite"; inf would sample uniformly
+    with pytest.raises(ValueError, match="temperature must be finite"):
+        SamplingConfig(temperature=temperature)
 
 
 # -------------------------------------------------------------- nucleus ----
@@ -78,12 +131,40 @@ def test_nucleus_ties_resolve_in_index_order():
 # ----------------------------------------------------------------- draw ----
 
 
+def test_nucleus_filter_rows_match_the_scalar_filter():
+    # each row's order, weights and zero tail against the one-vector
+    # reference, bit for bit; V up to 300 puts prefixes across numpy's
+    # 128-entry pairwise-sum blocks, and 48 rows of 300 put the rows across
+    # its 8192-element iteration buffer
+    rng = np.random.default_rng(7)
+    for trial in range(400):
+        if trial % 100 == 0:
+            N, V = 48, 300
+        else:
+            N, V = int(rng.integers(1, 9)), int(rng.integers(2, 300 if trial % 4 == 0 else 40))
+        if trial % 3 == 0:
+            levels = rng.integers(1, 4, size=(N, V)).astype(np.float64)
+            probs = levels / levels.sum(-1, keepdims=True)
+        else:
+            probs = rng.dirichlet(np.full(V, (0.05, 1.0)[trial % 2]), size=N)
+        top_p = (1e-9, 0.3, 0.9, 1.0, float(rng.uniform(0.05, 1.0)))[trial % 5]
+        order, weights = nucleus_filter(probs, top_p)
+        assert order.shape == weights.shape == (N, V)
+        for row in range(N):
+            kept, expected = reference_nucleus(probs[row], top_p)
+            assert order[row, : kept.size].tolist() == kept.tolist(), (trial, row)
+            assert weights[row, : kept.size].tobytes() == expected.tobytes(), (trial, row)
+            assert not weights[row, kept.size :].any()
+
+
 def test_inverse_cdf_draw_is_generator_choice():
-    # nucleus weight vectors of every kept size 1-28, with exact ties (equal
-    # levels, uniform) and single kept tokens (tiny top_p); index and stream
-    # state after the draw must both be choice's
+    # rows of nucleus weights of every kept size 1-28, zero past the nucleus,
+    # with exact ties (equal levels, uniform) and single kept tokens (tiny
+    # top_p): each row's index at u must be choice's index on a stream whose
+    # one rng.random() gives u, and so must the one-vector case
     rng = np.random.default_rng(2024)
     sizes, tied = set(), 0
+    rows, us, expected = [], [], []
     for trial in range(2000):
         V = int(rng.integers(1, 29))
         kind = trial % 4
@@ -97,15 +178,27 @@ def test_inverse_cdf_draw_is_generator_choice():
         else:
             probs = rng.dirichlet(np.full(V, 0.05))
         top_p = (1.0, 1e-9, float(rng.uniform(0.05, 1.0)))[trial % 3]
-        kept, weights = nucleus_filter(probs, top_p)
-        sizes.add(kept.size)
+        _, weights = reference_nucleus(probs, top_p)
+        sizes.add(weights.size)
         tied += len(set(weights.tolist())) < weights.size
         seed = int(rng.integers(1 << 62))
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert inverse_cdf_draw(weights, ours) == theirs.choice(weights.size, p=weights), (trial, weights)
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        u = np.random.default_rng(seed).random()
+        choice = np.random.default_rng(seed).choice(weights.size, p=weights)
+        assert inverse_cdf_draw(weights, u) == choice, (trial, weights)
+        rows.append(np.pad(weights, (0, 28 - weights.size)))
+        us.append(u)
+        expected.append(choice)
+    assert inverse_cdf_draw(np.array(rows), np.array(us)[:, None]).tolist() == expected
     assert sizes == set(range(1, 29))
     assert tied >= 100
+
+
+def test_generator_random_n_is_n_scalar_draws():
+    # a completion's draws come from one rng.random(max_tokens) call
+    for seed in range(200):
+        block = np.random.default_rng(seed).random(64)
+        one_at_a_time = np.random.default_rng(seed)
+        assert block.tobytes() == np.array([one_at_a_time.random() for _ in range(64)]).tobytes()
 
 
 # ---------------------------------------------------------------- seeds ----
@@ -184,6 +277,38 @@ def test_generation_set_streams_do_not_depend_on_k():
     small = sample_generation_set(model, "ab", 3, cfg, "p0")
     large = sample_generation_set(model, "ab", 5, cfg, "p0")
     assert large.completions[:3] == small.completions
+
+
+def test_generation_set_completions_are_their_streams_decoded_alone():
+    # completion i of a k=64 set is nucleus_sample on stream i, whatever its
+    # siblings do, and the scalar reference decoder gives the same text
+    for model, cfg in decode_grid():
+        gs = sample_generation_set(model, "ab", 64, cfg, "p3")
+        for i, completion in enumerate(gs.completions):
+            stream = completion_seed(cfg.seed, "p3", i)
+            assert completion == nucleus_sample(model, "ab", cfg, np.random.default_rng(stream)), (cfg, i)
+            if i < 8:
+                assert completion == reference_sample(model, "ab", cfg, np.random.default_rng(stream)), (cfg, i)
+
+
+def test_generation_set_calls_forward_once_per_sampled_token(monkeypatch):
+    # a completion takes one forward call per token it draws, its EOS
+    # included; a decode that batched or cached the forward pass would not
+    model = make_model()
+    cfg = SamplingConfig(top_p=0.9, max_tokens=10, seed=4)
+    calls = []
+
+    def counted(m, window):
+        calls.append(len(window))
+        return forward(m, window)
+
+    monkeypatch.setattr(sampling, "forward", counted)
+    for k in (1, 5, 64):
+        calls.clear()
+        gs = sample_generation_set(model, "ab", k, cfg, "p0")
+        assert len(calls) == sum(min(len(c) + 1, cfg.max_tokens) for c in gs.completions)
+    lengths = {len(c) for c in gs.completions}
+    assert cfg.max_tokens in lengths and min(lengths) < cfg.max_tokens - 1
 
 
 def test_generation_set_prompt_id_separates_streams():
