@@ -141,16 +141,24 @@ def _check_tokens(model: ToyModel, ctx: np.ndarray):
         raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
 
 
+def _layers(model: ToyModel, x: np.ndarray):
+    """Logits (B, V) and hidden activations (B, h) of embedded windows x
+    (B, c*d): the one copy of the layer formula."""
+    hidden = x @ model.w_hidden
+    hidden += model.b_hidden
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ model.w_out
+    logits += model.b_out
+    return logits, hidden
+
+
 def forward_batch(model: ToyModel, contexts: np.ndarray):
     """Logits (B, V) for a batch of already-padded windows (B, c), plus the
     activation cache the backward pass needs."""
     contexts = np.asarray(contexts, dtype=np.int64)
     _check_tokens(model, contexts)
-    B = contexts.shape[0]
-    x = model.embed[contexts].reshape(B, -1)
-    pre = x @ model.w_hidden + model.b_hidden
-    hidden = np.tanh(pre)
-    logits = hidden @ model.w_out + model.b_out
+    x = model.embed[contexts].reshape(contexts.shape[0], -1)
+    logits, hidden = _layers(model, x)
     return logits, (contexts, x, hidden)
 
 
@@ -174,10 +182,32 @@ def backward_batch(model: ToyModel, cache, dlogits: np.ndarray) -> Gradients:
     )
 
 
+# Python's int and every numpy integer scalar type; bool and np.bool_ are not
+# among them, so True is not read as token id 1
+_ID_TYPES = frozenset([int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])])
+
+
 def forward(model: ToyModel, context_tokens) -> np.ndarray:
-    """Next-token logits for one context (padded/truncated to the window)."""
-    ctx = pad_context(context_tokens, model.context, model.vocab.eos_id)
-    logits, _ = forward_batch(model, ctx[None, :])
+    """Next-token logits (V,) for one context: the single-window pass that
+    decode makes once per sampled token.
+
+    The last `model.context` ids, left-padded with EOS, form one (1, c)
+    window that goes through `forward_batch`'s layer arithmetic on the same
+    2-D operands, so the logits are bit-equal to that window's row of
+    `forward_batch`. It builds no activation cache. Raises ValueError on an
+    empty context and TokenizationError on an id that is a float or a bool,
+    or that lies outside [0, V).
+    """
+    c = model.context
+    tail = list(context_tokens)[-c:]
+    if not tail:
+        raise ValueError("context must contain at least one token")
+    if not _ID_TYPES.issuperset(map(type, tail)):
+        raise TokenizationError(f"token ids must be integers, got {tail!r}")
+    if min(tail) < 0 or max(tail) >= model.vocab.size:
+        raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
+    window = np.array([[model.vocab.eos_id] * (c - len(tail)) + tail], dtype=np.int64)
+    logits, _ = _layers(model, model.embed.take(window, 0).reshape(1, -1))
     return logits[0]
 
 

@@ -89,9 +89,45 @@ class TestForward:
         for i in range(2):
             np.testing.assert_allclose(forward(model, ctx[i]), logits[i], atol=0)
 
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
+    def test_forward_bits_equal_padded_batch_row(self, scale):
+        # the single-window pass against the padded window's forward_batch
+        # row, byte for byte, on README dims with nonzero biases
+        vocab = Vocab("abcdefghijklmnopqrstuvwxyz ")
+        model = ToyModel.init(vocab, context=8, embed_dim=32, hidden_dim=128, seed=3)
+        rng = np.random.default_rng(int(scale * 10))
+        model.w_out *= scale
+        model.b_hidden[:] = rng.normal(size=model.b_hidden.shape)
+        model.b_out[:] = rng.normal(size=model.b_out.shape)
+        c = model.context
+        for _ in range(1000):
+            ids = rng.integers(0, vocab.size, int(rng.integers(1, 2 * c + 1)))
+            for window in (ids.tolist(), ids, ids.astype(np.int32)):
+                expected = forward_batch(model, pad_context(window, c)[None])[0][0]
+                assert forward(model, window).tobytes() == expected.tobytes(), window
+
     def test_out_of_range_tokens_rejected(self, model):
         with pytest.raises(TokenizationError):
             forward_batch(model, np.array([[0, 1, 2, 99]]))
+
+    @pytest.mark.parametrize("window", [[0, 1, -1], [2, 6], [1, 6, 0, 0, 0]], ids=["negative", "vocab_size", "first_of_window"])
+    def test_forward_rejects_out_of_range_ids(self, model, window):
+        with pytest.raises(TokenizationError, match="out of range"):
+            forward(model, window)
+
+    def test_forward_rejects_empty_context(self, model):
+        with pytest.raises(ValueError, match="at least one token"):
+            forward(model, [])
+
+    @pytest.mark.parametrize(
+        "window",
+        [[2.7], [1, 2.0], [True], [1, np.bool_(True)], np.array([2.5, 1.0]), np.array([True, False])],
+        ids=["float", "integral_float", "bool", "numpy_bool", "float_array", "bool_array"],
+    )
+    def test_forward_rejects_non_integer_ids(self, model, window):
+        # cast to int64, [2.7] would read as id 2 and [True] as id 1
+        with pytest.raises(TokenizationError, match="must be integers"):
+            forward(model, window)
 
     def test_init_seed_reproducible(self, vocab):
         a = ToyModel.init(vocab, seed=5)

@@ -75,6 +75,13 @@ def test_sampling_config_validates():
         SamplingConfig(max_tokens=0)
 
 
+@pytest.mark.parametrize("max_tokens", [2.5, True, "8"])
+def test_sampling_config_rejects_non_int_max_tokens(max_tokens):
+    # 2.5 and True would construct, and 2.5 would fail the decode with TypeError
+    with pytest.raises(ValueError, match="max_tokens must be an int"):
+        SamplingConfig(max_tokens=max_tokens)
+
+
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
 def test_sampling_config_rejects_non_finite_temperature(temperature):
     # nan would construct and fail the first decode step as "logits must be
