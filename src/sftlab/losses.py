@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .numerics import as_probs, as_vector, check_temperature, log_softmax, temper, tempered_log_softmax
+from .numerics import as_probs, as_vector, check_temperature, log_softmax, row_dots, temper, tempered_log_softmax
 
 # Flagged defaults: the GEM temperature is inherited from its original
 # publication rather than re-derived here, and the lambda-PR pair (1.0, 0.5)
@@ -205,10 +205,10 @@ def focal_scaling(p_hat, gamma: float):
 def _q_dot(q: np.ndarray, m: np.ndarray):
     """np.dot(q, .) over the last axis of m: 0-d for a vector, (N,) for rows.
 
-    One BLAS dot per row, so a row's value is its vector's value bit for bit;
-    numpy's vectorised reductions (m @ q, (m * q).sum(-1)) round differently.
+    Rows go through numerics.row_dots, so a row's value is its vector's value
+    bit for bit.
     """
-    return np.dot(q, m) if m.ndim == 1 else np.array([np.dot(q, row) for row in m])
+    return np.dot(q, m) if m.ndim == 1 else row_dots(m, q)
 
 
 # Values at a target distribution q of log-probs l, a vector or rows. The
@@ -380,8 +380,9 @@ class Objective:
     which maps logit rows (N, V) to their values (N,). soft_value(l, q, params),
     set for the soft-target objectives without a detached quantity, is the
     value at target distribution q of log-probs l, a vector or rows (N, V),
-    with one BLAS dot per row: the oracle returns it, and finite differences
-    of a soft target call it once on the whole stencil."""
+    with the vector's np.dot taken on each row (numerics.row_dots): the
+    oracle returns it, and finite differences of a soft target call it once
+    on the whole stencil."""
 
     oracle: Callable[[Any, Target, Any], LossResult]
     params: Callable[["LossConfig", int, int], Any]
@@ -475,9 +476,9 @@ def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np
     input checks included, and repeats the rest of the scalar arithmetic
     operation for operation, with its checks in vectorised form. The scalars
     the oracle takes from Python float powers (lambda-PR's powers of lam, the
-    naive focal value's (1 - p^beta_k)^gamma) or from a BLAS dot (the GEM
-    value) are computed the same way here, row by row, because numpy's
-    vectorised pow and reductions round differently.
+    naive focal value's (1 - p^beta_k)^gamma) are computed the same way here,
+    row by row, because numpy's vectorised pow rounds differently. The GEM
+    value's dot is numerics.row_dots, the oracle's np.dot on each row.
     """
     name = cfg.objective
     beta = check_temperature(cfg.resolved_beta())
@@ -524,7 +525,7 @@ def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np
     if name == "scaled_ce":
         return -beta * lb_k, residual
     if name == "gem":
-        return -l_k + np.array([np.dot(a, b) for a, b in zip(pb, l)]), residual
+        return -l_k + row_dots(pb, l), residual
     if name == "tofu":
         g = focal_scaling(p_hat, cfg.gamma)
         return -g * beta * lb_k, g[:, None] * residual

@@ -14,7 +14,13 @@ import numpy as np
 
 
 class TokenizationError(ValueError):
-    """Raised when text contains characters outside the vocabulary."""
+    """Raised when text contains characters outside the vocabulary, or a
+    token id is not an integer or lies outside it."""
+
+
+# Python's int and every numpy integer scalar type; bool and np.bool_ are not
+# among them, so True is not read as token id 1
+_ID_TYPES = frozenset([int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])])
 
 
 @dataclass(frozen=True)
@@ -51,9 +57,12 @@ class Vocab:
             raise TokenizationError(f"character {exc.args[0]!r} not in vocab") from None
 
     def decode(self, ids) -> str:
+        """The text of token ids, EOS dropped. Raises TokenizationError on an
+        id that is a float or a bool, or that lies outside [0, size)."""
         out = []
         for i in ids:
-            i = int(i)
+            if type(i) not in _ID_TYPES:
+                raise TokenizationError(f"token ids must be integers, got {i!r}")
             if not 0 <= i < self.size:
                 raise TokenizationError(f"token id {i} out of range for vocab size {self.size}")
             if i != 0:
@@ -154,8 +163,13 @@ def _layers(model: ToyModel, x: np.ndarray):
 
 def forward_batch(model: ToyModel, contexts: np.ndarray):
     """Logits (B, V) for a batch of already-padded windows (B, c), plus the
-    activation cache the backward pass needs."""
-    contexts = np.asarray(contexts, dtype=np.int64)
+    activation cache the backward pass needs. Raises TokenizationError unless
+    the windows are an integer array (a float or bool dtype is not read as
+    ids) with every id in [0, V)."""
+    contexts = np.asarray(contexts)
+    if contexts.dtype.kind not in "iu":
+        raise TokenizationError(f"token ids must be integers, got dtype {contexts.dtype}")
+    contexts = contexts.astype(np.int64, copy=False)
     _check_tokens(model, contexts)
     x = model.embed[contexts].reshape(contexts.shape[0], -1)
     logits, hidden = _layers(model, x)
@@ -182,9 +196,20 @@ def backward_batch(model: ToyModel, cache, dlogits: np.ndarray) -> Gradients:
     )
 
 
-# Python's int and every numpy integer scalar type; bool and np.bool_ are not
-# among them, so True is not read as token id 1
-_ID_TYPES = frozenset([int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])])
+def _window(model: ToyModel, context_tokens) -> np.ndarray:
+    """The last `model.context` ids, left-padded with EOS, as one (1, c) int64
+    window. Raises ValueError on an empty context and TokenizationError on an
+    id that is a float or a bool, or that lies outside [0, V); it checks at
+    most c ids."""
+    c = model.context
+    tail = list(context_tokens)[-c:]
+    if not tail:
+        raise ValueError("context must contain at least one token")
+    if not _ID_TYPES.issuperset(map(type, tail)):
+        raise TokenizationError(f"token ids must be integers, got {tail!r}")
+    if min(tail) < 0 or max(tail) >= model.vocab.size:
+        raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
+    return np.array([[model.vocab.eos_id] * (c - len(tail)) + tail], dtype=np.int64)
 
 
 def forward(model: ToyModel, context_tokens) -> np.ndarray:
@@ -198,24 +223,16 @@ def forward(model: ToyModel, context_tokens) -> np.ndarray:
     empty context and TokenizationError on an id that is a float or a bool,
     or that lies outside [0, V).
     """
-    c = model.context
-    tail = list(context_tokens)[-c:]
-    if not tail:
-        raise ValueError("context must contain at least one token")
-    if not _ID_TYPES.issuperset(map(type, tail)):
-        raise TokenizationError(f"token ids must be integers, got {tail!r}")
-    if min(tail) < 0 or max(tail) >= model.vocab.size:
-        raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
-    window = np.array([[model.vocab.eos_id] * (c - len(tail)) + tail], dtype=np.int64)
-    logits, _ = _layers(model, model.embed.take(window, 0).reshape(1, -1))
+    logits, _ = _layers(model, model.embed.take(_window(model, context_tokens), 0).reshape(1, -1))
     return logits[0]
 
 
 def backward(model: ToyModel, context_tokens, dloss_dlogits) -> Gradients:
-    """Parameter gradients for one context given the loss gradient at the logits."""
-    ctx = pad_context(context_tokens, model.context, model.vocab.eos_id)
+    """Parameter gradients for one context given the loss gradient at the
+    logits. The context is checked as forward checks it."""
+    window = _window(model, context_tokens)
     dlogits = np.asarray(dloss_dlogits, dtype=np.float64)
     if dlogits.shape != (model.vocab.size,):
         raise ValueError(f"dloss_dlogits must have shape ({model.vocab.size},), got {dlogits.shape}")
-    _, cache = forward_batch(model, ctx[None, :])
+    _, cache = forward_batch(model, window)
     return backward_batch(model, cache, dlogits[None, :])

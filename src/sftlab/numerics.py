@@ -108,6 +108,17 @@ def temper(l, beta) -> np.ndarray:
     return np.exp(tempered_log_softmax(l, beta))
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot(a[i], b[i]) for each row i of a (N, V), with b rows (N, V) or
+    one vector (V,) shared by every row: (N,).
+
+    One stacked matmul of (1, V) by (V, 1) products, which numpy runs as the
+    BLAS dot np.dot makes on two vectors, so each entry is its row's np.dot
+    bit for bit. a @ b, (a * b).sum(-1) and einsum round differently.
+    """
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
 def entropy_from_log_probs(l) -> float:
     """Shannon entropy in nats, H = -sum p * l, safe at floored entries."""
     l = as_log_probs(as_vector(l))
@@ -120,14 +131,13 @@ def entropy_logit_gradient_rows(l) -> np.ndarray:
     Derived by composing dH/dl_i = -(l_i + 1) p_i with the log-softmax
     jacobian; the +1 terms cancel. Each component carries a factor p_j, so the
     gradient stays bounded as any probability vanishes: no 1/p explosion. The
-    mean takes one BLAS dot per row, as the formula on one vector does; numpy's
-    vectorised (l * p).sum(-1) rounds differently.
+    mean is row_dots, the np.dot the formula on one vector takes, on each row.
     """
     l = as_log_probs(l)
     if l.ndim != 2:
         raise ValueError(f"expected rows (N, V), got shape {l.shape}")
     p = np.exp(l)
-    mean_log = np.array([np.dot(a, b) for a, b in zip(l, p)])
+    mean_log = row_dots(l, p)
     return -p * (l - mean_log[:, None])
 
 

@@ -120,12 +120,56 @@ def encode_example(vocab: Vocab, example: CorpusExample, context: int) -> Encode
     """Training positions for one example: the prompt only conditions, every
     response character plus the closing EOS is a prediction target. Response
     position j sees the last `context` tokens of the prompt and the response
-    before it, left-padded with EOS (pad_context's window, taken as a slice)."""
+    before it, left-padded with EOS (pad_context's window, gathered from one
+    padded id array)."""
     prompt_ids = vocab.encode(example.prompt)
     response_ids = vocab.encode(example.response) + [vocab.eos_id]
     padded = np.array([vocab.eos_id] * context + prompt_ids + response_ids[:-1], dtype=np.int64)
-    contexts = np.lib.stride_tricks.sliding_window_view(padded, context)[len(prompt_ids) :]
-    return EncodedExample(contexts.copy(), np.array(response_ids, dtype=np.int64))
+    starts = np.arange(len(prompt_ids), len(prompt_ids) + len(response_ids))
+    return EncodedExample(padded[starts[:, None] + np.arange(context)], np.array(response_ids, dtype=np.int64))
+
+
+@dataclass
+class EncodedCorpus:
+    """Encoded examples laid end to end as flat rows, one per training
+    position, so that a batch is one gather."""
+
+    contexts: np.ndarray  # (R, c) every example's windows, in example order
+    targets: np.ndarray  # (R,)
+    positions: np.ndarray  # (R,) each row's 1-based position in its response
+    lengths: np.ndarray  # (R,) the length of each row's response, EOS included
+    starts: np.ndarray  # (E,) each example's first row
+    sizes: np.ndarray  # (E,) each example's number of rows
+
+    @classmethod
+    def concat(cls, encoded: list[EncodedExample]) -> "EncodedCorpus":
+        sizes = np.array([len(e.targets) for e in encoded])
+        starts = np.cumsum(sizes) - sizes
+        return cls(
+            contexts=np.concatenate([e.contexts for e in encoded]),
+            targets=np.concatenate([e.targets for e in encoded]),
+            positions=np.arange(1, sizes.sum() + 1) - np.repeat(starts, sizes),
+            lengths=np.repeat(sizes, sizes),
+            starts=starts,
+            sizes=sizes,
+        )
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def rows(self, picked) -> np.ndarray:
+        """Indices of the rows of the picked examples, in pick order with
+        repeats kept: the rows np.concatenate of their EncodedExamples holds.
+        Each example's run of rows starts at its first row."""
+        counts = self.sizes[picked]
+        return np.repeat(self.starts[picked] - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def left_sum(terms: np.ndarray) -> float:
+    """((0.0 + t0) + t1) + ..., the sum a Python loop from 0.0 makes.
+    np.add.accumulate adds left to right, where np.sum adds pairwise; adding
+    0.0 turns its -0.0 for all -0.0 terms into the loop's 0.0."""
+    return 0.0 + float(np.add.accumulate(terms)[-1])
 
 
 @dataclass
@@ -205,13 +249,16 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
     The input model is left untouched; the trained copy comes back inside the
     checkpoint. Batches are drawn from a seeded reshuffled stream, losses are
     the mean over examples of each example's per-position mean, taken from
-    one losses.batch_loss call per step. Non-finite logits, a non-finite
-    loss, or non-finite parameters after the last update abort with the
-    failing step.
+    one losses.batch_loss call per step and summed left to right. The corpus
+    is encoded once, into flat rows (one per training position) that each
+    step gathers its batch from. Non-finite logits, a non-finite loss, or
+    non-finite parameters after the last update abort with the failing step.
     """
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    encoded = [encode_example(model.vocab, ex, model.context) for ex in corpus.examples]
+    encoded = EncodedCorpus.concat([encode_example(model.vocab, ex, model.context) for ex in corpus.examples])
+    # each row's share of the loss: the mean over a batch's examples of each one's per-position mean
+    weights = (1.0 / cfg.batch_size) / encoded.lengths
     cfg_hash = config_hash(cfg.to_dict())
     trace: list[TraceRow] = []
 
@@ -234,23 +281,18 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
 
     for step in range(cfg.total_steps):
         lr = schedule_lr(step, cfg)
-        batch = [encoded[i] for i in next_batch()]
-        contexts = np.concatenate([b.contexts for b in batch])
-        logits, cache = forward_batch(model, contexts)
+        rows = encoded.rows(next_batch())
+        logits, cache = forward_batch(model, encoded.contexts[rows])
         if not np.all(np.isfinite(logits)):
             # parameters overflowed on an earlier update; the per-token losses
             # themselves are bounded by the log floor and cannot signal this
             raise TrainingDivergedError(step, f"non-finite logits at step {step}")
-        lengths = np.concatenate([np.full(len(b.targets), len(b.targets)) for b in batch])
-        positions = np.concatenate([np.arange(1, len(b.targets) + 1) for b in batch])
         values, dlogits = batch_loss(
-            logits, np.concatenate([b.targets for b in batch]), positions, lengths, cfg.objective
+            logits, encoded.targets[rows], encoded.positions[rows], encoded.lengths[rows], cfg.objective
         )
-        weights = (1.0 / len(batch)) / lengths
-        dlogits *= weights[:, None]
-        loss = 0.0
-        for term in (values * weights).tolist():  # a sequential sum, in row order
-            loss += term
+        row_weights = weights[rows]
+        dlogits *= row_weights[:, None]
+        loss = left_sum(values * row_weights)
         if not np.isfinite(loss):
             raise TrainingDivergedError(step, f"non-finite loss at step {step}")
         grads = backward_batch(model, cache, dlogits)

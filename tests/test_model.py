@@ -49,6 +49,18 @@ class TestVocab:
         with pytest.raises(TokenizationError):
             vocab.decode([6])
 
+    @pytest.mark.parametrize(
+        "ids", [[2.7], [1, 2.0], [True], [1, np.bool_(True)], np.array([2.5, 1.0]), np.array([True, False])],
+        ids=["float", "integral_float", "bool", "numpy_bool", "float_array", "bool_array"],
+    )
+    def test_decode_rejects_non_integer_ids(self, vocab, ids):
+        # read through int(), [2.7, True] would decode to 'ba'
+        with pytest.raises(TokenizationError, match="must be integers"):
+            vocab.decode(ids)
+
+    def test_decode_takes_numpy_integer_ids(self, vocab):
+        assert vocab.decode(np.array([2, 0, 1], dtype=np.int32)) == vocab.decode([2, 0, 1]) == "ba"
+
     def test_duplicate_chars_rejected(self):
         with pytest.raises(ValueError):
             Vocab("aba")
@@ -129,6 +141,24 @@ class TestForward:
         with pytest.raises(TokenizationError, match="must be integers"):
             forward(model, window)
 
+    @pytest.mark.parametrize(
+        "windows",
+        [np.array([[0, 0, 0, 2.7]]), np.array([[0, 0, 1.0, 2.0]]), np.array([[True, False, False, True]]),
+         [[0, 0, 0, 2.5]]],
+        ids=["float", "integral_float", "bool", "float_list"],
+    )
+    def test_forward_batch_rejects_non_integer_ids(self, model, windows):
+        # cast to int64, window [0, 0, 0, 2.7] would read as [0, 0, 0, 2]
+        with pytest.raises(TokenizationError, match="must be integers"):
+            forward_batch(model, windows)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_forward_batch_takes_every_integer_dtype(self, model, dtype):
+        windows = np.array([[0, 1, 2, 3], [5, 4, 0, 1]])
+        expected, _ = forward_batch(model, windows)
+        logits, (contexts, _, _) = forward_batch(model, windows.astype(dtype))
+        assert logits.tobytes() == expected.tobytes() and contexts.dtype == np.int64
+
     def test_init_seed_reproducible(self, vocab):
         a = ToyModel.init(vocab, seed=5)
         b = ToyModel.init(vocab, seed=5)
@@ -182,6 +212,21 @@ class TestBackward:
     def test_dlogits_shape_checked(self, model):
         with pytest.raises(ValueError):
             backward(model, [1, 2], np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "window", [[2.7], [1, 2.0], [True], np.array([2.5, 1.0])],
+        ids=["float", "integral_float", "bool", "float_array"],
+    )
+    def test_backward_rejects_non_integer_ids(self, model, window):
+        # cast to int64, [2.7] would return the gradients of id 2
+        with pytest.raises(TokenizationError, match="must be integers"):
+            backward(model, window, np.ones(model.vocab.size))
+
+    def test_backward_rejects_out_of_range_and_empty_context(self, model):
+        with pytest.raises(TokenizationError, match="out of range"):
+            backward(model, [1, 6], np.ones(model.vocab.size))
+        with pytest.raises(ValueError, match="at least one token"):
+            backward(model, [], np.ones(model.vocab.size))
 
 
 def _loss_of(model, ctx_tokens, target_id, cfg):

@@ -17,10 +17,12 @@ from sftlab.training import (
     Checkpoint,
     Corpus,
     CorpusExample,
+    EncodedCorpus,
     EncodedExample,
     TrainConfig,
     TrainingDivergedError,
     encode_example,
+    left_sum,
     probe_token_distribution,
     schedule_lr,
     synth_diversity_corpus,
@@ -141,6 +143,54 @@ def test_encode_example_windows_are_pad_context_of_each_prefix(prompt, response,
     ]
     assert enc.contexts.dtype == np.int64 and enc.contexts.flags.writeable
     np.testing.assert_array_equal(enc.contexts, np.stack(expected))
+
+
+@given(
+    examples=st.lists(
+        st.tuples(st.text(alphabet="abcd", max_size=6), st.text(alphabet="abcd", min_size=1, max_size=6)),
+        min_size=1, max_size=8,
+    ),
+    context=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_encoded_corpus_rows_gather_the_picked_examples(examples, context, data):
+    # batches smaller and larger than the corpus, with repeated picks
+    vocab = Vocab("abcd")
+    encoded = [encode_example(vocab, CorpusExample(p, r), context) for p, r in examples]
+    flat = EncodedCorpus.concat(encoded)
+    batch_size = data.draw(st.integers(1, 2 * len(encoded) + 1))
+    picked = data.draw(st.lists(st.integers(0, len(encoded) - 1), min_size=batch_size, max_size=batch_size))
+    rows = flat.rows(picked)
+    batch = [encoded[i] for i in picked]
+    np.testing.assert_array_equal(flat.contexts[rows], np.concatenate([b.contexts for b in batch]))
+    np.testing.assert_array_equal(flat.targets[rows], np.concatenate([b.targets for b in batch]))
+    np.testing.assert_array_equal(flat.positions[rows], np.concatenate([np.arange(1, len(b.targets) + 1) for b in batch]))
+    np.testing.assert_array_equal(
+        flat.lengths[rows], np.concatenate([np.full(len(b.targets), len(b.targets)) for b in batch])
+    )
+    assert len(flat) == len(encoded)
+
+
+@given(
+    n=st.integers(1, 500),
+    scale=st.floats(0, 6),
+    zeros=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_left_sum_is_the_python_left_fold_bit_for_bit(n, scale, zeros, seed):
+    rng = np.random.default_rng(seed)
+    terms = rng.normal(size=n) * 10.0 ** rng.uniform(-scale, scale, n)
+    terms[rng.random(n) < zeros] = -0.0  # signed zeros, up to all of them
+    fold = 0.0
+    for term in terms.tolist():
+        fold += term
+    assert left_sum(terms).hex() == fold.hex()
+
+
+def test_left_sum_of_negative_zeros_is_the_folds_positive_zero():
+    assert left_sum(np.array([-0.0, -0.0])).hex() == (0.0 + -0.0 + -0.0).hex() == "0x0.0p+0"
 
 
 # ------------------------------------------------------------- schedule ----
