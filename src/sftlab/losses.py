@@ -9,15 +9,17 @@ computed as plain constants before the gradient is assembled, which is all
 "stop-gradient" means without an autograd tape.
 
 OBJECTIVE_TABLE states each objective's facts once: its scalar function, the
-hyperparameters it consumes, its default beta, whether it takes soft targets,
-how finite differences freeze its detached quantity, and, for a soft-target
-objective with none, its value at a target distribution over log-prob rows. Its names, in order,
-are OBJECTIVES: ce, scaled_ce, gem, focal, lambda_pr, tofu,
-naive_tempered_focal.
+hyperparameters it consumes, its rows kernel, its default beta, whether it
+takes soft targets, how finite differences freeze its detached quantity, and,
+for a soft-target objective with none, its value at a target distribution over
+log-prob rows. Its names, in order, are OBJECTIVES: ce, scaled_ce, gem, focal,
+lambda_pr, tofu, naive_tempered_focal.
 
-Training runs batch_loss, one kernel over (N, V) logits for every objective.
-The scalar functions are its reference oracle: batch_loss reproduces
-token_loss row by row, bit for bit, and the tests hold it to that.
+Training runs batch_loss over (N, V) logits. It makes the checks every
+objective shares and calls the objective's table kernel, with no code of its
+own per objective. The scalar functions are the kernels' reference oracle:
+batch_loss reproduces token_loss row by row, bit for bit, and the tests hold
+it to that.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .numerics import as_probs, as_vector, check_temperature, log_softmax, row_dots, temper, tempered_log_softmax
+from .numerics import INT_TYPES, as_probs, as_vector, check_temperature, log_softmax, row_dots, temper, tempered_log_softmax
 
 # Flagged defaults: the GEM temperature is inherited from its original
 # publication rather than re-derived here, and the lambda-PR pair (1.0, 0.5)
@@ -62,6 +64,8 @@ class Target:
 
     @classmethod
     def one_hot(cls, index: int) -> "Target":
+        if type(index) not in INT_TYPES:
+            raise ValueError(f"target index must be an integer, got {index!r}")
         index = int(index)
         if index < 0:
             raise ValueError(f"target index must be >= 0, got {index}")
@@ -130,6 +134,8 @@ class PrConfig:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not INT_TYPES.issuperset((type(self.position), type(self.length))):
+            raise ValueError(f"position and length must be integers, got {self.position!r} and {self.length!r}")
         if self.length < 1 or not 1 <= self.position <= self.length:
             raise ValueError(
                 f"need 1 <= position <= length, got position={self.position} length={self.length}"
@@ -370,12 +376,77 @@ def _tofu_frozen(cfg: TofuConfig, target: Target, l0: np.ndarray) -> Callable[[n
     return lambda rows: -g0 * cfg.beta * tempered_log_softmax(log_softmax(rows), cfg.beta)[:, k]
 
 
+# Row kernels (Objective.kernel). Each repeats its oracle's arithmetic and
+# checks operation for operation, vectorised, so row i is the oracle's result
+# bit for bit. The scalars the oracle takes from Python float powers are
+# computed the same way, row by row: numpy's vectorised pow rounds differently.
+
+
+def _residual(p: np.ndarray, at) -> np.ndarray:
+    """p - q for one-hot rows q."""
+    out = p.copy()
+    out[at] -= 1.0
+    return out
+
+
+def _ce_rows(l, at, *_):
+    return -l[at], _residual(np.exp(l), at)
+
+
+def _scaled_ce_rows(l, at, beta: float, *_):
+    lb = tempered_log_softmax(l, beta)
+    return -beta * lb[at], _residual(np.exp(lb), at)
+
+
+def _gem_rows(l, at, beta: float, *_):
+    pb = temper(l, beta)
+    return -l[at] + row_dots(pb, l), _residual(pb, at)
+
+
+def _focal_rows(l, at, cfg: FocalConfig, *_):
+    p = np.exp(l)
+    p_hat = p[at]
+    return -((1.0 - p_hat) ** cfg.gamma * l[at]), focal_scaling(p_hat, cfg.gamma)[:, None] * _residual(p, at)
+
+
+def _lambda_pr_rows(l, at, cfg: PrConfig, positions, lengths):
+    if np.any(positions < 1) or np.any(positions > lengths):
+        raise ValueError("need 1 <= position <= length in every row")
+    deltas = {m: drop_threshold(PrConfig(cfg.lam, cfg.alpha, 1, m)) for m in set(lengths.tolist())}
+    delta = np.array([deltas[m] for m in lengths.tolist()])
+    position_factor = np.array([cfg.lam ** ((i - 1) / m) for i, m in zip(positions.tolist(), lengths.tolist())])
+    p = np.exp(l)
+    p_hat = p[at]
+    if not np.all((0.0 <= p_hat) & (p_hat <= 1.0)):
+        raise ValueError("p_hat must lie in [0, 1]")
+    w = np.where(p_hat > delta, 0.0, position_factor * p_hat / (cfg.alpha + (1.0 - cfg.alpha) * p_hat))
+    return -w * l[at], w[:, None] * _residual(p, at)
+
+
+def _tofu_rows(l, at, cfg: TofuConfig, *_):
+    lb = tempered_log_softmax(l, cfg.beta)
+    g = focal_scaling(np.exp(l[at]), cfg.gamma)
+    return -g * cfg.beta * lb[at], g[:, None] * _residual(np.exp(lb), at)
+
+
+def _naive_tempered_focal_rows(l, at, cfg: TofuConfig, *_):
+    lb = tempered_log_softmax(l, cfg.beta)
+    pb = np.exp(lb)
+    pb_k = pb[at]
+    factor = np.array([(1.0 - x) ** cfg.gamma for x in pb_k.tolist()])
+    return -cfg.beta * factor * lb[at], focal_scaling(pb_k, cfg.gamma)[:, None] * _residual(pb, at)
+
+
 @dataclass(frozen=True)
 class Objective:
     """One OBJECTIVE_TABLE entry. oracle(z, target, params) is the scalar
     reference; params(cfg, position, length) builds its params argument from
     the hyperparameters the objective consumes, which is also their range
-    check; freeze(params, target, l0), set where the objective has a detached
+    check; kernel(l, at, params, positions, lengths), the oracle's rows form
+    that batch_loss calls, maps log-prob rows l (N, V) with one-hot targets
+    at = (arange(N), targets), params at position 1 of 1 and the rows' int
+    positions and lengths to values (N,) and logit gradients (N, V);
+    freeze(params, target, l0), set where the objective has a detached
     quantity, returns the finite-difference value function with it frozen,
     which maps logit rows (N, V) to their values (N,). soft_value(l, q, params),
     set for the soft-target objectives without a detached quantity, is the
@@ -386,6 +457,7 @@ class Objective:
 
     oracle: Callable[[Any, Target, Any], LossResult]
     params: Callable[["LossConfig", int, int], Any]
+    kernel: Callable[..., tuple[np.ndarray, np.ndarray]]
     default_beta: float = 1.0
     soft_targets: bool = False
     freeze: Callable[[Any, Target, np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
@@ -401,13 +473,13 @@ def _tofu_params(cfg: "LossConfig", position: int, length: int) -> TofuConfig:
 
 
 OBJECTIVE_TABLE = {
-    "ce": Objective(lambda z, target, _: ce(z, target), lambda cfg, i, m: None, soft_targets=True, soft_value=_ce_value),
-    "scaled_ce": Objective(scaled_ce, _beta_params, TEMPERED_DEFAULT_BETA, soft_targets=True, soft_value=_scaled_ce_value),
-    "gem": Objective(gem, _beta_params, GEM_DEFAULT_BETA, soft_targets=True, freeze=_gem_frozen),
-    "focal": Objective(focal, lambda cfg, i, m: FocalConfig(cfg.gamma), soft_targets=True, soft_value=_focal_value),
-    "lambda_pr": Objective(lambda_pr, lambda cfg, i, m: PrConfig(cfg.lam, cfg.alpha, i, m), freeze=_lambda_pr_frozen),
-    "tofu": Objective(tofu, _tofu_params, TEMPERED_DEFAULT_BETA, freeze=_tofu_frozen),
-    "naive_tempered_focal": Objective(naive_tempered_focal, _tofu_params, TEMPERED_DEFAULT_BETA),
+    "ce": Objective(lambda z, target, _: ce(z, target), lambda cfg, i, m: None, _ce_rows, soft_targets=True, soft_value=_ce_value),
+    "scaled_ce": Objective(scaled_ce, _beta_params, _scaled_ce_rows, TEMPERED_DEFAULT_BETA, soft_targets=True, soft_value=_scaled_ce_value),
+    "gem": Objective(gem, _beta_params, _gem_rows, GEM_DEFAULT_BETA, soft_targets=True, freeze=_gem_frozen),
+    "focal": Objective(focal, lambda cfg, i, m: FocalConfig(cfg.gamma), _focal_rows, soft_targets=True, soft_value=_focal_value),
+    "lambda_pr": Objective(lambda_pr, lambda cfg, i, m: PrConfig(cfg.lam, cfg.alpha, i, m), _lambda_pr_rows, freeze=_lambda_pr_frozen),
+    "tofu": Objective(tofu, _tofu_params, _tofu_rows, TEMPERED_DEFAULT_BETA, freeze=_tofu_frozen),
+    "naive_tempered_focal": Objective(naive_tempered_focal, _tofu_params, _naive_tempered_focal_rows, TEMPERED_DEFAULT_BETA),
 }
 OBJECTIVES = tuple(OBJECTIVE_TABLE)
 
@@ -437,9 +509,12 @@ class LossConfig:
         return OBJECTIVE_TABLE[self.objective].default_beta if self.beta is None else self.beta
 
     def params(self, position: int = 1, length: int = 1) -> Any:
-        """The oracle's params argument; raises ValueError on a consumed
-        hyperparameter out of range. The length-1 check is exact: the lambda-PR
-        drop threshold lies in (0, 1] at every length iff it does at length 1."""
+        """The oracle's params argument; raises ValueError on a position or
+        length that is not an int, or a consumed hyperparameter out of range.
+        The length-1 check is exact: the lambda-PR drop threshold lies in
+        (0, 1] at every length iff it does at length 1."""
+        if not INT_TYPES.issuperset((type(position), type(length))):
+            raise ValueError(f"position and length must be integers, got {position!r} and {length!r}")
         return OBJECTIVE_TABLE[self.objective].params(self, position, length)
 
     def to_dict(self) -> dict:
@@ -459,78 +534,32 @@ def token_loss(z, target: Target, cfg: LossConfig, position: int = 1, length: in
     return OBJECTIVE_TABLE[cfg.objective].oracle(z, target, cfg.params(position, length))
 
 
-def _residual(p: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """p - q for one-hot rows q."""
-    out = p.copy()
-    out[np.arange(len(targets)), targets] -= 1.0
-    return out
-
-
 def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-row values (N,) and logit gradients (N, V) of the objective in cfg.
 
     Row i is token_loss(logits[i], Target.one_hot(targets[i]), cfg,
     position=positions[i], length=lengths[i]) bit for bit, and a batch the
-    scalar path rejects raises the same error class. The kernel calls the
-    oracle's numerics.log_softmax and tempered_log_softmax on all rows at once,
-    input checks included, and repeats the rest of the scalar arithmetic
-    operation for operation, with its checks in vectorised form. The scalars
-    the oracle takes from Python float powers (lambda-PR's powers of lam, the
-    naive focal value's (1 - p^beta_k)^gamma) are computed the same way here,
-    row by row, because numpy's vectorised pow rounds differently. The GEM
-    value's dot is numerics.row_dots, the oracle's np.dot on each row.
+    scalar path rejects raises the same error class. This function makes the
+    checks every objective shares (the shapes, integer targets, positions and
+    lengths, the target range), takes the oracle's numerics.log_softmax of all
+    rows at once, input checks included, and calls the objective's table
+    kernel with cfg.params(), the only hyperparameters it sees.
     """
-    name = cfg.objective
-    beta = check_temperature(cfg.resolved_beta())
-    cfg.params()  # the scalar path's params, built here only for the errors they raise
+    params = cfg.params()
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError(f"logits must be an (N, V) array, got shape {z.shape}")
     n, v = z.shape
-    k, positions, lengths = (np.asarray(a, dtype=np.int64) for a in (targets, positions, lengths))
+    k, positions, lengths = (np.asarray(a) for a in (targets, positions, lengths))
     if not k.shape == positions.shape == lengths.shape == (n,):
         raise ValueError(
             f"need one target, position and length per row, got shapes {k.shape}, "
             f"{positions.shape}, {lengths.shape} for {n} rows"
         )
-    if name == "lambda_pr":
-        if np.any(positions < 1) or np.any(positions > lengths):
-            raise ValueError("need 1 <= position <= length in every row")
-        deltas = {m: drop_threshold(cfg.params(1, m)) for m in set(lengths.tolist())}
-        delta = np.array([deltas[m] for m in lengths.tolist()])
-        position_factor = np.array(
-            [cfg.lam ** ((i - 1) / m) for i, m in zip(positions.tolist(), lengths.tolist())]
-        )
+    if n and any(a.dtype.kind not in "iu" for a in (k, positions, lengths)):
+        raise ValueError(f"targets, positions and lengths must be integers, got {k.dtype}/{positions.dtype}/{lengths.dtype}")
+    k, positions, lengths = (a.astype(np.int64, copy=False) for a in (k, positions, lengths))
     l = log_softmax(z)
     if np.any(k < 0) or np.any(k >= v):
         raise ValueError(f"target index out of range for vocab {v}")
-
-    rows = np.arange(n)
-    p = np.exp(l)
-    l_k, p_hat = l[rows, k], p[rows, k]
-    if name == "ce":
-        return -l_k, _residual(p, k)
-    if name == "focal":
-        g = focal_scaling(p_hat, cfg.gamma)
-        return -((1.0 - p_hat) ** cfg.gamma * l_k), g[:, None] * _residual(p, k)
-    if name == "lambda_pr":
-        if not np.all((0.0 <= p_hat) & (p_hat <= 1.0)):
-            raise ValueError("p_hat must lie in [0, 1]")
-        w = np.where(p_hat > delta, 0.0, position_factor * p_hat / (cfg.alpha + (1.0 - cfg.alpha) * p_hat))
-        return -w * l_k, w[:, None] * _residual(p, k)
-
-    lb = tempered_log_softmax(l, beta)
-    pb = np.exp(lb)
-    lb_k, residual = lb[rows, k], _residual(pb, k)
-    if name == "scaled_ce":
-        return -beta * lb_k, residual
-    if name == "gem":
-        return -l_k + row_dots(pb, l), residual
-    if name == "tofu":
-        g = focal_scaling(p_hat, cfg.gamma)
-        return -g * beta * lb_k, g[:, None] * residual
-    if name == "naive_tempered_focal":
-        pb_k = pb[rows, k]
-        factor = np.array([(1.0 - x) ** cfg.gamma for x in pb_k.tolist()])
-        return -beta * factor * lb_k, focal_scaling(pb_k, cfg.gamma)[:, None] * residual
-    raise ValueError(f"unknown objective {name!r}")
+    return OBJECTIVE_TABLE[cfg.objective].kernel(l, (np.arange(n), k), params, positions, lengths)

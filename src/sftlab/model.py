@@ -12,15 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .numerics import INT_TYPES
+
 
 class TokenizationError(ValueError):
     """Raised when text contains characters outside the vocabulary, or a
     token id is not an integer or lies outside it."""
-
-
-# Python's int and every numpy integer scalar type; bool and np.bool_ are not
-# among them, so True is not read as token id 1
-_ID_TYPES = frozenset([int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])])
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,7 @@ class Vocab:
         id that is a float or a bool, or that lies outside [0, size)."""
         out = []
         for i in ids:
-            if type(i) not in _ID_TYPES:
+            if type(i) not in INT_TYPES:
                 raise TokenizationError(f"token ids must be integers, got {i!r}")
             if not 0 <= i < self.size:
                 raise TokenizationError(f"token id {i} out of range for vocab size {self.size}")
@@ -145,11 +142,6 @@ def pad_context(tokens, window: int, pad_id: int = 0) -> np.ndarray:
     return np.array([pad_id] * (window - len(tail)) + tail, dtype=np.int64)
 
 
-def _check_tokens(model: ToyModel, ctx: np.ndarray):
-    if ctx.min() < 0 or ctx.max() >= model.vocab.size:
-        raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
-
-
 def _layers(model: ToyModel, x: np.ndarray):
     """Logits (B, V) and hidden activations (B, h) of embedded windows x
     (B, c*d): the one copy of the layer formula."""
@@ -163,15 +155,19 @@ def _layers(model: ToyModel, x: np.ndarray):
 
 def forward_batch(model: ToyModel, contexts: np.ndarray):
     """Logits (B, V) for a batch of already-padded windows (B, c), plus the
-    activation cache the backward pass needs. Raises TokenizationError unless
-    the windows are an integer array (a float or bool dtype is not read as
-    ids) with every id in [0, V)."""
+    activation cache the backward pass needs; B may be 0. Raises ValueError
+    unless the windows are a 2-D (B, c) array, and TokenizationError unless
+    they are an integer array (a float or bool dtype is not read as ids) with
+    every id in [0, V)."""
     contexts = np.asarray(contexts)
+    if contexts.ndim != 2 or contexts.shape[1] != model.context:
+        raise ValueError(f"contexts must be (B, {model.context}) windows, got shape {contexts.shape}")
     if contexts.dtype.kind not in "iu":
         raise TokenizationError(f"token ids must be integers, got dtype {contexts.dtype}")
     contexts = contexts.astype(np.int64, copy=False)
-    _check_tokens(model, contexts)
-    x = model.embed[contexts].reshape(contexts.shape[0], -1)
+    if contexts.size and (contexts.min() < 0 or contexts.max() >= model.vocab.size):
+        raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
+    x = model.embed[contexts].reshape(len(contexts), model.context * model.embed.shape[1])
     logits, hidden = _layers(model, x)
     return logits, (contexts, x, hidden)
 
@@ -205,7 +201,7 @@ def _window(model: ToyModel, context_tokens) -> np.ndarray:
     tail = list(context_tokens)[-c:]
     if not tail:
         raise ValueError("context must contain at least one token")
-    if not _ID_TYPES.issuperset(map(type, tail)):
+    if not INT_TYPES.issuperset(map(type, tail)):
         raise TokenizationError(f"token ids must be integers, got {tail!r}")
     if min(tail) < 0 or max(tail) >= model.vocab.size:
         raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")

@@ -14,6 +14,10 @@ import numpy as np
 # exp(LOG_FLOOR) is the smallest positive denormal; anything below underflows to 0.
 LOG_FLOOR = -745.0
 
+# Python's int and every numpy integer scalar type; bool and np.bool_ are not
+# among them, so True is not read as index 1
+INT_TYPES = frozenset([int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])])
+
 
 def as_logits(z) -> np.ndarray:
     """Validate unnormalized logits, a vector (V,) or rows (N, V): float64,

@@ -229,6 +229,11 @@ class TestLambdaPr:
         w4 = pr_weight(0.1, PrConfig(0.5, 0.5, 4, 4))
         assert w4 == pytest.approx(w1 * 0.5 ** (3 / 4), rel=1e-12)
 
+    @pytest.mark.parametrize("position, length", [(1.5, 2), (1, 2.0), (True, 1)])
+    def test_rejects_non_integer_position_and_length(self, position, length):
+        with pytest.raises(ValueError, match="integers"):
+            PrConfig(0.5, 0.5, position, length)
+
     def test_soft_target_rejected(self):
         with pytest.raises(UnsupportedTargetError):
             lambda_pr(Z_04, Target.soft([0.5, 0.5]), PrConfig(1.0, 0.5, 1, 1))
@@ -511,3 +516,29 @@ class TestBatchLoss:
             batch_loss(np.zeros((3, 1)), one, one, one, LossConfig("ce"))
         with pytest.raises(ValueError):
             batch_loss(z, one[:2], one, one, LossConfig("ce"))
+
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_zero_rows_give_empty_values_and_grads(self, name):
+        none = np.zeros(0, dtype=np.int64)
+        for columns in ((none, none, none), ([], [], [])):
+            values, grads = batch_loss(np.zeros((0, 5)), *columns, LossConfig(name))
+            assert values.shape == (0,) and grads.shape == (0, 5)
+
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    @pytest.mark.parametrize(
+        "column, bad",
+        [(0, 1.7), (0, 1.0), (0, True), (1, 1.5), (1, 1.0), (1, np.bool_(True)), (2, 2.0), (2, True)],
+        ids=["target_float", "target_integral_float", "target_bool", "position_float",
+             "position_integral_float", "position_bool", "length_integral_float", "length_bool"],
+    )
+    def test_non_integer_targets_positions_and_lengths_rejected(self, name, column, bad):
+        # cast to int64, target 1.7 would read as 1 and True as 1
+        columns = [[1], [1], [2]]
+        columns[column] = [bad]
+        z = np.array([[0.3, -1.2, 0.5]])
+        with pytest.raises(ValueError, match="integer") as kernel_error:
+            batch_loss(z, *columns, LossConfig(name))
+        with pytest.raises(ValueError, match="integer") as oracle_error:
+            target, position, length = (c[0] for c in columns)
+            token_loss(z[0], Target.one_hot(target), LossConfig(name), position=position, length=length)
+        assert type(kernel_error.value) is type(oracle_error.value)

@@ -1,6 +1,8 @@
 """Toy-model tests: vocab round trips, padding, and the hand-written backward
 pass checked against parameter-space finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,22 @@ class TestForward:
         expected, _ = forward_batch(model, windows)
         logits, (contexts, _, _) = forward_batch(model, windows.astype(dtype))
         assert logits.tobytes() == expected.tobytes() and contexts.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), (2, 5), (1, 1, 4), (4,)], ids=["narrow", "wide", "three_d", "one_d"]
+    )
+    def test_forward_batch_rejects_windows_not_b_by_c(self, model, shape):
+        # a (2, 3) batch on a c=4 model used to die inside matmul, and a
+        # (1, 1, 4) array was read as one window
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            forward_batch(model, np.zeros(shape, dtype=np.int64))
+
+    def test_forward_batch_of_no_windows(self, model):
+        logits, cache = forward_batch(model, np.zeros((0, model.context), dtype=np.int64))
+        assert logits.shape == (0, model.vocab.size)
+        grads = backward_batch(model, cache, np.zeros((0, model.vocab.size)))
+        for name, grad in grads.named():
+            assert grad.shape == getattr(model, name).shape and not grad.any(), name
 
     def test_init_seed_reproducible(self, vocab):
         a = ToyModel.init(vocab, seed=5)
