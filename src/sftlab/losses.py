@@ -30,7 +30,17 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .numerics import INT_TYPES, as_probs, as_vector, check_temperature, log_softmax, row_dots, temper, tempered_log_softmax
+from .numerics import (
+    INT_TYPES,
+    _normalize,
+    as_probs,
+    as_vector,
+    check_temperature,
+    log_softmax,
+    row_dots,
+    temper,
+    tempered_log_softmax,
+)
 
 # Flagged defaults: the GEM temperature is inherited from its original
 # publication rather than re-derived here, and the lambda-PR pair (1.0, 0.5)
@@ -382,6 +392,13 @@ def _tofu_frozen(cfg: TofuConfig, target: Target, l0: np.ndarray) -> Callable[[n
 # computed the same way, row by row: numpy's vectorised pow rounds differently.
 
 
+def _tempered(l: np.ndarray, beta: float) -> np.ndarray:
+    """tempered_log_softmax(l, beta) without its input checks, bit for bit:
+    l is log_softmax's output, already valid log-probs, and params()
+    range-checked beta."""
+    return _normalize(l / beta)
+
+
 def _residual(p: np.ndarray, at) -> np.ndarray:
     """p - q for one-hot rows q."""
     out = p.copy()
@@ -394,12 +411,12 @@ def _ce_rows(l, at, *_):
 
 
 def _scaled_ce_rows(l, at, beta: float, *_):
-    lb = tempered_log_softmax(l, beta)
+    lb = _tempered(l, beta)
     return -beta * lb[at], _residual(np.exp(lb), at)
 
 
 def _gem_rows(l, at, beta: float, *_):
-    pb = temper(l, beta)
+    pb = np.exp(_tempered(l, beta))
     return -l[at] + row_dots(pb, l), _residual(pb, at)
 
 
@@ -424,13 +441,13 @@ def _lambda_pr_rows(l, at, cfg: PrConfig, positions, lengths):
 
 
 def _tofu_rows(l, at, cfg: TofuConfig, *_):
-    lb = tempered_log_softmax(l, cfg.beta)
+    lb = _tempered(l, cfg.beta)
     g = focal_scaling(np.exp(l[at]), cfg.gamma)
     return -g * cfg.beta * lb[at], g[:, None] * _residual(np.exp(lb), at)
 
 
 def _naive_tempered_focal_rows(l, at, cfg: TofuConfig, *_):
-    lb = tempered_log_softmax(l, cfg.beta)
+    lb = _tempered(l, cfg.beta)
     pb = np.exp(lb)
     pb_k = pb[at]
     factor = np.array([(1.0 - x) ** cfg.gamma for x in pb_k.tolist()])

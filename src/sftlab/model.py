@@ -142,23 +142,69 @@ def pad_context(tokens, window: int, pad_id: int = 0) -> np.ndarray:
     return np.array([pad_id] * (window - len(tail)) + tail, dtype=np.int64)
 
 
-def _layers(model: ToyModel, x: np.ndarray):
+class Workspace:
+    """Buffers for the training step of up to `rows` windows of one model
+    shape (V, d, c, h): the forward activations x, hidden and logits, the
+    backward scratch dhidden, dpre, dx and the embedding scatter's slots, the
+    gradients, and one scratch array per parameter for the update. Built with
+    np.empty, so a step touches only the rows it uses; reused, it spares each
+    step the allocation and first-touch page faults of these arrays."""
+
+    def __init__(self, model: ToyModel, rows: int):
+        self.key = V, d, c, h = self.shape(model)
+        self.rows = rows
+        self.x = np.empty((rows, c * d))
+        self.hidden = np.empty((rows, h))
+        self.logits = np.empty((rows, V))
+        self.dhidden = np.empty((rows, h))
+        self.dpre = np.empty((rows, h))
+        self.dx = np.empty((rows, c * d))
+        self.slots = np.empty((rows, c, d), dtype=np.int64)
+        self.grads = Gradients(*(np.empty_like(p) for _, p in model.named_params()))
+        self.scratch = Gradients(*(np.empty_like(p) for _, p in model.named_params()))
+
+    @staticmethod
+    def shape(model: ToyModel) -> tuple[int, int, int, int]:
+        """The model's (V, d, c, h)."""
+        return (*model.embed.shape, model.context, model.b_hidden.shape[0])
+
+    def fits(self, model: ToyModel, rows: int) -> bool:
+        """Whether this workspace holds `rows` rows of the model's shape."""
+        return rows <= self.rows and self.key == self.shape(model)
+
+
+def _workspace(model: ToyModel, rows: int, workspace: Workspace | None) -> Workspace:
+    """The given workspace, checked to fit, or one for this call only."""
+    if workspace is None:
+        return Workspace(model, rows)
+    if not workspace.fits(model, rows):
+        raise ValueError(f"workspace of {workspace.rows} rows of shape {workspace.key} does not fit {rows} rows")
+    return workspace
+
+
+def _layers(model: ToyModel, x: np.ndarray, hidden=None, logits=None):
     """Logits (B, V) and hidden activations (B, h) of embedded windows x
-    (B, c*d): the one copy of the layer formula."""
-    hidden = x @ model.w_hidden
+    (B, c*d), written into the given buffers or fresh arrays: the one copy of
+    the layer formula."""
+    hidden = np.matmul(x, model.w_hidden, out=hidden)
     hidden += model.b_hidden
     np.tanh(hidden, out=hidden)
-    logits = hidden @ model.w_out
+    logits = np.matmul(hidden, model.w_out, out=logits)
     logits += model.b_out
     return logits, hidden
 
 
-def forward_batch(model: ToyModel, contexts: np.ndarray):
+def forward_batch(model: ToyModel, contexts: np.ndarray, workspace: Workspace | None = None):
     """Logits (B, V) for a batch of already-padded windows (B, c), plus the
     activation cache the backward pass needs; B may be 0. Raises ValueError
     unless the windows are a 2-D (B, c) array, and TokenizationError unless
     they are an integer array (a float or bool dtype is not read as ids) with
-    every id in [0, V)."""
+    every id in [0, V).
+
+    Given a workspace that fits B rows of this model's shape (ValueError
+    otherwise), the logits and the cache are views of its buffers, valid
+    until its next use; without one they are fresh arrays.
+    """
     contexts = np.asarray(contexts)
     if contexts.ndim != 2 or contexts.shape[1] != model.context:
         raise ValueError(f"contexts must be (B, {model.context}) windows, got shape {contexts.shape}")
@@ -167,29 +213,44 @@ def forward_batch(model: ToyModel, contexts: np.ndarray):
     contexts = contexts.astype(np.int64, copy=False)
     if contexts.size and (contexts.min() < 0 or contexts.max() >= model.vocab.size):
         raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
-    x = model.embed[contexts].reshape(len(contexts), model.context * model.embed.shape[1])
-    logits, hidden = _layers(model, x)
+    B, c = contexts.shape
+    ws = _workspace(model, B, workspace)
+    x = ws.x[:B]
+    # every id is in range; mode="clip" gathers straight into out, where
+    # mode="raise" would gather into a temporary and copy
+    np.take(model.embed, contexts, axis=0, out=x.reshape(B, c, model.embed.shape[1]), mode="clip")
+    logits, hidden = _layers(model, x, ws.hidden[:B], ws.logits[:B])
     return logits, (contexts, x, hidden)
 
 
-def backward_batch(model: ToyModel, cache, dlogits: np.ndarray) -> Gradients:
+def backward_batch(model: ToyModel, cache, dlogits: np.ndarray, workspace: Workspace | None = None) -> Gradients:
     """Exact reverse pass. dlogits rows carry whatever per-position scaling the
-    caller chose; this function is linear in them."""
+    caller chose; this function is linear in them.
+
+    Given a workspace that fits the cache's rows (ValueError otherwise), the
+    gradients are its buffers, valid until its next use; without one they are
+    fresh arrays.
+    """
     contexts, x, hidden = cache
-    dhidden = dlogits @ model.w_out.T
-    dpre = (1.0 - hidden**2) * dhidden
-    dx = dpre @ model.w_hidden.T
+    B = len(x)
+    ws = _workspace(model, B, workspace)
+    dhidden = np.matmul(dlogits, model.w_out.T, out=ws.dhidden[:B])
+    dpre = np.square(hidden, out=ws.dpre[:B])
+    np.subtract(1.0, dpre, out=dpre)
+    dpre *= dhidden
+    dx = np.matmul(dpre, model.w_hidden.T, out=ws.dx[:B])
     # one bincount over flat (token, column) slots sums each slot's terms in
     # row order, the order np.add.at would use, so the result is bit-equal
     V, d = model.embed.shape
-    slots = (contexts[..., None] * d + np.arange(d)).ravel()
-    return Gradients(
-        embed=np.bincount(slots, weights=dx.ravel(), minlength=V * d).reshape(V, d),
-        w_hidden=x.T @ dpre,
-        b_hidden=dpre.sum(axis=0),
-        w_out=hidden.T @ dlogits,
-        b_out=dlogits.sum(axis=0),
-    )
+    slots = np.multiply(contexts[..., None], d, out=ws.slots[:B])
+    slots += np.arange(d)
+    grads = ws.grads
+    grads.embed[...] = np.bincount(slots.ravel(), weights=dx.ravel(), minlength=V * d).reshape(V, d)
+    np.matmul(x.T, dpre, out=grads.w_hidden)
+    np.sum(dpre, axis=0, out=grads.b_hidden)
+    np.matmul(hidden.T, dlogits, out=grads.w_out)
+    np.sum(dlogits, axis=0, out=grads.b_out)
+    return grads
 
 
 def _window(model: ToyModel, context_tokens) -> np.ndarray:

@@ -9,6 +9,7 @@ checkpoints.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from .hashing import config_hash, read_jsonl, write_file
 # token_loss stays importable from here: perfbench traces it under this module's name
 from .losses import LossConfig, batch_loss, token_loss  # noqa: F401
-from .model import Gradients, ToyModel, Vocab, backward_batch, forward, forward_batch
+from .model import Gradients, ToyModel, Vocab, Workspace, backward_batch, forward, forward_batch
 from .numerics import log_softmax
 
 
@@ -243,6 +244,20 @@ class Checkpoint:
         return cls(model=model, step=step, config_hash=cfg_hash)
 
 
+# at most one step workspace per thread, kept across train calls: concurrent
+# trainers never share buffers, and a repeat call reuses pages already mapped
+_step_workspaces = threading.local()
+
+
+def _step_workspace(model: ToyModel, rows: int) -> Workspace:
+    """This thread's workspace, rebuilt when the model's shape differs from
+    its own or a step needs more rows than it holds."""
+    ws = getattr(_step_workspaces, "workspace", None)
+    if ws is None or not ws.fits(model, rows):
+        ws = _step_workspaces.workspace = Workspace(model, rows)
+    return ws
+
+
 def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint, list[TraceRow]]:
     """Minibatch SGD with decoupled weight decay (weights only, never biases).
 
@@ -251,8 +266,11 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
     the mean over examples of each example's per-position mean, taken from
     one losses.batch_loss call per step and summed left to right. The corpus
     is encoded once, into flat rows (one per training position) that each
-    step gathers its batch from. Non-finite logits, a non-finite loss, or
-    non-finite parameters after the last update abort with the failing step.
+    step gathers its batch from. Each step writes its activations, gradients
+    and update terms into this thread's model.Workspace, which outlives the
+    call; no returned array is one of its buffers. Non-finite logits, a
+    non-finite loss, or non-finite parameters after the last update abort
+    with the failing step.
     """
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
@@ -278,11 +296,12 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
 
     velocity = Gradients.zeros_like(model) if cfg.momentum > 0 else None
     decayed = {"embed", "w_hidden", "w_out"}
+    ws = _step_workspace(model, cfg.batch_size * int(encoded.sizes.max()))
 
     for step in range(cfg.total_steps):
         lr = schedule_lr(step, cfg)
         rows = encoded.rows(next_batch())
-        logits, cache = forward_batch(model, encoded.contexts[rows])
+        logits, cache = forward_batch(model, encoded.contexts[rows], ws)
         if not np.all(np.isfinite(logits)):
             # parameters overflowed on an earlier update; the per-token losses
             # themselves are bounded by the log floor and cannot signal this
@@ -295,17 +314,18 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
         loss = left_sum(values * row_weights)
         if not np.isfinite(loss):
             raise TrainingDivergedError(step, f"non-finite loss at step {step}")
-        grads = backward_batch(model, cache, dlogits)
+        grads = backward_batch(model, cache, dlogits, ws)
         for name, param in model.named_params():
             g = getattr(grads, name)
+            scratch = getattr(ws.scratch, name)
             if velocity is not None:
                 v = getattr(velocity, name)
                 v *= cfg.momentum
                 v += g
                 g = v
-            param -= lr * g
+            param -= np.multiply(lr, g, out=scratch)
             if cfg.weight_decay > 0 and name in decayed:
-                param -= lr * cfg.weight_decay * param
+                param -= np.multiply(lr * cfg.weight_decay, param, out=scratch)
         trace.append(TraceRow(step, float(loss), float(lr)))
     if cfg.total_steps > 0 and not all(np.all(np.isfinite(p)) for _, p in model.named_params()):
         # an overflow on the last update has no next step's logits to show it

@@ -12,6 +12,7 @@ from sftlab.model import (
     TokenizationError,
     ToyModel,
     Vocab,
+    Workspace,
     backward,
     backward_batch,
     forward,
@@ -226,6 +227,32 @@ class TestBackward:
         d = np.ones((1, model.vocab.size))
         grads = backward_batch(model, cache, d)
         assert np.abs(grads.embed[2]).sum() > 0
+
+    def test_workspace_gives_the_fresh_arrays_bit_for_bit(self, model):
+        ws = Workspace(model, 5)
+        for buf in (ws.x, ws.hidden, ws.logits, ws.dhidden, ws.dpre, ws.dx, *(g for _, g in ws.grads.named())):
+            buf.fill(np.nan)  # stale contents must not reach any output
+        rng = np.random.default_rng(2)
+        for rows in (3, 5, 2, 0):
+            ctx = rng.integers(0, model.vocab.size, (rows, model.context))
+            d = rng.normal(size=(rows, model.vocab.size))
+            logits, cache = forward_batch(model, ctx)
+            grads = backward_batch(model, cache, d)
+            ws_logits, ws_cache = forward_batch(model, ctx, ws)
+            ws_grads = backward_batch(model, ws_cache, d, ws)
+            assert ws_logits.tobytes() == logits.tobytes()
+            for name, grad in grads.named():
+                assert getattr(ws_grads, name).tobytes() == grad.tobytes(), (rows, name)
+
+    def test_workspace_that_does_not_fit_is_rejected(self, model, vocab):
+        ctx = np.zeros((3, model.context), dtype=np.int64)
+        _, cache = forward_batch(model, ctx)
+        other = ToyModel.init(vocab, context=4, embed_dim=6, hidden_dim=12)
+        for ws in (Workspace(model, 2), Workspace(other, 3)):
+            with pytest.raises(ValueError, match="does not fit 3 rows"):
+                forward_batch(model, ctx, ws)
+            with pytest.raises(ValueError, match="does not fit 3 rows"):
+                backward_batch(model, cache, np.zeros((3, model.vocab.size)), ws)
 
     def test_dlogits_shape_checked(self, model):
         with pytest.raises(ValueError):
