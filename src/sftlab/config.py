@@ -17,7 +17,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .hashing import read_jsonl
+from .hashing import check_int_fields, read_jsonl
 from .losses import LossConfig
 from .metrics import AGGREGATE_IDS
 from .model import Vocab
@@ -114,6 +114,7 @@ class ModelSpec:
     vocab: str | None = None
 
     def __post_init__(self):
+        check_int_fields(self, "context", "embed_dim", "hidden_dim")
         if min(self.context, self.embed_dim, self.hidden_dim) < 1:
             raise ValueError("dimensions must be >= 1")
         if self.vocab is not None:

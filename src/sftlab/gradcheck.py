@@ -28,8 +28,7 @@ from .losses import (
     LossConfig,
     Target,
     TofuConfig,
-    UnsupportedTargetError,
-    batch_loss,
+    _oracle_inputs,
     ce,
     focal,
     focal_scaling,
@@ -39,7 +38,7 @@ from .losses import (
     token_loss,
     tofu,
 )
-from .numerics import as_vector, entropy_logit_gradient_rows, log_softmax, tempered_log_softmax
+from .numerics import entropy_logit_gradient_rows, log_softmax, tempered_log_softmax
 
 IDENTITY_TOL = 1e-12
 FOCAL_PROPORTION_TOL = 1e-10
@@ -81,6 +80,9 @@ class FiniteDiffSpec:
     def norm_floor(self) -> float:
         """Gradient norm below which the absolute term dominates the check."""
         return self.atol / self.tolerance
+
+
+FD_SPEC = FiniteDiffSpec()  # the step and tolerances of every finite-difference check
 
 
 @dataclass
@@ -186,28 +188,28 @@ def rel_error(candidate, reference, floor: float = 1e-12) -> float:
 
     The default floor only guards division by zero, which suits comparisons of
     two closed forms (their agreement does not degrade as the gradient
-    shrinks). Finite-difference comparisons pass floor = spec.norm_floor, which
-    turns `rel_error <= tol` into the mixed test |a-b| <= tol*|b| + atol.
+    shrinks). Finite-difference comparisons pass floor = FD_SPEC.norm_floor,
+    which turns `rel_error <= tol` into the mixed test |a-b| <= tol*|b| + atol.
     """
     candidate = np.asarray(candidate, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     return float(np.abs(candidate - reference).max() / (np.abs(reference).max() + floor))
 
 
-def fd_gradient(value_fn: Callable[[np.ndarray], np.ndarray], z, spec: FiniteDiffSpec = FiniteDiffSpec()) -> np.ndarray:
+def fd_gradient(value_fn: Callable[[np.ndarray], np.ndarray], z) -> np.ndarray:
     """Central-difference gradient of a function of the logits, from one call.
 
     value_fn maps stencil rows (N, V) to their values (N,). It gets the whole
-    stencil at once: row j is z with spec.step added to component j, row V + j
-    is z with it subtracted. Raises OracleError naming the first component
-    whose pair of values is not finite.
+    stencil at once: row j is z with FD_SPEC.step added to component j, row
+    V + j is z with it subtracted. Raises OracleError naming the first
+    component whose pair of values is not finite.
     """
     z = np.asarray(z, dtype=np.float64)
     size = z.size
     cols = np.arange(size)
     rows = np.tile(z, (2 * size, 1))
-    rows[cols, cols] += spec.step
-    rows[size + cols, cols] -= spec.step
+    rows[cols, cols] += FD_SPEC.step
+    rows[size + cols, cols] -= FD_SPEC.step
     values = np.asarray(value_fn(rows), dtype=np.float64)
     if values.shape != (2 * size,):
         raise ValueError(f"value_fn must map {2 * size} stencil rows to {2 * size} values, got shape {values.shape}")
@@ -216,7 +218,7 @@ def fd_gradient(value_fn: Callable[[np.ndarray], np.ndarray], z, spec: FiniteDif
     if bad.any():
         j = int(bad.argmax())
         raise OracleError(f"non-finite value at component {j}: f+={float(fp[j])} f-={float(fm[j])}")
-    return (fp - fm) / (2.0 * spec.step)
+    return (fp - fm) / (2.0 * FD_SPEC.step)
 
 
 def frozen_value_fn(
@@ -224,64 +226,51 @@ def frozen_value_fn(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Values of logit rows (N, V) with detached quantities frozen at z0.
 
-    GEM freezes its tempered distribution, lambda-PR freezes the weight (and
-    with it the drop indicator), TOFU freezes the focal factor, each through
-    its OBJECTIVE_TABLE entry. The remaining objectives differentiate their
-    value expressions as written: batch_loss's values for a one-hot target,
-    which equal the oracle's row for row, and the table entry's soft_value,
-    the oracle's own value formula, on all rows at once for a soft one. Row
-    i's value is the scalar value at that row, bit for bit. A target or z0
-    the oracle rejects raises the oracle's error class.
+    One route for every objective: its OBJECTIVE_TABLE value formula on the
+    log-softmax of all the rows, with the detached quantity (GEM's tempered
+    distribution, lambda-PR's weight and with it the drop indicator, TOFU's
+    focal factor) taken at the log-softmax of z0. The oracle returns the same
+    formula at its own point, so at z0 the value is the oracle's, and row i's
+    value is the formula at that row alone, bit for bit. A target or z0 the
+    oracle rejects raises the oracle's error class, checked in its order.
     """
     objective = OBJECTIVE_TABLE[cfg.objective]
     params = cfg.params(position, length)
-    z0 = as_vector(z0)
-    if not (target.is_one_hot or objective.soft_targets):
-        raise UnsupportedTargetError(f"{cfg.objective} is defined for one-hot targets only")
-    q = target.dense(z0.size)  # the oracle's ValueError for a target that does not fit z0
-    if objective.freeze is not None:
-        return objective.freeze(params, target, log_softmax(z0))
-    if not target.is_one_hot:
-        return lambda rows: objective.soft_value(log_softmax(rows), q, params)
-
-    def values(rows):
-        n = len(rows)
-        return batch_loss(rows, np.full(n, target.index), np.full(n, position), np.full(n, length), cfg)[0]
-
-    return values
+    l0, _ = _oracle_inputs(cfg.objective, z0, target)
+    return lambda rows: objective.value(log_softmax(rows), target, params, l0)
 
 
-def verify_gem_equivalence(trials: int = 1000, seed: int = 0, fd: FiniteDiffSpec = FiniteDiffSpec()) -> CheckReport:
+def verify_gem_equivalence(trials: int = 1000, seed: int = 0) -> CheckReport:
     """GEM's closed-form gradient equals the tempered-CE gradient, and both
     match finite differences of the GEM value with the tempered distribution
     frozen at the base point."""
     rng = np.random.default_rng(seed)
-    tally = _Tally(identity=IDENTITY_TOL, fd=fd.tolerance)
+    tally = _Tally(identity=IDENTITY_TOL, fd=FD_SPEC.tolerance)
     for _ in range(trials):
         t = draw_trial(rng)
         target = Target.one_hot(t.index)
         g_gem = gem(t.z, target, t.beta).grad
         g_sce = scaled_ce(t.z, target, t.beta).grad
         tally.add("identity", rel_error(g_gem, g_sce), t.describe)
-        numeric = fd_gradient(frozen_value_fn(LossConfig("gem", beta=t.beta), t.z, target), t.z, fd)
+        numeric = fd_gradient(frozen_value_fn(LossConfig("gem", beta=t.beta), t.z, target), t.z)
         for analytic in (g_gem, g_sce):
-            tally.add("fd", rel_error(numeric, analytic, fd.norm_floor), t.describe)
+            tally.add("fd", rel_error(numeric, analytic, FD_SPEC.norm_floor), t.describe)
     return tally.report("gem_equivalence", trials)
 
 
-def verify_focal_scaling(trials: int = 1000, seed: int = 0, fd: FiniteDiffSpec = FiniteDiffSpec()) -> CheckReport:
+def verify_focal_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
     """One-hot focal gradients are g(p_hat, gamma)-rescaled CE gradients; the
     rescaling does NOT survive soft targets, witnessed by componentwise ratios."""
     rng = np.random.default_rng(seed)
-    tally = _Tally(identity=FOCAL_PROPORTION_TOL, fd=fd.tolerance)
+    tally = _Tally(identity=FOCAL_PROPORTION_TOL, fd=FD_SPEC.tolerance)
     for _ in range(trials):
         t = draw_trial(rng)
         target = Target.one_hot(t.index)
         got = focal(t.z, target, FocalConfig(t.gamma)).grad
         p_hat = float(np.exp(log_softmax(t.z))[t.index])
         tally.add("identity", rel_error(got, focal_scaling(p_hat, t.gamma) * ce(t.z, target).grad), t.describe)
-        numeric = fd_gradient(frozen_value_fn(LossConfig("focal", gamma=t.gamma), t.z, target), t.z, fd)
-        tally.add("fd", rel_error(numeric, got, fd.norm_floor), t.describe)
+        numeric = fd_gradient(frozen_value_fn(LossConfig("focal", gamma=t.gamma), t.z, target), t.z)
+        tally.add("fd", rel_error(numeric, got, FD_SPEC.norm_floor), t.describe)
 
     # Soft-target witness. Needs vocab >= 3: gradients of both losses sum to
     # zero, so at size 2 they are always collinear and the ratios cannot split.
@@ -296,12 +285,12 @@ def verify_focal_scaling(trials: int = 1000, seed: int = 0, fd: FiniteDiffSpec =
         target = Target.soft(q)
         got = focal(z, target, FocalConfig(gamma)).grad
         cg = ce(z, target).grad
-        numeric = fd_gradient(frozen_value_fn(LossConfig("focal", gamma=gamma), z, target), z, fd)
+        numeric = fd_gradient(frozen_value_fn(LossConfig("focal", gamma=gamma), z, target), z)
 
         def inputs():
             return {"z": z.tolist(), "q": q.tolist(), "gamma": gamma}
 
-        tally.add("fd", rel_error(numeric, got, fd.norm_floor), inputs)
+        tally.add("fd", rel_error(numeric, got, FD_SPEC.norm_floor), inputs)
         keep = np.abs(cg) > 1e-6 * np.abs(cg).max()
         ratios = got[keep] / cg[keep]
         spread = float(ratios.max() - ratios.min())
@@ -422,12 +411,7 @@ def _trial_loss_config(name: str, t: Trial, rng: np.random.Generator) -> tuple[L
     return LossConfig(name, gamma=t.gamma, beta=t.beta), 1, 1
 
 
-def verify_finite_difference(
-    trials: int = 1000,
-    seed: int = 0,
-    fd: FiniteDiffSpec = FiniteDiffSpec(),
-    objectives=None,
-) -> CheckReport:
+def verify_finite_difference(trials: int = 1000, seed: int = 0, objectives=None) -> CheckReport:
     """Every objective's closed-form gradient against central differences.
 
     Runs `trials` random draws per objective. Soft targets are mixed in for
@@ -439,7 +423,7 @@ def verify_finite_difference(
         if name not in OBJECTIVES:
             raise ValueError(f"unknown objective {name!r}")
     rng = np.random.default_rng(seed)
-    tally = _Tally(fd=fd.tolerance)
+    tally = _Tally(fd=FD_SPEC.tolerance)
     per_objective = {}
     for name in names:
         soft_targets = OBJECTIVE_TABLE[name].soft_targets
@@ -452,13 +436,13 @@ def verify_finite_difference(
                 target = Target.one_hot(t.index)
             cfg, position, length = _trial_loss_config(name, t, rng)
             analytic = token_loss(t.z, target, cfg, position=position, length=length).grad
-            numeric = fd_gradient(frozen_value_fn(cfg, t.z, target, position, length), t.z, fd)
+            numeric = fd_gradient(frozen_value_fn(cfg, t.z, target, position, length), t.z)
 
             def inputs():
                 drawn = {"target": t.index} if target.is_one_hot else {"q": target.dist.tolist()}
                 return {**cfg.key(), "z": t.z.tolist(), **drawn, "position": position, "length": length}
 
-            worst = max(worst, tally.add("fd", rel_error(numeric, analytic, fd.norm_floor), inputs))
+            worst = max(worst, tally.add("fd", rel_error(numeric, analytic, FD_SPEC.norm_floor), inputs))
         per_objective[name] = worst
     return tally.report("finite_difference_oracle", trials * len(names), extras={"per_objective": per_objective})
 

@@ -32,6 +32,16 @@ def _normalize(obj):
     return obj
 
 
+def check_int_fields(record, *names: str):
+    """Raise ValueError unless each named field of a config record is a Python
+    int: never a bool, which hashes as true and counts as 1, nor a numpy
+    integer, which canonical_json cannot write."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def canonical_json(obj) -> str:
     return json.dumps(_normalize(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
 

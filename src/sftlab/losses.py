@@ -9,10 +9,11 @@ computed as plain constants before the gradient is assembled, which is all
 "stop-gradient" means without an autograd tape.
 
 OBJECTIVE_TABLE states each objective's facts once: its scalar function, the
-hyperparameters it consumes, its rows kernel, its default beta, whether it
-takes soft targets, how finite differences freeze its detached quantity, and,
-for a soft-target objective with none, its value at a target distribution over
-log-prob rows. Its names, in order, are OBJECTIVES: ce, scaled_ce, gem, focal,
+hyperparameters it consumes, its rows kernel, its one value formula over
+log-prob rows, its default beta and whether it takes soft targets. The value
+formula takes the detached quantity at base log-probs, so the oracle (at its
+own point) and finite differences (held at the base point) read the same
+expression. Its names, in order, are OBJECTIVES: ce, scaled_ce, gem, focal,
 lambda_pr, tofu, naive_tempered_focal.
 
 Training runs batch_loss over (N, V) logits. It makes the checks every
@@ -39,7 +40,6 @@ from .numerics import (
     log_softmax,
     row_dots,
     temper,
-    tempered_log_softmax,
 )
 
 # Flagged defaults: the GEM temperature is inherited from its original
@@ -218,37 +218,71 @@ def focal_scaling(p_hat, gamma: float):
     return float(out[0]) if scalar else out
 
 
-def _q_dot(q: np.ndarray, m: np.ndarray):
-    """np.dot(q, .) over the last axis of m: 0-d for a vector, (N,) for rows.
-
-    Rows go through numerics.row_dots, so a row's value is its vector's value
-    bit for bit.
-    """
-    return np.dot(q, m) if m.ndim == 1 else row_dots(m, q)
+def _tempered(l: np.ndarray, beta: float) -> np.ndarray:
+    """tempered_log_softmax(l, beta) without its input checks, bit for bit:
+    l is log_softmax's output, already valid log-probs, and params() or the
+    oracle range-checked beta."""
+    return _normalize(l / beta)
 
 
-# Values at a target distribution q of log-probs l, a vector or rows. The
-# oracles return them, and finite differences of a soft target evaluate them
-# on the whole stencil at once.
+# Value formulas (Objective.value). Each maps log-prob rows l (N, V) to their
+# values (N,) at the target, with the objective's detached quantity taken at
+# base log-probs l0 (V,) and held constant over the rows. The oracle returns
+# the formula at its own log-probs; finite differences call it once on the
+# whole stencil. Dots with the target are numerics.row_dots, so row i is the
+# value at that row alone, bit for bit.
 
 
-def _ce_value(l: np.ndarray, q: np.ndarray, _) -> np.ndarray:
-    return -_q_dot(q, l)
+def _ce_value(l: np.ndarray, target: Target, _, l0: np.ndarray) -> np.ndarray:
+    return -row_dots(l, target.dense(l.shape[1]))
 
 
-def _scaled_ce_value(l: np.ndarray, q: np.ndarray, beta: float) -> np.ndarray:
-    return -beta * _q_dot(q, tempered_log_softmax(l, beta))
+def _scaled_ce_value(l: np.ndarray, target: Target, beta: float, l0: np.ndarray) -> np.ndarray:
+    return -beta * row_dots(_tempered(l, beta), target.dense(l.shape[1]))
 
 
-def _focal_value(l: np.ndarray, q: np.ndarray, cfg: FocalConfig) -> np.ndarray:
-    return -_q_dot(q, (1.0 - np.exp(l)) ** cfg.gamma * l)
+def _gem_value(l: np.ndarray, target: Target, beta: float, l0: np.ndarray) -> np.ndarray:
+    pb0 = np.exp(_tempered(l0, beta))  # detached tempered distribution
+    return -row_dots(l, target.dense(l.shape[1])) + row_dots(l, pb0)
+
+
+def _focal_value(l: np.ndarray, target: Target, cfg: FocalConfig, l0: np.ndarray) -> np.ndarray:
+    return -row_dots((1.0 - np.exp(l)) ** cfg.gamma * l, target.dense(l.shape[1]))
+
+
+def _lambda_pr_value(l: np.ndarray, target: Target, cfg: PrConfig, l0: np.ndarray) -> np.ndarray:
+    k = target.index
+    return -pr_weight(np.exp(l0)[k], cfg) * l[:, k]  # detached weight
+
+
+def _tofu_value(l: np.ndarray, target: Target, cfg: TofuConfig, l0: np.ndarray) -> np.ndarray:
+    k = target.index
+    g0 = focal_scaling(float(np.exp(l0[k])), cfg.gamma)  # detached focal factor
+    return -g0 * cfg.beta * _tempered(l, cfg.beta)[:, k]
+
+
+def _naive_tempered_focal_value(l: np.ndarray, target: Target, cfg: TofuConfig, l0: np.ndarray) -> np.ndarray:
+    lb_k = _tempered(l, cfg.beta)[:, target.index]
+    factor = np.array([(1.0 - x) ** cfg.gamma for x in np.exp(lb_k).tolist()])
+    return -cfg.beta * factor * lb_k
+
+
+def _oracle_inputs(name: str, z, target: Target) -> tuple[np.ndarray, np.ndarray]:
+    """The named objective's input checks, in the order every oracle and
+    finite differences make them (z a vector, a soft target only where the
+    objective takes one, the target fitting z), then log_softmax(z) and the
+    dense target."""
+    z = as_vector(z)
+    if not (target.is_one_hot or OBJECTIVE_TABLE[name].soft_targets):
+        raise UnsupportedTargetError(f"{name} is defined for one-hot targets only")
+    q = target.dense(z.size)
+    return log_softmax(z), q
 
 
 def ce(z, target: Target) -> LossResult:
     """Cross-entropy: value -sum_i q_i l_i, gradient p - q."""
-    l = log_softmax(as_vector(z))
-    q = target.dense(l.size)
-    return LossResult(float(_ce_value(l, q, None)), np.exp(l) - q)
+    l, q = _oracle_inputs("ce", z, target)
+    return LossResult(float(_ce_value(l[None], target, None, l)[0]), np.exp(l) - q)
 
 
 def scaled_ce(z, target: Target, beta: float) -> LossResult:
@@ -258,9 +292,8 @@ def scaled_ce(z, target: Target, beta: float) -> LossResult:
     jacobian, so the gradient is exactly the tempered residual.
     """
     beta = check_temperature(beta)
-    l = log_softmax(as_vector(z))
-    q = target.dense(l.size)
-    return LossResult(float(_scaled_ce_value(l, q, beta)), temper(l, beta) - q)
+    l, q = _oracle_inputs("scaled_ce", z, target)
+    return LossResult(float(_scaled_ce_value(l[None], target, beta, l)[0]), temper(l, beta) - q)
 
 
 def gem(z, target: Target, beta: float = GEM_DEFAULT_BETA) -> LossResult:
@@ -273,11 +306,8 @@ def gem(z, target: Target, beta: float = GEM_DEFAULT_BETA) -> LossResult:
     than differentiating the value expression naively.
     """
     beta = check_temperature(beta)
-    l = log_softmax(as_vector(z))
-    pb = temper(l, beta)  # detached: a constant from here on
-    q = target.dense(l.size)
-    value = float(-np.dot(q, l) + np.dot(pb, l))
-    return LossResult(value, pb - q)
+    l, q = _oracle_inputs("gem", z, target)
+    return LossResult(float(_gem_value(l[None], target, beta, l)[0]), temper(l, beta) - q)
 
 
 def focal(z, target: Target, cfg: FocalConfig) -> LossResult:
@@ -289,10 +319,9 @@ def focal(z, target: Target, cfg: FocalConfig) -> LossResult:
     g_i = focal_scaling(p_i, gamma), which is not proportional to p - q in
     general (the per-component factors differ).
     """
-    l = log_softmax(as_vector(z))
+    l, q = _oracle_inputs("focal", z, target)
     p = np.exp(l)
-    q = target.dense(l.size)
-    value = float(_focal_value(l, q, cfg))
+    value = float(_focal_value(l[None], target, cfg, l)[0])
     if target.is_one_hot:
         grad = focal_scaling(p[target.index], cfg.gamma) * (p - q)
     else:
@@ -309,13 +338,10 @@ def lambda_pr(z, target: Target, cfg: PrConfig) -> LossResult:
     forward pass and treated as a constant, so the gradient is w * (p - q).
     Tokens over the drop threshold get weight 0: value and gradient vanish.
     """
-    if not target.is_one_hot:
-        raise UnsupportedTargetError("lambda_pr is defined for one-hot targets only")
-    l = log_softmax(as_vector(z))
+    l, q = _oracle_inputs("lambda_pr", z, target)
     p = np.exp(l)
-    q = target.dense(l.size)
     w = pr_weight(p[target.index], cfg)
-    return LossResult(float(-w * l[target.index]), w * (p - q))
+    return LossResult(float(_lambda_pr_value(l[None], target, cfg, l)[0]), w * (p - q))
 
 
 def tofu(z, target: Target, cfg: TofuConfig) -> LossResult:
@@ -326,15 +352,10 @@ def tofu(z, target: Target, cfg: TofuConfig) -> LossResult:
     Computing the focal factor before tempering is the point; see
     naive_tempered_focal for what goes wrong otherwise.
     """
-    if not target.is_one_hot:
-        raise UnsupportedTargetError("tofu is defined for one-hot targets only")
-    l = log_softmax(as_vector(z))
-    lb = tempered_log_softmax(l, cfg.beta)
-    q = target.dense(l.size)
-    k = target.index
-    g = focal_scaling(float(np.exp(l[k])), cfg.gamma)  # detached
-    value = float(-g * cfg.beta * lb[k])
-    return LossResult(value, g * (np.exp(lb) - q))
+    l, q = _oracle_inputs("tofu", z, target)
+    g = focal_scaling(float(np.exp(l[target.index])), cfg.gamma)  # detached
+    value = float(_tofu_value(l[None], target, cfg, l)[0])
+    return LossResult(value, g * (temper(l, cfg.beta) - q))
 
 
 def naive_tempered_focal(z, target: Target, cfg: TofuConfig) -> LossResult:
@@ -346,57 +367,16 @@ def naive_tempered_focal(z, target: Target, cfg: TofuConfig) -> LossResult:
     TOFU's g(p_hat, gamma): the objective stops pushing exactly where focal
     pressure was wanted. Kept in the zoo as a contrast case.
     """
-    if not target.is_one_hot:
-        raise UnsupportedTargetError("naive_tempered_focal is defined for one-hot targets only")
-    l = log_softmax(as_vector(z))
-    lb = tempered_log_softmax(l, cfg.beta)
-    q = target.dense(l.size)
-    k = target.index
-    pb_k = float(np.exp(lb[k]))
-    value = float(-cfg.beta * (1.0 - pb_k) ** cfg.gamma * lb[k])
-    return LossResult(value, focal_scaling(pb_k, cfg.gamma) * (np.exp(lb) - q))
-
-
-# Finite-difference value functions of logit rows (N, V), detached quantity
-# held at base log-probs l0. Row i's value is the scalar expression at that row,
-# bit for bit: log_softmax and tempered_log_softmax work row by row, and the
-# GEM value takes one BLAS dot per row, as its oracle does.
-
-
-def _gem_frozen(beta: float, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    pb0 = temper(l0, beta)
-    q = target.dense(l0.size)
-
-    def values(rows):
-        l = log_softmax(rows)
-        return -_q_dot(q, l) + _q_dot(pb0, l)
-
-    return values
-
-
-def _lambda_pr_frozen(cfg: PrConfig, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    k = target.index
-    w0 = pr_weight(float(np.exp(l0[k])), cfg)
-    return lambda rows: -w0 * log_softmax(rows)[:, k]
-
-
-def _tofu_frozen(cfg: TofuConfig, target: Target, l0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    k = target.index
-    g0 = focal_scaling(float(np.exp(l0[k])), cfg.gamma)
-    return lambda rows: -g0 * cfg.beta * tempered_log_softmax(log_softmax(rows), cfg.beta)[:, k]
+    l, q = _oracle_inputs("naive_tempered_focal", z, target)
+    pb = temper(l, cfg.beta)
+    value = float(_naive_tempered_focal_value(l[None], target, cfg, l)[0])
+    return LossResult(value, focal_scaling(float(pb[target.index]), cfg.gamma) * (pb - q))
 
 
 # Row kernels (Objective.kernel). Each repeats its oracle's arithmetic and
 # checks operation for operation, vectorised, so row i is the oracle's result
 # bit for bit. The scalars the oracle takes from Python float powers are
 # computed the same way, row by row: numpy's vectorised pow rounds differently.
-
-
-def _tempered(l: np.ndarray, beta: float) -> np.ndarray:
-    """tempered_log_softmax(l, beta) without its input checks, bit for bit:
-    l is log_softmax's output, already valid log-probs, and params()
-    range-checked beta."""
-    return _normalize(l / beta)
 
 
 def _residual(p: np.ndarray, at) -> np.ndarray:
@@ -463,22 +443,18 @@ class Objective:
     that batch_loss calls, maps log-prob rows l (N, V) with one-hot targets
     at = (arange(N), targets), params at position 1 of 1 and the rows' int
     positions and lengths to values (N,) and logit gradients (N, V);
-    freeze(params, target, l0), set where the objective has a detached
-    quantity, returns the finite-difference value function with it frozen,
-    which maps logit rows (N, V) to their values (N,). soft_value(l, q, params),
-    set for the soft-target objectives without a detached quantity, is the
-    value at target distribution q of log-probs l, a vector or rows (N, V),
-    with the vector's np.dot taken on each row (numerics.row_dots): the
-    oracle returns it, and finite differences of a soft target call it once
-    on the whole stencil."""
+    value(l, target, params, l0) is the objective's one value formula: the
+    values (N,) of log-prob rows l (N, V) at the target, with any detached
+    quantity taken at base log-probs l0 (V,). The oracle returns
+    value(l[None], target, params, l)[0], and finite differences call it on
+    the whole stencil with l0 held at the base point."""
 
     oracle: Callable[[Any, Target, Any], LossResult]
     params: Callable[["LossConfig", int, int], Any]
     kernel: Callable[..., tuple[np.ndarray, np.ndarray]]
+    value: Callable[[np.ndarray, Target, Any, np.ndarray], np.ndarray]
     default_beta: float = 1.0
     soft_targets: bool = False
-    freeze: Callable[[Any, Target, np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
-    soft_value: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
 
 
 def _beta_params(cfg: "LossConfig", position: int, length: int) -> float:
@@ -490,13 +466,13 @@ def _tofu_params(cfg: "LossConfig", position: int, length: int) -> TofuConfig:
 
 
 OBJECTIVE_TABLE = {
-    "ce": Objective(lambda z, target, _: ce(z, target), lambda cfg, i, m: None, _ce_rows, soft_targets=True, soft_value=_ce_value),
-    "scaled_ce": Objective(scaled_ce, _beta_params, _scaled_ce_rows, TEMPERED_DEFAULT_BETA, soft_targets=True, soft_value=_scaled_ce_value),
-    "gem": Objective(gem, _beta_params, _gem_rows, GEM_DEFAULT_BETA, soft_targets=True, freeze=_gem_frozen),
-    "focal": Objective(focal, lambda cfg, i, m: FocalConfig(cfg.gamma), _focal_rows, soft_targets=True, soft_value=_focal_value),
-    "lambda_pr": Objective(lambda_pr, lambda cfg, i, m: PrConfig(cfg.lam, cfg.alpha, i, m), _lambda_pr_rows, freeze=_lambda_pr_frozen),
-    "tofu": Objective(tofu, _tofu_params, _tofu_rows, TEMPERED_DEFAULT_BETA, freeze=_tofu_frozen),
-    "naive_tempered_focal": Objective(naive_tempered_focal, _tofu_params, _naive_tempered_focal_rows, TEMPERED_DEFAULT_BETA),
+    "ce": Objective(lambda z, target, _: ce(z, target), lambda cfg, i, m: None, _ce_rows, _ce_value, soft_targets=True),
+    "scaled_ce": Objective(scaled_ce, _beta_params, _scaled_ce_rows, _scaled_ce_value, TEMPERED_DEFAULT_BETA, soft_targets=True),
+    "gem": Objective(gem, _beta_params, _gem_rows, _gem_value, GEM_DEFAULT_BETA, soft_targets=True),
+    "focal": Objective(focal, lambda cfg, i, m: FocalConfig(cfg.gamma), _focal_rows, _focal_value, soft_targets=True),
+    "lambda_pr": Objective(lambda_pr, lambda cfg, i, m: PrConfig(cfg.lam, cfg.alpha, i, m), _lambda_pr_rows, _lambda_pr_value),
+    "tofu": Objective(tofu, _tofu_params, _tofu_rows, _tofu_value, TEMPERED_DEFAULT_BETA),
+    "naive_tempered_focal": Objective(naive_tempered_focal, _tofu_params, _naive_tempered_focal_rows, _naive_tempered_focal_value, TEMPERED_DEFAULT_BETA),
 }
 OBJECTIVES = tuple(OBJECTIVE_TABLE)
 

@@ -18,6 +18,7 @@ from .hashing import csv_text, write_file
 from .numerics import as_probs
 
 BLEU_SMOOTHING_EPS = 1e-9
+BLEU_MAX_N = 4
 
 
 class ArityError(ValueError):
@@ -47,7 +48,7 @@ def ngrams(tokens: list[str], n: int) -> list[tuple[str, ...]]:
 
 def _bleu_score(c: int, matches: list[tuple[int, int]], ref_lens: list[int]) -> float:
     """Multi-reference BLEU on [0, 100] of a hypothesis of c words, from its
-    (clipped, total) n-gram counts per order 1..max_n, with uniform weights
+    (clipped, total) n-gram counts per order 1..BLEU_MAX_N, with uniform weights
     over the orders the hypothesis actually has.
 
     A zero clipped count at order > 1 is smoothed by adding BLEU_SMOOTHING_EPS
@@ -92,8 +93,9 @@ def _clip_bounds(counts: list[Counter]) -> dict[tuple[str, ...], tuple[int, int,
     return bounds
 
 
-def self_bleu(gen_set: GenerationSet, max_n: int = 4) -> float:
-    """Mean BLEU of each completion against the other k-1. Needs k >= 2.
+def self_bleu(gen_set: GenerationSet) -> float:
+    """Mean BLEU, n-gram orders 1..BLEU_MAX_N, of each completion against the
+    other k-1. Needs k >= 2.
 
     Each completion's n-grams are counted once per order; a hypothesis gram
     clips to its largest count in any other completion.
@@ -103,8 +105,8 @@ def self_bleu(gen_set: GenerationSet, max_n: int = 4) -> float:
         raise ArityError(f"self_bleu needs at least 2 completions, got {k}")
     tokenized = [tokenize_words(c) for c in gen_set.completions]
     lengths = [len(t) for t in tokenized]
-    orders = []  # (counts per completion, their clip bounds) for n = 1..max_n
-    for n in range(1, max_n + 1):
+    orders = []  # (counts per completion, their clip bounds) for n = 1..BLEU_MAX_N
+    for n in range(1, BLEU_MAX_N + 1):
         counts = [Counter(ngrams(t, n)) for t in tokenized]
         orders.append((counts, _clip_bounds(counts)))
     scores = []

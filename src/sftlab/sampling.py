@@ -17,6 +17,7 @@ from itertools import compress
 
 import numpy as np
 
+from .hashing import check_int_fields
 from .metrics import GenerationSet
 from .model import ToyModel, forward
 from .numerics import log_softmax
@@ -34,8 +35,7 @@ class SamplingConfig:
             raise ValueError(f"top_p must lie in (0, 1], got {self.top_p}")
         if not 0.0 < self.temperature < float("inf"):
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
-        if type(self.max_tokens) is bool or not isinstance(self.max_tokens, int):
-            raise ValueError(f"max_tokens must be an int, got {self.max_tokens!r}")
+        check_int_fields(self, "max_tokens", "seed")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hashing import config_hash, read_jsonl, write_file
+from .hashing import check_int_fields, config_hash, read_jsonl, write_file
 # token_loss stays importable from here: perfbench traces it under this module's name
 from .losses import LossConfig, batch_loss, token_loss  # noqa: F401
 from .model import Gradients, ToyModel, Vocab, Workspace, backward_batch, forward, forward_batch
@@ -73,6 +73,7 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
+        check_int_fields(self, "warmup_steps", "total_steps", "batch_size", "seed")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.total_steps < 0 or self.warmup_steps < 0:

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from sftlab.config import (
     ConfigError,
+    ModelSpec,
     load_experiment_config,
     load_probe_spec,
     load_prompts,
@@ -18,6 +20,8 @@ from sftlab.config import (
 )
 from sftlab.hashing import canonical_json, config_hash, content_hash
 from sftlab.losses import LossConfig
+from sftlab.sampling import SamplingConfig
+from sftlab.training import TrainConfig
 
 
 def write_corpus(path):
@@ -98,6 +102,26 @@ def test_parse_sampling_wraps_validation():
         parse_sampling({"top_p": 2.0})
     with pytest.raises(ConfigError):
         parse_sampling({"topp": 0.5})
+
+
+INT_FIELDS = {
+    TrainConfig: ("warmup_steps", "total_steps", "batch_size", "seed"),
+    ModelSpec: ("context", "embed_dim", "hidden_dim"),
+    SamplingConfig: ("max_tokens", "seed"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 60.0, np.int64(60), "60"], ids=["bool", "float", "numpy_int", "str"])
+@pytest.mark.parametrize(
+    "record, name", [pytest.param(r, n, id=f"{r.__name__}.{n}") for r, names in INT_FIELDS.items() for n in names]
+)
+def test_config_record_counts_must_be_python_ints(record, name, bad):
+    """A bool would hash as true and count as 1, a float would fail later in
+    use, and a numpy int cannot be written to a hashed record."""
+    given = {"objective": LossConfig("ce")} if record is TrainConfig else {}
+    record(**given, **{name: 60})  # the same count as an int is accepted
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        record(**given, **{name: bad})
 
 
 # ------------------------------------------------------------ path rules ----

@@ -39,6 +39,7 @@ from sftlab.losses import (
     LossConfig,
     LossResult,
     Target,
+    UnsupportedTargetError,
     focal_scaling,
     gem,
     pr_weight,
@@ -216,6 +217,51 @@ def test_rows_values_equal_the_scalar_values_at_every_stencil_row(objective):
                     assert got.shape == (len(rows),)
                     assert got.tolist() == [scalar(z) for z in rows], (size, scale, cfg, target)
     assert floored  # the saturated case reached the floor
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_frozen_value_at_its_base_point_is_the_oracle_value(objective):
+    """The oracle and finite differences read one value formula: at z0 itself
+    the frozen value is token_loss's value bit for bit, detached quantity and
+    all. One-hot targets for every objective; drawn soft targets and one-hot
+    ones given as soft for the soft-capable ones."""
+    rng = np.random.default_rng(100 + OBJECTIVES.index(objective))
+    for size in TRIAL_VOCAB_SIZES:
+        for scale in (*TRIAL_LOGIT_SCALES, 1e3):
+            for _ in range(3):
+                z0 = rng.normal(0.0, scale, size)
+                cfg = LossConfig(
+                    objective,
+                    gamma=float(rng.choice(TRIAL_GAMMAS)),
+                    beta=float(rng.choice(TRIAL_BETAS)),
+                    lam=float(rng.choice([0.5, 0.8, 1.0])),
+                    alpha=float(rng.choice([0.25, 0.5, 1.0])),
+                )
+                length = int(rng.integers(1, 9)) if objective == "lambda_pr" else 1
+                position = int(rng.integers(1, length + 1))
+                k = int(rng.integers(size))
+                targets = [Target.one_hot(k)]
+                if OBJECTIVE_TABLE[objective].soft_targets:
+                    targets += [Target.soft(rng.dirichlet(np.ones(size))), Target.soft(np.eye(size)[k])]
+                for target in targets:
+                    frozen = frozen_value_fn(cfg, z0, target, position, length)(z0[None])
+                    oracle = token_loss(z0, target, cfg, position=position, length=length).value
+                    assert frozen.shape == (1,)
+                    assert float(frozen[0]) == oracle, (size, scale, cfg, target)
+
+
+@pytest.mark.parametrize("objective", [o for o in OBJECTIVES if not OBJECTIVE_TABLE[o].soft_targets])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_soft_target_outranks_non_finite_logits(objective, bad):
+    """A soft target of a one-hot-only objective is an UnsupportedTargetError
+    from both paths even when z0 is not finite: the target is checked before
+    the log-softmax."""
+    z = np.array([0.3, bad, 0.5])
+    cfg, soft = LossConfig(objective), Target.soft([0.2, 0.5, 0.3])
+    with pytest.raises(UnsupportedTargetError):
+        token_loss(z, soft, cfg)
+    with pytest.raises(UnsupportedTargetError):
+        frozen_value_fn(cfg, z, soft)
 
 
 # inputs every oracle rejects, and the soft target only the soft-capable ones take
