@@ -206,12 +206,15 @@ def load_experiment_config(path) -> ExperimentConfig:
     # the objective key is the train config's objective field
     _check_keys(data, {"objective"} | {f.name for f in fields(ExperimentConfig)}, str(path))
     objective = parse_objective(_require(data, "objective", str(path)))
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         train=parse_train(data.get("train", {}), objective),
         model=parse_model(data.get("model", {})),
         corpus=_input_path(_require(data, "corpus", str(path)), base, "corpus"),
         output_dir=_output_dir(data, str(path)),
     )
+    if cfg.model.vocab is not None:
+        check_encodable(cfg.model.vocab, {"corpus": Corpus.load_jsonl(cfg.corpus).charset()})
+    return cfg
 
 
 def sweep_label(objective: str, gamma: float, beta: float) -> str:
@@ -278,7 +281,8 @@ def load_sweep_spec(path) -> SweepSpec:
     # a request no cell could evaluate fails here, before any cell trains
     rows = load_prompts(prompts)
     metrics = validate_eval_request(_list_of(data, "metrics", list(DEFAULT_EVAL_METRICS), str), samples, rows)
-    check_encodable(model.chars(Corpus.load_jsonl(corpus)), {f"prompt {p.id!r}": p.prompt for p in rows})
+    examples = Corpus.load_jsonl(corpus)
+    check_encodable(model.chars(examples), {"corpus": examples.charset(), **{f"prompt {p.id!r}": p.prompt for p in rows}})
     return SweepSpec(
         objectives=objectives,
         gammas=gammas,

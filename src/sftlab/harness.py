@@ -357,7 +357,8 @@ def run_probe(spec: ProbeSpec) -> dict:
     chars = spec.model.vocab
     if chars is None:
         chars = Vocab.from_text(pre_corpus.charset(), sft_corpus.charset(), spec.prompt, *spec.valid_tokens).chars
-    check_encodable(chars, {"probe.prompt": spec.prompt, "probe.valid_tokens": "".join(spec.valid_tokens)})
+    corpora = {"pretrain.corpus": pre_corpus.charset(), "sft.corpus": sft_corpus.charset()}
+    check_encodable(chars, {**corpora, "probe.prompt": spec.prompt, "probe.valid_tokens": "".join(spec.valid_tokens)})
 
     labels = []
     for cfg in spec.sft_objectives:

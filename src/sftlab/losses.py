@@ -8,19 +8,19 @@ GEM, the focal factor in TOFU, the weight and indicator in lambda-PR) are
 computed as plain constants before the gradient is assembled, which is all
 "stop-gradient" means without an autograd tape.
 
-OBJECTIVE_TABLE states each objective's facts once: its scalar function, the
-hyperparameters it consumes, its rows kernel, its one value formula over
-log-prob rows, its default beta and whether it takes soft targets. The value
-formula takes the detached quantity at base log-probs, so the oracle (at its
-own point) and finite differences (held at the base point) read the same
-expression. Its names, in order, are OBJECTIVES: ce, scaled_ce, gem, focal,
-lambda_pr, tofu, naive_tempered_focal.
+OBJECTIVE_TABLE states each objective's facts once: the hyperparameters it
+consumes, its rows kernel, its one value formula over log-prob rows, its
+default beta and, if it takes soft targets, its soft-target gradient. Its
+names, in order, are OBJECTIVES: ce, scaled_ce, gem, focal, lambda_pr, tofu,
+naive_tempered_focal.
 
-Training runs batch_loss over (N, V) logits. It makes the checks every
-objective shares and calls the objective's table kernel, with no code of its
-own per objective. The scalar functions are the kernels' reference oracle:
-batch_loss reproduces token_loss row by row, bit for bit, and the tests hold
-it to that.
+The rows kernel is the one written form of each one-hot logit gradient.
+Training runs it through batch_loss over (N, V) logits, which makes the checks
+every objective shares with no code of its own per objective. The scalar
+functions (token_loss and one per objective) take their one-hot gradient from
+the kernel's row 0 and their value from the value formula, so the gradient
+battery checks the code training runs against finite differences of a
+formula written apart from it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .numerics import (
     check_temperature,
     log_softmax,
     row_dots,
-    temper,
 )
 
 # Flagged defaults: the GEM temperature is inherited from its original
@@ -261,10 +260,25 @@ def _tofu_value(l: np.ndarray, target: Target, cfg: TofuConfig, l0: np.ndarray) 
     return -g0 * cfg.beta * _tempered(l, cfg.beta)[:, k]
 
 
+def _naive_factor(pb_k: np.ndarray, gamma: float) -> np.ndarray:
+    """(1 - pb_k)^gamma by Python float pow: numpy's vectorised pow rounds differently."""
+    return np.array([(1.0 - x) ** gamma for x in pb_k.tolist()])
+
+
 def _naive_tempered_focal_value(l: np.ndarray, target: Target, cfg: TofuConfig, l0: np.ndarray) -> np.ndarray:
     lb_k = _tempered(l, cfg.beta)[:, target.index]
-    factor = np.array([(1.0 - x) ** cfg.gamma for x in np.exp(lb_k).tolist()])
-    return -cfg.beta * factor * lb_k
+    return -cfg.beta * _naive_factor(np.exp(lb_k), cfg.gamma) * lb_k
+
+
+def _tempered_soft_grad(l: np.ndarray, q: np.ndarray, beta: float) -> np.ndarray:
+    """p^beta - q, the gradient of scaled_ce and of gem alike."""
+    return np.exp(_tempered(l, beta)) - q
+
+
+def _focal_soft_grad(l: np.ndarray, q: np.ndarray, cfg: FocalConfig) -> np.ndarray:
+    p = np.exp(l)
+    gvec = focal_scaling(p, cfg.gamma)
+    return p * float(np.dot(q, gvec)) - q * gvec
 
 
 def _oracle_inputs(name: str, z, target: Target) -> tuple[np.ndarray, np.ndarray]:
@@ -279,10 +293,22 @@ def _oracle_inputs(name: str, z, target: Target) -> tuple[np.ndarray, np.ndarray
     return log_softmax(z), q
 
 
+def _oracle(name: str, z, target: Target, params, position: int = 1, length: int = 1) -> LossResult:
+    """The one path of every oracle: the named objective's value formula, and
+    for a one-hot target row 0 of its kernel at this position and length,
+    else its soft_grad."""
+    objective = OBJECTIVE_TABLE[name]
+    l, q = _oracle_inputs(name, z, target)
+    value = float(objective.value(l[None], target, params, l)[0])
+    if not target.is_one_hot:
+        return LossResult(value, objective.soft_grad(l, q, params))
+    _, grads = objective.kernel(l[None], ([0], [target.index]), params, np.array([position]), np.array([length]))
+    return LossResult(value, grads[0])
+
+
 def ce(z, target: Target) -> LossResult:
     """Cross-entropy: value -sum_i q_i l_i, gradient p - q."""
-    l, q = _oracle_inputs("ce", z, target)
-    return LossResult(float(_ce_value(l[None], target, None, l)[0]), np.exp(l) - q)
+    return _oracle("ce", z, target, None)
 
 
 def scaled_ce(z, target: Target, beta: float) -> LossResult:
@@ -291,9 +317,7 @@ def scaled_ce(z, target: Target, beta: float) -> LossResult:
     The beta prefactor cancels the 1/beta from the tempered log-softmax
     jacobian, so the gradient is exactly the tempered residual.
     """
-    beta = check_temperature(beta)
-    l, q = _oracle_inputs("scaled_ce", z, target)
-    return LossResult(float(_scaled_ce_value(l[None], target, beta, l)[0]), temper(l, beta) - q)
+    return _oracle("scaled_ce", z, target, check_temperature(beta))
 
 
 def gem(z, target: Target, beta: float = GEM_DEFAULT_BETA) -> LossResult:
@@ -305,9 +329,7 @@ def gem(z, target: Target, beta: float = GEM_DEFAULT_BETA) -> LossResult:
     tempered cross-entropy gradient; the closed form is used directly rather
     than differentiating the value expression naively.
     """
-    beta = check_temperature(beta)
-    l, q = _oracle_inputs("gem", z, target)
-    return LossResult(float(_gem_value(l[None], target, beta, l)[0]), temper(l, beta) - q)
+    return _oracle("gem", z, target, check_temperature(beta))
 
 
 def focal(z, target: Target, cfg: FocalConfig) -> LossResult:
@@ -319,15 +341,7 @@ def focal(z, target: Target, cfg: FocalConfig) -> LossResult:
     g_i = focal_scaling(p_i, gamma), which is not proportional to p - q in
     general (the per-component factors differ).
     """
-    l, q = _oracle_inputs("focal", z, target)
-    p = np.exp(l)
-    value = float(_focal_value(l[None], target, cfg, l)[0])
-    if target.is_one_hot:
-        grad = focal_scaling(p[target.index], cfg.gamma) * (p - q)
-    else:
-        gvec = focal_scaling(p, cfg.gamma)
-        grad = p * float(np.dot(q, gvec)) - q * gvec
-    return LossResult(value, grad)
+    return _oracle("focal", z, target, cfg)
 
 
 def lambda_pr(z, target: Target, cfg: PrConfig) -> LossResult:
@@ -338,10 +352,7 @@ def lambda_pr(z, target: Target, cfg: PrConfig) -> LossResult:
     forward pass and treated as a constant, so the gradient is w * (p - q).
     Tokens over the drop threshold get weight 0: value and gradient vanish.
     """
-    l, q = _oracle_inputs("lambda_pr", z, target)
-    p = np.exp(l)
-    w = pr_weight(p[target.index], cfg)
-    return LossResult(float(_lambda_pr_value(l[None], target, cfg, l)[0]), w * (p - q))
+    return _oracle("lambda_pr", z, target, cfg, cfg.position, cfg.length)
 
 
 def tofu(z, target: Target, cfg: TofuConfig) -> LossResult:
@@ -352,10 +363,7 @@ def tofu(z, target: Target, cfg: TofuConfig) -> LossResult:
     Computing the focal factor before tempering is the point; see
     naive_tempered_focal for what goes wrong otherwise.
     """
-    l, q = _oracle_inputs("tofu", z, target)
-    g = focal_scaling(float(np.exp(l[target.index])), cfg.gamma)  # detached
-    value = float(_tofu_value(l[None], target, cfg, l)[0])
-    return LossResult(value, g * (temper(l, cfg.beta) - q))
+    return _oracle("tofu", z, target, cfg)
 
 
 def naive_tempered_focal(z, target: Target, cfg: TofuConfig) -> LossResult:
@@ -367,16 +375,12 @@ def naive_tempered_focal(z, target: Target, cfg: TofuConfig) -> LossResult:
     TOFU's g(p_hat, gamma): the objective stops pushing exactly where focal
     pressure was wanted. Kept in the zoo as a contrast case.
     """
-    l, q = _oracle_inputs("naive_tempered_focal", z, target)
-    pb = temper(l, cfg.beta)
-    value = float(_naive_tempered_focal_value(l[None], target, cfg, l)[0])
-    return LossResult(value, focal_scaling(float(pb[target.index]), cfg.gamma) * (pb - q))
+    return _oracle("naive_tempered_focal", z, target, cfg)
 
 
-# Row kernels (Objective.kernel). Each repeats its oracle's arithmetic and
-# checks operation for operation, vectorised, so row i is the oracle's result
-# bit for bit. The scalars the oracle takes from Python float powers are
-# computed the same way, row by row: numpy's vectorised pow rounds differently.
+# Row kernels (Objective.kernel): the one written form of each one-hot logit
+# gradient, run by training over a batch and taken by each oracle as row 0.
+# Row i's value is its value formula's at that row, bit for bit.
 
 
 def _residual(p: np.ndarray, at) -> np.ndarray:
@@ -414,8 +418,6 @@ def _lambda_pr_rows(l, at, cfg: PrConfig, positions, lengths):
     position_factor = np.array([cfg.lam ** ((i - 1) / m) for i, m in zip(positions.tolist(), lengths.tolist())])
     p = np.exp(l)
     p_hat = p[at]
-    if not np.all((0.0 <= p_hat) & (p_hat <= 1.0)):
-        raise ValueError("p_hat must lie in [0, 1]")
     w = np.where(p_hat > delta, 0.0, position_factor * p_hat / (cfg.alpha + (1.0 - cfg.alpha) * p_hat))
     return -w * l[at], w[:, None] * _residual(p, at)
 
@@ -430,31 +432,29 @@ def _naive_tempered_focal_rows(l, at, cfg: TofuConfig, *_):
     lb = _tempered(l, cfg.beta)
     pb = np.exp(lb)
     pb_k = pb[at]
-    factor = np.array([(1.0 - x) ** cfg.gamma for x in pb_k.tolist()])
-    return -cfg.beta * factor * lb[at], focal_scaling(pb_k, cfg.gamma)[:, None] * _residual(pb, at)
+    return -cfg.beta * _naive_factor(pb_k, cfg.gamma) * lb[at], focal_scaling(pb_k, cfg.gamma)[:, None] * _residual(pb, at)
 
 
 @dataclass(frozen=True)
 class Objective:
-    """One OBJECTIVE_TABLE entry. oracle(z, target, params) is the scalar
-    reference; params(cfg, position, length) builds its params argument from
-    the hyperparameters the objective consumes, which is also their range
-    check; kernel(l, at, params, positions, lengths), the oracle's rows form
-    that batch_loss calls, maps log-prob rows l (N, V) with one-hot targets
-    at = (arange(N), targets), params at position 1 of 1 and the rows' int
-    positions and lengths to values (N,) and logit gradients (N, V);
-    value(l, target, params, l0) is the objective's one value formula: the
-    values (N,) of log-prob rows l (N, V) at the target, with any detached
-    quantity taken at base log-probs l0 (V,). The oracle returns
-    value(l[None], target, params, l)[0], and finite differences call it on
-    the whole stencil with l0 held at the base point."""
+    """One OBJECTIVE_TABLE entry. params(cfg, position, length) builds the
+    objective's params argument from the hyperparameters it consumes, which
+    is also their range check. kernel(l, at, params, positions, lengths) maps
+    log-prob rows l (N, V), one-hot targets at = (arange(N), targets), params
+    and the rows' int positions and lengths to values (N,) and logit gradients
+    (N, V). value(l, target, params, l0) is the value formula. soft_grad(l, q,
+    params) is the gradient of log-probs l (V,) at a dense soft target q (V,),
+    None where the objective takes one-hot targets only."""
 
-    oracle: Callable[[Any, Target, Any], LossResult]
     params: Callable[["LossConfig", int, int], Any]
     kernel: Callable[..., tuple[np.ndarray, np.ndarray]]
     value: Callable[[np.ndarray, Target, Any, np.ndarray], np.ndarray]
     default_beta: float = 1.0
-    soft_targets: bool = False
+    soft_grad: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
+
+    @property
+    def soft_targets(self) -> bool:
+        return self.soft_grad is not None
 
 
 def _beta_params(cfg: "LossConfig", position: int, length: int) -> float:
@@ -466,13 +466,13 @@ def _tofu_params(cfg: "LossConfig", position: int, length: int) -> TofuConfig:
 
 
 OBJECTIVE_TABLE = {
-    "ce": Objective(lambda z, target, _: ce(z, target), lambda cfg, i, m: None, _ce_rows, _ce_value, soft_targets=True),
-    "scaled_ce": Objective(scaled_ce, _beta_params, _scaled_ce_rows, _scaled_ce_value, TEMPERED_DEFAULT_BETA, soft_targets=True),
-    "gem": Objective(gem, _beta_params, _gem_rows, _gem_value, GEM_DEFAULT_BETA, soft_targets=True),
-    "focal": Objective(focal, lambda cfg, i, m: FocalConfig(cfg.gamma), _focal_rows, _focal_value, soft_targets=True),
-    "lambda_pr": Objective(lambda_pr, lambda cfg, i, m: PrConfig(cfg.lam, cfg.alpha, i, m), _lambda_pr_rows, _lambda_pr_value),
-    "tofu": Objective(tofu, _tofu_params, _tofu_rows, _tofu_value, TEMPERED_DEFAULT_BETA),
-    "naive_tempered_focal": Objective(naive_tempered_focal, _tofu_params, _naive_tempered_focal_rows, _naive_tempered_focal_value, TEMPERED_DEFAULT_BETA),
+    "ce": Objective(lambda cfg, i, m: None, _ce_rows, _ce_value, soft_grad=lambda l, q, _: np.exp(l) - q),
+    "scaled_ce": Objective(_beta_params, _scaled_ce_rows, _scaled_ce_value, TEMPERED_DEFAULT_BETA, _tempered_soft_grad),
+    "gem": Objective(_beta_params, _gem_rows, _gem_value, GEM_DEFAULT_BETA, _tempered_soft_grad),
+    "focal": Objective(lambda cfg, i, m: FocalConfig(cfg.gamma), _focal_rows, _focal_value, soft_grad=_focal_soft_grad),
+    "lambda_pr": Objective(lambda cfg, i, m: PrConfig(cfg.lam, cfg.alpha, i, m), _lambda_pr_rows, _lambda_pr_value),
+    "tofu": Objective(_tofu_params, _tofu_rows, _tofu_value, TEMPERED_DEFAULT_BETA),
+    "naive_tempered_focal": Objective(_tofu_params, _naive_tempered_focal_rows, _naive_tempered_focal_value, TEMPERED_DEFAULT_BETA),
 }
 OBJECTIVES = tuple(OBJECTIVE_TABLE)
 
@@ -524,7 +524,7 @@ class LossConfig:
 
 def token_loss(z, target: Target, cfg: LossConfig, position: int = 1, length: int = 1) -> LossResult:
     """Dispatch a single-token loss through the objective named in cfg."""
-    return OBJECTIVE_TABLE[cfg.objective].oracle(z, target, cfg.params(position, length))
+    return _oracle(cfg.objective, z, target, cfg.params(position, length), position, length)
 
 
 def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ checkpoints.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from dataclasses import asdict, dataclass
@@ -281,27 +282,14 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
     cfg_hash = config_hash(cfg.to_dict())
     trace: list[TraceRow] = []
 
-    order = rng.permutation(len(encoded))
-    cursor = 0
-
-    def next_batch():
-        nonlocal order, cursor
-        picked = []
-        while len(picked) < cfg.batch_size:
-            if cursor == len(order):
-                order = rng.permutation(len(encoded))
-                cursor = 0
-            picked.append(int(order[cursor]))
-            cursor += 1
-        return picked
-
+    picks = itertools.chain.from_iterable(rng.permutation(len(encoded)) for _ in itertools.count())
     velocity = Gradients.zeros_like(model) if cfg.momentum > 0 else None
     decayed = {"embed", "w_hidden", "w_out"}
     ws = _step_workspace(model, cfg.batch_size * int(encoded.sizes.max()))
 
     for step in range(cfg.total_steps):
         lr = schedule_lr(step, cfg)
-        rows = encoded.rows(next_batch())
+        rows = encoded.rows(list(itertools.islice(picks, cfg.batch_size)))
         logits, cache = forward_batch(model, encoded.contexts[rows], ws)
         if not np.all(np.isfinite(logits)):
             # parameters overflowed on an earlier update; the per-token losses

@@ -633,6 +633,21 @@ def write_probe(tmp_path, pretrain_train=None, sft_train=None):
     return cfg
 
 
+# each command's config writer; its corpus holds "d"
+PINNED_VOCAB_CONFIGS = {"train": write_experiment, "sweep": write_sweep, "probe": write_probe}
+
+
+@pytest.mark.parametrize("command", PINNED_VOCAB_CONFIGS)
+def test_corpus_outside_pinned_vocab_is_usage_error(tmp_path, capsys, command):
+    cfg = PINNED_VOCAB_CONFIGS[command](tmp_path)
+    payload = json.loads(cfg.read_text())
+    payload["model"] = {**MODEL, "vocab": "abc"}
+    cfg.write_text(json.dumps(payload))
+    assert main([command, str(cfg)]) == 2
+    assert "corpus has characters ['d'] outside the model vocab 'abc'" in capsys.readouterr().err
+    assert not Path(payload["output_dir"]).exists()
+
+
 # each run's seed comes from the spec's `seeds`, which replace these four keys
 SEED_KEYS = {
     "sweep.train.seed": lambda tmp_path: write_sweep(tmp_path, train={**TRAIN, "seed": 5}),

@@ -488,6 +488,18 @@ def test_finite_difference_counterexample_reproduces_the_failure(monkeypatch, pa
     assert rel_error(numeric, analytic, FiniteDiffSpec().norm_floor) > report.tolerance
 
 
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_battery_catches_a_fault_in_the_training_kernel(monkeypatch, objective):
+    entry = OBJECTIVE_TABLE[objective]
+
+    def offset_grads(*args):
+        values, grads = entry.kernel(*args)
+        return values, grads + 0.01
+
+    monkeypatch.setitem(OBJECTIVE_TABLE, objective, replace(entry, kernel=offset_grads))
+    assert not run_all_checks(20, 0, objectives=[objective])[0].passed
+
+
 def test_focal_soft_phase_counterexample_reproduces_the_failure(monkeypatch):
     real = gradcheck.focal
 

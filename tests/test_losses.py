@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from sftlab.losses import (
-    OBJECTIVE_TABLE,
     OBJECTIVES,
     DropThresholdError,
     FocalConfig,
@@ -349,18 +348,6 @@ class TestLossConfig:
                     LossConfig("lambda_pr", alpha=0.0), LossConfig("lambda_pr", lam=1.5)):
             with pytest.raises(ValueError):
                 cfg.params()
-
-
-@pytest.mark.parametrize("name", OBJECTIVES)
-def test_table_soft_targets_flag_matches_oracle(name):
-    entry = OBJECTIVE_TABLE[name]
-    z, soft = np.array([0.3, -1.2, 0.5]), Target.soft([0.2, 0.5, 0.3])
-    params = LossConfig(name).params()
-    if entry.soft_targets:
-        assert np.all(np.isfinite(entry.oracle(z, soft, params).grad))
-    else:
-        with pytest.raises(UnsupportedTargetError):
-            entry.oracle(z, soft, params)
 
 
 @pytest.mark.parametrize("name", OBJECTIVES)
