@@ -14,7 +14,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .hashing import check_int_fields, read_jsonl
@@ -188,14 +188,27 @@ def _parse_seeds(data, where: str) -> tuple[int, ...]:
     return seeds
 
 
+# metadata of a record field the loader fills from an input file's content,
+# never from a config-file key
+PARSED = {"parsed": True}
+
+
+def _config_keys(cls) -> set[str]:
+    """The config-file keys of a record: its field names, less PARSED fields."""
+    return {f.name for f in fields(cls) if not f.metadata.get("parsed")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One train run: the inputs that produce its checkpoint, and where it goes."""
+    """One train run: the inputs that produce its checkpoint, and where it goes.
+    `parsed_corpus` is the corpus file as the loader parsed it, which the run
+    trains on."""
 
     train: TrainConfig
     model: ModelSpec
     corpus: Path
     output_dir: Path
+    parsed_corpus: Corpus = field(repr=False, metadata=PARSED)
 
     def to_dict(self) -> dict:
         return {"train": self.train.to_dict(), "model": asdict(self.model)}
@@ -204,16 +217,14 @@ class ExperimentConfig:
 def load_experiment_config(path) -> ExperimentConfig:
     data, base = _load_json(path)
     # the objective key is the train config's objective field
-    _check_keys(data, {"objective"} | {f.name for f in fields(ExperimentConfig)}, str(path))
+    _check_keys(data, {"objective"} | _config_keys(ExperimentConfig), str(path))
     objective = parse_objective(_require(data, "objective", str(path)))
-    cfg = ExperimentConfig(
-        train=parse_train(data.get("train", {}), objective),
-        model=parse_model(data.get("model", {})),
-        corpus=_input_path(_require(data, "corpus", str(path)), base, "corpus"),
-        output_dir=_output_dir(data, str(path)),
-    )
+    train = parse_train(data.get("train", {}), objective)
+    model = parse_model(data.get("model", {}))
+    corpus = _input_path(_require(data, "corpus", str(path)), base, "corpus")
+    cfg = ExperimentConfig(train, model, corpus, _output_dir(data, str(path)), Corpus.load_jsonl(corpus))
     if cfg.model.vocab is not None:
-        check_encodable(cfg.model.vocab, {"corpus": Corpus.load_jsonl(cfg.corpus).charset()})
+        check_encodable(cfg.model.vocab, {"corpus": cfg.parsed_corpus.charset()})
     return cfg
 
 
@@ -243,6 +254,7 @@ class SweepSpec:
     metrics: tuple[str, ...]
     workers: int
     output_dir: Path
+    parsed_corpus: Corpus = field(repr=False, metadata=PARSED)  # every task trains on this parse
 
     def cells(self) -> list[tuple[str, LossConfig]]:
         """(label, loss config) of every grid cell, in objective, gamma, beta order."""
@@ -254,7 +266,7 @@ class SweepSpec:
 
 def load_sweep_spec(path) -> SweepSpec:
     data, base = _load_json(path)
-    _check_keys(data, {f.name for f in fields(SweepSpec)}, str(path))
+    _check_keys(data, _config_keys(SweepSpec), str(path))
     objectives = _list_of(data, "objectives", ["tofu"], str)
     gammas = _list_of(data, "gammas", [3.0], float)
     betas = _list_of(data, "betas", [0.8], float)
@@ -281,8 +293,8 @@ def load_sweep_spec(path) -> SweepSpec:
     # a request no cell could evaluate fails here, before any cell trains
     rows = load_prompts(prompts)
     metrics = validate_eval_request(_list_of(data, "metrics", list(DEFAULT_EVAL_METRICS), str), samples, rows)
-    examples = Corpus.load_jsonl(corpus)
-    check_encodable(model.chars(examples), {"corpus": examples.charset(), **{f"prompt {p.id!r}": p.prompt for p in rows}})
+    parsed = Corpus.load_jsonl(corpus)
+    check_encodable(model.chars(parsed), {"corpus": parsed.charset(), **{f"prompt {p.id!r}": p.prompt for p in rows}})
     return SweepSpec(
         objectives=objectives,
         gammas=gammas,
@@ -298,6 +310,7 @@ def load_sweep_spec(path) -> SweepSpec:
         metrics=metrics,
         workers=_positive_int(data, "workers", 1),
         output_dir=_output_dir(data, str(path)),
+        parsed_corpus=parsed,
     )
 
 

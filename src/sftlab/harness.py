@@ -115,9 +115,8 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> dict:
     """Train one model per the config and write checkpoint/trace/run record."""
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
     started = time.monotonic()
-    corpus = Corpus.load_jsonl(cfg.corpus)
-    model = build_model(cfg.model, corpus, cfg.train.seed)
-    checkpoint, trace = train(model, corpus, cfg.train)
+    model = build_model(cfg.model, cfg.parsed_corpus, cfg.train.seed)
+    checkpoint, trace = train(model, cfg.parsed_corpus, cfg.train)
     checkpoint.save(out_dir / "checkpoint.bin")
     trace_rows = [(row.step, repr(row.loss), repr(row.lr)) for row in trace]
     write_file(out_dir / "trace.csv", csv_text([("step", "loss", "lr"), *trace_rows]))
@@ -231,7 +230,7 @@ def _sweep_task(args: tuple[SweepSpec, str, TrainConfig]) -> tuple[dict, str | N
     seed = train_cfg.seed
     cell_dir = spec.output_dir / label / f"seed_{seed}"
     try:
-        train_out = run_train(ExperimentConfig(train_cfg, spec.model, spec.corpus, cell_dir))
+        train_out = run_train(ExperimentConfig(train_cfg, spec.model, spec.corpus, cell_dir, spec.parsed_corpus))
         eval_out = run_eval(
             train_out["checkpoint"],
             spec.prompts,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +39,36 @@ class CorpusExample:
             raise ValueError("response must be non-empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
-    examples: list[CorpusExample]
+    """An immutable list of examples, held as a tuple whatever sequence it is
+    built from, with a memo of its encodings.
+
+    `encoded(vocab, context)` encodes the examples once per
+    (vocab.chars, context) and keeps the EncodedCorpus, whose arrays are
+    read-only, so every train call on this corpus at that vocab and context
+    shares one encoding, from any thread. A pickled corpus carries its
+    examples, never the memo.
+    """
+
+    examples: tuple[CorpusExample, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "examples", tuple(self.examples))
         if len(self.examples) == 0:
             raise ValueError("corpus must be non-empty")
+        object.__setattr__(self, "_encoded", {})
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    def __reduce__(self):
+        return type(self), (self.examples,)
+
+    def encoded(self, vocab: Vocab, context: int) -> "EncodedCorpus":
+        key = (vocab.chars, context)
+        with self._lock:  # concurrent first calls encode once
+            if key not in self._encoded:
+                self._encoded[key] = EncodedCorpus.concat([encode_example(vocab, ex, context) for ex in self.examples])
+            return self._encoded[key]
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -132,10 +155,11 @@ def encode_example(vocab: Vocab, example: CorpusExample, context: int) -> Encode
     return EncodedExample(padded[starts[:, None] + np.arange(context)], np.array(response_ids, dtype=np.int64))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncodedCorpus:
     """Encoded examples laid end to end as flat rows, one per training
-    position, so that a batch is one gather."""
+    position, so that a batch is one gather. Its arrays are read-only, so an
+    encoding shared by many train calls cannot be changed by one of them."""
 
     contexts: np.ndarray  # (R, c) every example's windows, in example order
     targets: np.ndarray  # (R,)
@@ -143,6 +167,10 @@ class EncodedCorpus:
     lengths: np.ndarray  # (R,) the length of each row's response, EOS included
     starts: np.ndarray  # (E,) each example's first row
     sizes: np.ndarray  # (E,) each example's number of rows
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
 
     @classmethod
     def concat(cls, encoded: list[EncodedExample]) -> "EncodedCorpus":
@@ -266,17 +294,20 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
     The input model is left untouched; the trained copy comes back inside the
     checkpoint. Batches are drawn from a seeded reshuffled stream, losses are
     the mean over examples of each example's per-position mean, taken from
-    one losses.batch_loss call per step and summed left to right. The corpus
-    is encoded once, into flat rows (one per training position) that each
-    step gathers its batch from. Each step writes its activations, gradients
-    and update terms into this thread's model.Workspace, which outlives the
-    call; no returned array is one of its buffers. Non-finite logits, a
+    one losses.batch_loss call per step and summed left to right. Each step
+    gathers its batch from the flat rows (one per training position) of
+    corpus.encoded(model.vocab, model.context), which the corpus memoises per
+    (vocab chars, context): only a corpus's first call at a vocab and context
+    encodes it, and the read-only rows are shared by every later call. Each
+    step writes its activations, gradients and update terms into this
+    thread's model.Workspace, which outlives the call and is unaffected by the
+    memo; no returned array is one of its buffers. Non-finite logits, a
     non-finite loss, or non-finite parameters after the last update abort
     with the failing step.
     """
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    encoded = EncodedCorpus.concat([encode_example(model.vocab, ex, model.context) for ex in corpus.examples])
+    encoded = corpus.encoded(model.vocab, model.context)
     # each row's share of the loss: the mean over a batch's examples of each one's per-position mean
     weights = (1.0 / cfg.batch_size) / encoded.lengths
     cfg_hash = config_hash(cfg.to_dict())

@@ -17,6 +17,7 @@ from sftlab.config import ConfigError, parse_model, parse_objective, parse_sampl
 from sftlab.hashing import config_hash, content_hash
 from sftlab.losses import LossConfig
 from sftlab.metrics import read_metric_reports
+from sftlab.training import Corpus
 
 MODEL = {"context": 4, "embed_dim": 8, "hidden_dim": 16}
 TRAIN = {"total_steps": 20, "warmup_steps": 2, "batch_size": 2, "learning_rate": 0.2}
@@ -890,6 +891,43 @@ def test_eval_failing_to_score_writes_no_file(tmp_path, monkeypatch, metrics, pa
 
 
 # ---------------------------------------------------------- sweep workers ----
+
+
+def count_parses(monkeypatch, log: Path):
+    """Append the path of each later Corpus.load_jsonl call to `log`, a file
+    so that the parses of forked sweep workers count too."""
+    real = Corpus.load_jsonl
+
+    def counted(cls, path):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{path}\n")
+        return real(path)
+
+    monkeypatch.setattr(Corpus, "load_jsonl", classmethod(counted))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_parses_its_corpus_once(tmp_path, monkeypatch, workers):
+    # 2 gammas x 2 seeds: four tasks train on the parse load_sweep_spec made
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched parser reaches workers only by fork")
+    count_parses(monkeypatch, tmp_path / "parses.log")
+    assert main(["sweep", str(write_sweep(tmp_path, workers=workers))]) == 0
+    assert (tmp_path / "parses.log").read_text().splitlines() == [str(tmp_path / "corpus.jsonl")]
+
+
+@pytest.mark.parametrize("vocab", [None, "abcd"])
+def test_train_parses_its_corpus_once(tmp_path, monkeypatch, vocab):
+    count_parses(monkeypatch, tmp_path / "parses.log")
+    assert main(["train", str(write_experiment(tmp_path, model={**MODEL, "vocab": vocab}))]) == 0
+    assert (tmp_path / "parses.log").read_text().splitlines() == [str(tmp_path / "corpus.jsonl")]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_parsed_corpus_is_not_a_config_key(tmp_path, capsys, command):
+    write = write_experiment if command == "train" else write_sweep
+    assert main([command, str(write(tmp_path, parsed_corpus="corpus.jsonl"))]) == 2
+    assert "parsed_corpus" in capsys.readouterr().err
 
 
 def test_sweep_workers_write_the_same_summary(tmp_path):

@@ -1,8 +1,10 @@
 """Trainer, corpus handling, checkpoints, and the probe helper."""
 
 import copy
+import dataclasses
 import hashlib
 import json
+import pickle
 import sys
 import threading
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from sftlab.losses import OBJECTIVES, LossConfig, Target, token_loss
 from sftlab.hashing import config_hash
+from sftlab import training
 from sftlab.model import ToyModel, Vocab, backward_batch, forward, forward_batch, pad_context
 from sftlab.training import (
     Checkpoint,
@@ -64,6 +67,20 @@ def test_corpus_rejects_empty():
 
 def test_corpus_charset_is_sorted_union():
     assert tiny_corpus().charset() == "abcd"
+
+
+def test_corpus_holds_its_examples_as_a_tuple():
+    examples = list(tiny_corpus().examples)
+    corpus = Corpus(examples)
+    assert corpus.examples == tuple(examples)
+    examples.append(CorpusExample("x", "y"))  # the caller's list is not the corpus
+    assert len(corpus) == 3
+
+
+def test_corpus_examples_cannot_be_reassigned():
+    corpus = tiny_corpus()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        corpus.examples = ()
 
 
 def test_corpus_jsonl_round_trip(tmp_path):
@@ -255,6 +272,63 @@ def test_train_is_deterministic():
     for name, param in ckpt_a.model.named_params():
         assert np.array_equal(param, dict(ckpt_b.model.named_params())[name])
     assert [t.loss for t in trace_a] == [t.loss for t in trace_b]
+
+
+def count_encodes(monkeypatch) -> list:
+    """The examples each later training.encode_example call encodes."""
+    calls = []
+    real = training.encode_example
+
+    def counted(vocab, example, context):
+        calls.append(example)
+        return real(vocab, example, context)
+
+    monkeypatch.setattr(training, "encode_example", counted)
+    return calls
+
+
+def test_train_encodes_a_corpus_once_across_calls(monkeypatch):
+    corpus, _, model = tiny_setup()
+    calls = count_encodes(monkeypatch)
+    cfgs = [TrainConfig(objective=LossConfig(name), warmup_steps=2, total_steps=6, batch_size=2)
+            for name in ("ce", "tofu")]
+    runs = [run_digest(*train(model, corpus, cfg)) for cfg in cfgs]
+    assert calls == list(corpus.examples)
+    # the memoised rows train bit for bit as a fresh corpus's do
+    assert runs == [run_digest(*train(model, tiny_corpus(), cfg)) for cfg in cfgs]
+
+
+def test_corpus_encodes_again_for_another_context_or_vocab(monkeypatch):
+    corpus, vocab, _ = tiny_setup()
+    calls = count_encodes(monkeypatch)
+    first = corpus.encoded(vocab, 4)
+    assert corpus.encoded(vocab, 4) is first
+    wider = Vocab(vocab.chars + "z")
+    for other in (corpus.encoded(vocab, 3), corpus.encoded(wider, 4)):
+        assert other is not first
+    assert corpus.encoded(Vocab(vocab.chars), 4) is first  # keyed by the chars, not the Vocab object
+    assert len(calls) == 3 * len(corpus)
+    assert corpus.encoded(wider, 4).contexts.tolist() == first.contexts.tolist()  # the same ids for "abcd"
+
+
+def test_memoised_encoding_rejects_writes():
+    corpus, vocab, _ = tiny_setup()
+    encoded = corpus.encoded(vocab, 4)
+    for f in dataclasses.fields(encoded):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(encoded, f.name)[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        encoded.targets = np.zeros(1, dtype=np.int64)
+
+
+def test_pickled_corpus_encodes_afresh(monkeypatch):
+    corpus, vocab, _ = tiny_setup()
+    corpus.encoded(vocab, 4)
+    calls = count_encodes(monkeypatch)
+    copied = pickle.loads(pickle.dumps(corpus))
+    assert copied == corpus
+    copied.encoded(vocab, 4)
+    assert calls == list(corpus.examples)
 
 
 def test_train_leaves_input_model_untouched():
@@ -464,6 +538,34 @@ def test_concurrent_trainers_each_use_their_own_workspace():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+def test_concurrent_first_calls_encode_a_corpus_once(monkeypatch):
+    # more trainers than cores race to the first encoding of one corpus
+    names = ("ce", "tofu", "gem", "focal")
+    expected = {name: run_digest(*train(*readme_run(name))) for name in names}
+    corpus = word_corpus()
+    calls = count_encodes(monkeypatch)
+    got = {}
+    start = threading.Barrier(len(names))
+
+    def work(name):
+        start.wait()
+        got[name] = run_digest(*train(*readme_run(name, corpus=corpus)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(name,)) for name in names]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == expected
+    assert calls == list(corpus.examples)
 
 
 def test_repeat_train_call_makes_almost_no_page_faults():
