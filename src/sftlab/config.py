@@ -369,11 +369,12 @@ class PromptSpec:
     answer: str | None = None
 
 
-def load_prompts(path) -> list[PromptSpec]:
-    """Eval prompt file: JSONL rows of strings {"id", "prompt", optional "answer"}.
-    Ids are unique and none is one of metrics.AGGREGATE_IDS."""
+def load_prompts(path, data: bytes | None = None) -> list[PromptSpec]:
+    """Eval prompt file: JSONL rows of strings {"id", "prompt", optional "answer"},
+    parsed from `data` when given (the bytes read from path), else from the
+    file. Ids are unique and none is one of metrics.AGGREGATE_IDS."""
     prompts: dict[str, PromptSpec] = {}
-    for where, row in read_jsonl(path, ("id", "prompt", "answer"), ("id", "prompt"), ConfigError):
+    for where, row in read_jsonl(path, ("id", "prompt", "answer"), ("id", "prompt"), ConfigError, data):
         if row["id"] in prompts:
             raise ConfigError(f"{where}: duplicate prompt id {row['id']!r}")
         if row["id"] in AGGREGATE_IDS:

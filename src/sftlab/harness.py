@@ -5,14 +5,17 @@ the run's invocation, every setting its primary outputs depend on, and each
 input file's path and sha256; its config_hash is the hash of the invocation
 and those sha256s, so it is a function of what run.json shows and never of a
 path. A run can thus be reproduced from its outputs alone. Primary outputs
-(checkpoints, generations, CSVs) are byte-identical across reruns within one
-BLAS build; run.json is the one file allowed to differ, and only in its
-wall-clock field and in its environment block (the interpreter, numpy and
-BLAS that wrote it), both outside config_hash.
+(checkpoints, generations, CSVs) are byte-identical across reruns on one
+(BLAS build, OpenBLAS core, numpy dispatch targets) triple; run.json is the
+one file allowed to differ, and only in its wall-clock field and in its
+environment block (the interpreter, numpy, BLAS and kernels that wrote it),
+both outside config_hash.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
 import json
 import os
 import platform
@@ -34,7 +37,7 @@ from .config import (
     load_prompts,
     validate_eval_request,
 )
-from .hashing import canonical_json, config_hash, content_hash, csv_text, write_file
+from .hashing import bytes_hash, canonical_json, config_hash, content_hash, csv_text, write_file
 from .losses import LossConfig, PrConfig, focal_scaling, pr_weight
 from .metrics import (
     GenerationSet,
@@ -48,7 +51,8 @@ from .metrics import (
     write_metric_reports,
 )
 from .model import ToyModel, Vocab
-from .sampling import SamplingConfig, sample_generation_set
+# sample_generation_set stays importable from here: perfbench traces it under this module's name
+from .sampling import SamplingConfig, sample_generation_set, sample_generation_sets  # noqa: F401
 from .training import Checkpoint, Corpus, TrainConfig, probe_token_distribution, train
 
 CURVE_GAMMAS = (1.0, 2.0, 3.0, 5.0)
@@ -57,10 +61,36 @@ CURVE_POINTS = 512
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _openblas_core() -> str | None:
+    """The core name whose kernels the OpenBLAS bundled with numpy picked at
+    load time (it picks by CPU, or by OPENBLAS_CORETYPE), or None where no
+    bundled library exports scipy_openblas_get_corename64_."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode("ascii")
+    return None
+
+
+def _numpy_dispatch() -> list[str] | None:
+    """numpy's active SIMD dispatch targets, as np.show_runtime() lists them
+    (honouring NPY_DISABLE_CPU_FEATURES), or None where numpy does not say."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):  # numpy >= 2, then 1.x
+        try:
+            umath = importlib.import_module(name)
+        except ImportError:
+            continue
+        return [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return None
+
+
 def _run_environment() -> dict:
-    """The Python, numpy and BLAS build that ran, and the BLAS thread
-    variables: what a byte-identical rerun must share. The BLAS entry is None
-    where numpy cannot report it (numpy < 1.26)."""
+    """The Python, numpy and BLAS build that ran, the kernels it dispatches
+    to, and the BLAS thread variables: what a byte-identical rerun must share.
+    The BLAS entry is None where numpy cannot report it (numpy < 1.26)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
@@ -70,17 +100,24 @@ def _run_environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
+        "kernels": {"openblas_core": _openblas_core(), "numpy_dispatch": _numpy_dispatch()},
         "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
 
 
+def _hashed_now(paths: dict) -> dict:
+    """{name: (path, sha256)} of input files hashed at this call, for a run
+    that does not keep the bytes it parsed."""
+    return {name: (path, content_hash(path)) for name, path in paths.items()}
+
+
 def write_run_record(out_dir, command, started, invocation, inputs, outputs, status="ok"):
     """Write out_dir/run.json: the `invocation` (every setting the primary
-    outputs depend on), each of `inputs` ({name: path}) as its path and
-    sha256, the `outputs`, the status, the _run_environment() and the seconds
-    since `started`. config_hash covers the invocation and the input sha256s,
-    never a path, the environment or the clock."""
-    inputs = {name: {"path": str(path), "sha256": content_hash(path)} for name, path in inputs.items()}
+    outputs depend on), each of `inputs` ({name: (path, sha256)}) as its path
+    and sha256, the `outputs`, the status, the _run_environment() and the
+    seconds since `started`. config_hash covers the invocation and the input
+    sha256s, never a path, the environment or the clock."""
+    inputs = {name: {"path": str(path), "sha256": digest} for name, (path, digest) in inputs.items()}
     digests = {name: entry["sha256"] for name, entry in inputs.items()}
     record = {
         "command": command,
@@ -121,7 +158,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> dict:
     trace_rows = [(row.step, repr(row.loss), repr(row.lr)) for row in trace]
     write_file(out_dir / "trace.csv", csv_text([("step", "loss", "lr"), *trace_rows]))
     outputs = {"checkpoint": "checkpoint.bin", "trace": "trace.csv"}
-    write_run_record(out_dir, "train", started, cfg.to_dict(), {"corpus": cfg.corpus}, outputs)
+    write_run_record(out_dir, "train", started, cfg.to_dict(), _hashed_now({"corpus": cfg.corpus}), outputs)
     return {
         "checkpoint": out_dir / "checkpoint.bin",
         "trace": out_dir / "trace.csv",
@@ -144,17 +181,23 @@ def run_eval(
     metrics=DEFAULT_EVAL_METRICS,
 ) -> dict:
     """Sample completions for every prompt and score them, then write the
-    generations, the metric CSV and run.json; a failure writes none of them."""
+    generations, the metric CSV and run.json; a failure writes none of them.
+
+    The prompts file and the checkpoint are each read once; run.json records
+    the sha256 of the bytes that were parsed. All prompts' completions are
+    decoded in one lockstep by `sample_generation_sets`."""
     started = time.monotonic()
-    prompts = load_prompts(prompts_path)
+    prompt_bytes = Path(prompts_path).read_bytes()
+    prompts = load_prompts(prompts_path, prompt_bytes)
     metrics = validate_eval_request(metrics, samples, prompts)
-    model = Checkpoint.load(checkpoint_path).model
+    checkpoint_bytes = Path(checkpoint_path).read_bytes()
+    model = Checkpoint.load(checkpoint_path, checkpoint_bytes).model
     check_encodable(model.vocab.chars, {f"prompt {p.id!r}": p.prompt for p in prompts})
     out_dir = Path(out_dir)
 
-    sets: dict[str, GenerationSet] = {
-        p.id: sample_generation_set(model, p.prompt, samples, sampling, p.id) for p in prompts
-    }
+    sets: dict[str, GenerationSet] = dict(
+        zip((p.id for p in prompts), sample_generation_sets(model, prompts, samples, sampling))
+    )
     reports = []
     for name in metrics:
         if name == "self_bleu":
@@ -190,7 +233,10 @@ def run_eval(
         "eval",
         started,
         {"sampling": asdict(sampling), "samples": samples, "metrics": list(metrics)},
-        {"checkpoint": checkpoint_path, "prompts": prompts_path},
+        {
+            "checkpoint": (checkpoint_path, bytes_hash(checkpoint_bytes)),
+            "prompts": (prompts_path, bytes_hash(prompt_bytes)),
+        },
         {"generations": "generations.jsonl", "metrics": "metrics.csv"},
     )
     return {
@@ -330,7 +376,7 @@ def run_sweep(spec: SweepSpec) -> dict:
         "aliases": aliases,
     }
     status = "ok" if not failures else f"{len(failures)} cell(s) failed"
-    inputs = {"corpus": spec.corpus, "prompts": spec.prompts}
+    inputs = _hashed_now({"corpus": spec.corpus, "prompts": spec.prompts})
     write_run_record(out_dir, "sweep", started, invocation, inputs, {"summary": "sweep_summary.csv"}, status)
     return {
         "summary": summary_path,
@@ -443,7 +489,7 @@ def run_probe(spec: ProbeSpec) -> dict:
         "valid_tokens": list(spec.valid_tokens),
         "seeds": list(spec.seeds),
     }
-    inputs = {"pretrain_corpus": spec.pretrain_corpus, "sft_corpus": spec.sft_corpus}
+    inputs = _hashed_now({"pretrain_corpus": spec.pretrain_corpus, "sft_corpus": spec.sft_corpus})
     outputs = {f"probe_{label}": f"probe_{label}.csv" for label in probes} | {"verdict": "verdict.json"}
     write_run_record(out_dir, "probe", started, invocation, inputs, outputs)
     return verdict

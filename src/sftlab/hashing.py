@@ -51,9 +51,14 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def bytes_hash(data: bytes) -> str:
+    """sha256 hex digest of raw bytes, as content_hash gives for a file of them."""
+    return hashlib.sha256(data).hexdigest()
+
+
 def content_hash(path) -> str:
     """sha256 hex digest of a file's raw bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return bytes_hash(Path(path).read_bytes())
 
 
 def write_file(path, data: str | bytes):
@@ -80,15 +85,19 @@ def csv_text(rows) -> str:
     return out.getvalue()
 
 
-def read_jsonl(path, keys, required, error=ValueError) -> list[tuple[str, dict[str, str]]]:
-    """(`path:line`, row) for each non-blank line of a JSONL file of strings.
+def read_jsonl(path, keys, required, error=ValueError, data: bytes | None = None) -> list[tuple[str, dict[str, str]]]:
+    """(`path:line`, row) for each non-blank line of a JSONL file of strings:
+    the bytes `data` read from path when given, else the file's bytes now.
 
     A row is an object whose keys lie in `keys` and include `required`, and
     whose values are JSON strings; an optional key may be null, which reads as
     absent. Bad JSON and any other row raise `error`.
     """
+    if data is None:
+        data = Path(path).read_bytes()
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    # decoded as open(path, encoding="utf-8") would read the file
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             where = f"{path}:{line_no}"
             if not line.strip():

@@ -253,9 +253,9 @@ def backward_batch(model: ToyModel, cache, dlogits: np.ndarray, workspace: Works
     return grads
 
 
-def _window(model: ToyModel, context_tokens) -> np.ndarray:
-    """The last `model.context` ids, left-padded with EOS, as one (1, c) int64
-    window. Raises ValueError on an empty context and TokenizationError on an
+def _window(model: ToyModel, context_tokens) -> list:
+    """The last `model.context` ids, left-padded with EOS: one window's c
+    ids. Raises ValueError on an empty context and TokenizationError on an
     id that is a float or a bool, or that lies outside [0, V); it checks at
     most c ids."""
     c = model.context
@@ -266,19 +266,19 @@ def _window(model: ToyModel, context_tokens) -> np.ndarray:
         raise TokenizationError(f"token ids must be integers, got {tail!r}")
     if min(tail) < 0 or max(tail) >= model.vocab.size:
         raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
-    return np.array([[model.vocab.eos_id] * (c - len(tail)) + tail], dtype=np.int64)
+    return [model.vocab.eos_id] * (c - len(tail)) + tail
 
 
 def forward(model: ToyModel, context_tokens) -> np.ndarray:
     """Next-token logits (V,) for one context: the single-window pass that
     decode makes once per sampled token.
 
-    The last `model.context` ids, left-padded with EOS, form one (1, c)
-    window that goes through `forward_batch`'s layer arithmetic on the same
-    2-D operands, so the logits are bit-equal to that window's row of
-    `forward_batch`. It builds no activation cache. Raises ValueError on an
-    empty context and TokenizationError on an id that is a float or a bool,
-    or that lies outside [0, V).
+    The last `model.context` ids, left-padded with EOS, are gathered straight
+    from the id list into one (1, c*d) row that goes through `forward_batch`'s
+    layer arithmetic on the same 2-D operands, so the logits are bit-equal to
+    that window's row of `forward_batch`. It builds no activation cache.
+    Raises ValueError on an empty context and TokenizationError on an id that
+    is a float or a bool, or that lies outside [0, V).
     """
     logits, _ = _layers(model, model.embed.take(_window(model, context_tokens), 0).reshape(1, -1))
     return logits[0]
@@ -287,7 +287,7 @@ def forward(model: ToyModel, context_tokens) -> np.ndarray:
 def backward(model: ToyModel, context_tokens, dloss_dlogits) -> Gradients:
     """Parameter gradients for one context given the loss gradient at the
     logits. The context is checked as forward checks it."""
-    window = _window(model, context_tokens)
+    window = np.array([_window(model, context_tokens)], dtype=np.int64)
     dlogits = np.asarray(dloss_dlogits, dtype=np.float64)
     if dlogits.shape != (model.vocab.size,):
         raise ValueError(f"dloss_dlogits must have shape ({model.vocab.size},), got {dlogits.shape}")

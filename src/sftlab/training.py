@@ -232,8 +232,10 @@ class Checkpoint:
         write_file(path, b"".join([prefix, header_bytes, *(a.tobytes() for _, a in arrays)]))
 
     @classmethod
-    def load(cls, path) -> "Checkpoint":
-        raw = Path(path).read_bytes()
+    def load(cls, path, data: bytes | None = None) -> "Checkpoint":
+        """The checkpoint in `data`, the bytes read from path, when given,
+        else in the file; errors name path."""
+        raw = Path(path).read_bytes() if data is None else data
         if raw[:8] != cls.MAGIC:
             raise ValueError(f"{path} is not a checkpoint (bad magic)")
         version = int.from_bytes(raw[8:12], "little")

@@ -4,7 +4,10 @@ import csv
 import json
 import multiprocessing
 import os
+import platform
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -186,26 +189,28 @@ def test_eval_writes_outputs_and_reruns_byte_identical(tmp_path, capsys):
     assert_no_temp_files(tmp_path)
 
 
-def test_eval_failing_between_prompts_leaves_no_generations_file(tmp_path, monkeypatch):
-    # sampling dies after the first prompt's set: a generations.jsonl holding
-    # only p0's rows would read as a complete file
-    import sftlab.harness
+def test_eval_failing_mid_decode_leaves_no_generations_file(tmp_path, monkeypatch, capsys):
+    # sampling dies part way through the one lockstep that decodes both
+    # prompts: a generations.jsonl holding the rows decoded so far would read
+    # as a complete file
+    import sftlab.sampling
 
     ckpt = trained_checkpoint(tmp_path)
     prompts = write_prompts(tmp_path / "prompts.jsonl")
-    sample = sftlab.harness.sample_generation_set
+    forward = sftlab.sampling.forward
     calls = []
 
-    def dies_on_second_prompt(*args):
+    def dies_in_second_step(*args):
         calls.append(args)
-        if len(calls) == 2:
+        if len(calls) == 6:  # 2 prompts x 2 samples: the first step makes 4 calls
             raise RuntimeError("sampling died")
-        return sample(*args)
+        return forward(*args)
 
-    monkeypatch.setattr(sftlab.harness, "sample_generation_set", dies_on_second_prompt)
+    monkeypatch.setattr(sftlab.sampling, "forward", dies_in_second_step)
     out = tmp_path / "ev"
     assert main(["eval", str(ckpt), str(prompts), "--out", str(out), "--samples", "2", "--max-tokens", "4"]) == 1
-    assert len(calls) == 2
+    assert len(calls) == 6
+    assert "sampling died" in capsys.readouterr().err
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
@@ -1060,6 +1065,35 @@ def test_run_hash_is_the_recorded_invocation_and_input_contents(tmp_path, monkey
     assert record(copy)["config_hash"] != run["config_hash"]
 
 
+def test_eval_run_records_the_bytes_it_parsed(tmp_path, monkeypatch):
+    # both inputs are rewritten while the eval decodes: run.json must name
+    # the bytes the eval parsed, not what the files hold when it is written
+    import sftlab.sampling
+
+    ckpt = trained_checkpoint(tmp_path)
+    prompts = write_prompts(tmp_path / "prompts.jsonl")
+    parsed = {"checkpoint": content_hash(ckpt), "prompts": content_hash(prompts)}
+    decode = sftlab.sampling.nucleus_decode
+    decodes = []
+
+    def rewrites_inputs(*args):
+        decodes.append(args)
+        if len(decodes) == 1:
+            with open(prompts, "a") as fh:
+                fh.write(json.dumps({"id": "p2", "prompt": "a"}) + "\n")
+            ckpt.write_bytes(ckpt.read_bytes()[:-8])
+        return decode(*args)
+
+    monkeypatch.setattr(sftlab.sampling, "nucleus_decode", rewrites_inputs)
+    out = tmp_path / "ev"
+    assert main(["eval", str(ckpt), str(prompts), "--out", str(out), "--samples", "2", "--max-tokens", "4",
+                 "--metrics", "entropy"]) == 0
+    run = json.loads((out / "run.json").read_text())
+    assert {name: entry["sha256"] for name, entry in run["inputs"].items()} == parsed
+    assert content_hash(prompts) != parsed["prompts"] and content_hash(ckpt) != parsed["checkpoint"]
+    assert len(decodes) == 1  # every prompt's completions in one lockstep
+
+
 def test_eval_run_records_its_sampling_config(tmp_path):
     ckpt = trained_checkpoint(tmp_path)
     prompts = write_prompts(tmp_path / "prompts.jsonl")
@@ -1093,6 +1127,28 @@ def test_sweep_and_probe_records_hold_no_per_run_fields(tmp_path, monkeypatch, c
     assert run["config_hash"] == config_hash({"invocation": run["invocation"], "inputs": digests})
 
 
+def test_run_record_names_the_kernels_it_ran_on(tmp_path):
+    # forcing other kernels in a fresh process changes the kernels entry:
+    # numpy at its first dispatch target, and on x86-64 OpenBLAS at the
+    # Prescott core, which every x86-64 CPU runs (OpenBLAS names it Katmai)
+    probe = "import json; from sftlab.harness import _run_environment; print(json.dumps(_run_environment()['kernels']))"
+
+    def kernels(**env):
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src, **env})
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    detected = kernels()
+    assert detected == harness._run_environment()["kernels"]
+    if detected["numpy_dispatch"]:
+        first = detected["numpy_dispatch"][0]
+        assert kernels(NPY_DISABLE_CPU_FEATURES=" ".join(detected["numpy_dispatch"][1:]))["numpy_dispatch"] == [first]
+    if detected["openblas_core"] is not None and platform.machine() in ("x86_64", "AMD64"):
+        assert kernels(OPENBLAS_CORETYPE="Prescott")["openblas_core"] not in (None, detected["openblas_core"])
+
+
 @pytest.mark.parametrize("command", RUNS)
 def test_run_record_environment_is_outside_the_hash(tmp_path, monkeypatch, command):
     write_inputs, args, _, _, _ = RUNS[command]
@@ -1106,7 +1162,8 @@ def test_run_record_environment_is_outside_the_hash(tmp_path, monkeypatch, comma
         assert main(args(d)) == 0
         records.append(json.loads((d / "out" / "run.json").read_text()))
     first, second = (r["environment"] for r in records)
-    assert set(first) == {"python", "numpy", "blas", "threads"}
+    assert set(first) == {"python", "numpy", "blas", "kernels", "threads"}
+    assert set(first["kernels"]) == {"openblas_core", "numpy_dispatch"}
     assert first["numpy"] == np.__version__
     assert set(first["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert (first["threads"]["OPENBLAS_NUM_THREADS"], second["threads"]["OPENBLAS_NUM_THREADS"]) == ("1", "2")

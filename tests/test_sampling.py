@@ -1,5 +1,7 @@
 """Nucleus filter and the hashed-stream generation sampler."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from sftlab.sampling import (
     nucleus_filter,
     nucleus_sample,
     sample_generation_set,
+    sample_generation_sets,
 )
 
 
@@ -316,6 +319,65 @@ def test_generation_set_calls_forward_once_per_sampled_token(monkeypatch):
         assert len(calls) == sum(min(len(c) + 1, cfg.max_tokens) for c in gs.completions)
     lengths = {len(c) for c in gs.completions}
     assert cfg.max_tokens in lengths and min(lengths) < cfg.max_tokens - 1
+
+
+def joint_prompts(context):
+    """Prompts with one text under two ids, an empty prompt and a prompt
+    longer than the context window."""
+    return [
+        SimpleNamespace(id="p0", prompt="ab"),
+        SimpleNamespace(id="twin", prompt="ab"),
+        SimpleNamespace(id="empty", prompt=""),
+        SimpleNamespace(id="long", prompt="abcdefg " * context),
+        SimpleNamespace(id="p4", prompt="g"),
+    ]
+
+
+def test_joint_decode_gives_each_prompt_its_set_decoded_alone():
+    # every prompt's set from one lockstep equals that prompt's set decoded
+    # alone, bit for bit, at each k and in any prompt order
+    order = np.random.default_rng(5)
+    for n, (model, cfg) in enumerate(decode_grid()):
+        prompts = joint_prompts(model.context)
+        for k in (1, 5, 64) if n % 8 == 0 else (5,):
+            alone = {p.id: sample_generation_set(model, p.prompt, k, cfg, p.id) for p in prompts}
+            for shuffled in (prompts, [prompts[i] for i in order.permutation(len(prompts))]):
+                joint = sample_generation_sets(model, shuffled, k, cfg)
+                assert [s.prompt for s in joint] == [p.prompt for p in shuffled]
+                assert {p.id: s for p, s in zip(shuffled, joint)} == alone, (cfg, k)
+
+
+def test_joint_decode_matches_alone_past_numpy_buffer_size():
+    # 5 prompts x 64 completions x V=28 puts more than numpy's 8192-element
+    # iteration buffer into each stacked step
+    vocab = Vocab("abcdefghijklmnopqrstuvwxyz ")
+    model = ToyModel.init(vocab, context=8, embed_dim=8, hidden_dim=16, seed=9)
+    model.w_out *= 4.0
+    cfg = SamplingConfig(top_p=0.95, max_tokens=12, seed=2)
+    prompts = joint_prompts(model.context)
+    joint = sample_generation_sets(model, prompts, 64, cfg)
+    assert len(prompts) * 64 * vocab.size > 8192
+    for p, s in zip(prompts, joint):
+        assert s == sample_generation_set(model, p.prompt, 64, cfg, p.id), p.id
+
+
+def test_joint_decode_calls_forward_once_per_sampled_token(monkeypatch):
+    # the same count when several prompts share the one lockstep
+    model = make_model()
+    cfg = SamplingConfig(top_p=0.9, max_tokens=10, seed=4)
+    calls = []
+
+    def counted(m, window):
+        calls.append(len(window))
+        return forward(m, window)
+
+    monkeypatch.setattr(sampling, "forward", counted)
+    prompts = [SimpleNamespace(id=f"p{i}", prompt=text) for i, text in enumerate(["ab", "", "dcbadcba", "ab"])]
+    for k in (1, 5, 64):
+        calls.clear()
+        sets = sample_generation_sets(model, prompts, k, cfg)
+        assert len(calls) == sum(min(len(c) + 1, cfg.max_tokens) for s in sets for c in s.completions)
+    assert sample_generation_sets(model, [], 3, cfg) == []
 
 
 def test_generation_set_prompt_id_separates_streams():
