@@ -17,7 +17,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
-from .hashing import check_int_fields, read_jsonl
+from .hashing import bytes_hash, check_int_fields, read_jsonl
 from .losses import LossConfig
 from .metrics import AGGREGATE_IDS
 from .model import Vocab
@@ -198,17 +198,25 @@ def _config_keys(cls) -> set[str]:
     return {f.name for f in fields(cls) if not f.metadata.get("parsed")}
 
 
+def _read_corpus(path: Path) -> tuple[Corpus, str]:
+    """The corpus file read once: its parse and the sha256 of the bytes parsed."""
+    data = path.read_bytes()
+    return Corpus.load_jsonl(path, data), bytes_hash(data)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One train run: the inputs that produce its checkpoint, and where it goes.
     `parsed_corpus` is the corpus file as the loader parsed it, which the run
-    trains on."""
+    trains on, and `corpus_sha256` the sha256 of the bytes parsed, which its
+    run.json records."""
 
     train: TrainConfig
     model: ModelSpec
     corpus: Path
     output_dir: Path
     parsed_corpus: Corpus = field(repr=False, metadata=PARSED)
+    corpus_sha256: str = field(metadata=PARSED)
 
     def to_dict(self) -> dict:
         return {"train": self.train.to_dict(), "model": asdict(self.model)}
@@ -222,7 +230,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     train = parse_train(data.get("train", {}), objective)
     model = parse_model(data.get("model", {}))
     corpus = _input_path(_require(data, "corpus", str(path)), base, "corpus")
-    cfg = ExperimentConfig(train, model, corpus, _output_dir(data, str(path)), Corpus.load_jsonl(corpus))
+    cfg = ExperimentConfig(train, model, corpus, _output_dir(data, str(path)), *_read_corpus(corpus))
     if cfg.model.vocab is not None:
         check_encodable(cfg.model.vocab, {"corpus": cfg.parsed_corpus.charset()})
     return cfg
@@ -255,6 +263,7 @@ class SweepSpec:
     workers: int
     output_dir: Path
     parsed_corpus: Corpus = field(repr=False, metadata=PARSED)  # every task trains on this parse
+    corpus_sha256: str = field(metadata=PARSED)  # of the bytes parsed, which every run.json records
 
     def cells(self) -> list[tuple[str, LossConfig]]:
         """(label, loss config) of every grid cell, in objective, gamma, beta order."""
@@ -293,7 +302,7 @@ def load_sweep_spec(path) -> SweepSpec:
     # a request no cell could evaluate fails here, before any cell trains
     rows = load_prompts(prompts)
     metrics = validate_eval_request(_list_of(data, "metrics", list(DEFAULT_EVAL_METRICS), str), samples, rows)
-    parsed = Corpus.load_jsonl(corpus)
+    parsed, corpus_sha256 = _read_corpus(corpus)
     check_encodable(model.chars(parsed), {"corpus": parsed.charset(), **{f"prompt {p.id!r}": p.prompt for p in rows}})
     return SweepSpec(
         objectives=objectives,
@@ -311,6 +320,7 @@ def load_sweep_spec(path) -> SweepSpec:
         workers=_positive_int(data, "workers", 1),
         output_dir=_output_dir(data, str(path)),
         parsed_corpus=parsed,
+        corpus_sha256=corpus_sha256,
     )
 
 

@@ -158,7 +158,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> dict:
     trace_rows = [(row.step, repr(row.loss), repr(row.lr)) for row in trace]
     write_file(out_dir / "trace.csv", csv_text([("step", "loss", "lr"), *trace_rows]))
     outputs = {"checkpoint": "checkpoint.bin", "trace": "trace.csv"}
-    write_run_record(out_dir, "train", started, cfg.to_dict(), _hashed_now({"corpus": cfg.corpus}), outputs)
+    write_run_record(out_dir, "train", started, cfg.to_dict(), {"corpus": (cfg.corpus, cfg.corpus_sha256)}, outputs)
     return {
         "checkpoint": out_dir / "checkpoint.bin",
         "trace": out_dir / "trace.csv",
@@ -276,7 +276,9 @@ def _sweep_task(args: tuple[SweepSpec, str, TrainConfig]) -> tuple[dict, str | N
     seed = train_cfg.seed
     cell_dir = spec.output_dir / label / f"seed_{seed}"
     try:
-        train_out = run_train(ExperimentConfig(train_cfg, spec.model, spec.corpus, cell_dir, spec.parsed_corpus))
+        train_out = run_train(
+            ExperimentConfig(train_cfg, spec.model, spec.corpus, cell_dir, spec.parsed_corpus, spec.corpus_sha256)
+        )
         eval_out = run_eval(
             train_out["checkpoint"],
             spec.prompts,
@@ -376,7 +378,7 @@ def run_sweep(spec: SweepSpec) -> dict:
         "aliases": aliases,
     }
     status = "ok" if not failures else f"{len(failures)} cell(s) failed"
-    inputs = _hashed_now({"corpus": spec.corpus, "prompts": spec.prompts})
+    inputs = {"corpus": (spec.corpus, spec.corpus_sha256), **_hashed_now({"prompts": spec.prompts})}
     write_run_record(out_dir, "sweep", started, invocation, inputs, {"summary": "sweep_summary.csv"}, status)
     return {
         "summary": summary_path,

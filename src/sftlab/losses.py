@@ -221,7 +221,8 @@ def _tempered(l: np.ndarray, beta: float) -> np.ndarray:
     """tempered_log_softmax(l, beta) without its input checks, bit for bit:
     l is log_softmax's output, already valid log-probs, and params() or the
     oracle range-checked beta."""
-    return _normalize(l / beta)
+    s = l / beta
+    return _normalize(s, out=s)
 
 
 # Value formulas (Objective.value). Each maps log-prob rows l (N, V) to their
@@ -383,11 +384,14 @@ def naive_tempered_focal(z, target: Target, cfg: TofuConfig) -> LossResult:
 # Row i's value is its value formula's at that row, bit for bit.
 
 
-def _residual(p: np.ndarray, at) -> np.ndarray:
-    """p - q for one-hot rows q."""
-    out = p.copy()
-    out[at] -= 1.0
-    return out
+def _residual(p: np.ndarray, at, scale: np.ndarray | None = None) -> np.ndarray:
+    """p - q for one-hot rows q, each row times its entry of scale (N,) when
+    given. Written into p, so each kernel passes an array of its own that it
+    reads no more."""
+    p[at] -= 1.0
+    if scale is not None:
+        p *= scale[:, None]
+    return p
 
 
 def _ce_rows(l, at, *_):
@@ -401,13 +405,14 @@ def _scaled_ce_rows(l, at, beta: float, *_):
 
 def _gem_rows(l, at, beta: float, *_):
     pb = np.exp(_tempered(l, beta))
-    return -l[at] + row_dots(pb, l), _residual(pb, at)
+    value = -l[at] + row_dots(pb, l)
+    return value, _residual(pb, at)
 
 
 def _focal_rows(l, at, cfg: FocalConfig, *_):
     p = np.exp(l)
     p_hat = p[at]
-    return -((1.0 - p_hat) ** cfg.gamma * l[at]), focal_scaling(p_hat, cfg.gamma)[:, None] * _residual(p, at)
+    return -((1.0 - p_hat) ** cfg.gamma * l[at]), _residual(p, at, focal_scaling(p_hat, cfg.gamma))
 
 
 def _lambda_pr_rows(l, at, cfg: PrConfig, positions, lengths):
@@ -419,20 +424,20 @@ def _lambda_pr_rows(l, at, cfg: PrConfig, positions, lengths):
     p = np.exp(l)
     p_hat = p[at]
     w = np.where(p_hat > delta, 0.0, position_factor * p_hat / (cfg.alpha + (1.0 - cfg.alpha) * p_hat))
-    return -w * l[at], w[:, None] * _residual(p, at)
+    return -w * l[at], _residual(p, at, w)
 
 
 def _tofu_rows(l, at, cfg: TofuConfig, *_):
     lb = _tempered(l, cfg.beta)
     g = focal_scaling(np.exp(l[at]), cfg.gamma)
-    return -g * cfg.beta * lb[at], g[:, None] * _residual(np.exp(lb), at)
+    return -g * cfg.beta * lb[at], _residual(np.exp(lb), at, g)
 
 
 def _naive_tempered_focal_rows(l, at, cfg: TofuConfig, *_):
     lb = _tempered(l, cfg.beta)
     pb = np.exp(lb)
     pb_k = pb[at]
-    return -cfg.beta * _naive_factor(pb_k, cfg.gamma) * lb[at], focal_scaling(pb_k, cfg.gamma)[:, None] * _residual(pb, at)
+    return -cfg.beta * _naive_factor(pb_k, cfg.gamma) * lb[at], _residual(pb, at, focal_scaling(pb_k, cfg.gamma))
 
 
 @dataclass(frozen=True)

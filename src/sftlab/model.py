@@ -8,6 +8,7 @@ finite-difference oracle check the whole composite.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -223,33 +224,62 @@ def forward_batch(model: ToyModel, contexts: np.ndarray, workspace: Workspace | 
     return logits, (contexts, x, hidden)
 
 
-def backward_batch(model: ToyModel, cache, dlogits: np.ndarray, workspace: Workspace | None = None) -> Gradients:
+def _weight_grad(inputs: np.ndarray, dout: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+    """One layer's weight and bias gradients, inputs.T @ dout and the column
+    sums of dout, written into the given buffers."""
+    np.matmul(inputs.T, dout, out=weight)
+    np.sum(dout, axis=0, out=bias)
+
+
+def backward_batch(
+    model: ToyModel, cache, dlogits: np.ndarray, workspace: Workspace | None = None, helper: Executor | None = None
+) -> Gradients:
     """Exact reverse pass. dlogits rows carry whatever per-position scaling the
     caller chose; this function is linear in them.
 
     Given a workspace that fits the cache's rows (ValueError otherwise), the
     gradients are its buffers, valid until its next use; without one they are
     fresh arrays.
+
+    Given a helper, an executor with one worker, the weight and bias
+    gradients (hidden.T @ dlogits, x.T @ dpre and the two column sums) run on
+    it while this thread runs the input-gradient chain (dlogits @ w_out.T,
+    dpre, dpre @ w_hidden.T and the embedding scatter). Each is the same
+    numpy call on the same operands either way, so the gradients are the
+    same bits with a helper or without. This call waits for the helper's
+    work before it returns or raises, so no buffer is written after it ends,
+    and an error on either thread reaches the caller.
     """
     contexts, x, hidden = cache
     B = len(x)
     ws = _workspace(model, B, workspace)
-    dhidden = np.matmul(dlogits, model.w_out.T, out=ws.dhidden[:B])
-    dpre = np.square(hidden, out=ws.dpre[:B])
-    np.subtract(1.0, dpre, out=dpre)
-    dpre *= dhidden
-    dx = np.matmul(dpre, model.w_hidden.T, out=ws.dx[:B])
-    # one bincount over flat (token, column) slots sums each slot's terms in
-    # row order, the order np.add.at would use, so the result is bit-equal
-    V, d = model.embed.shape
-    slots = np.multiply(contexts[..., None], d, out=ws.slots[:B])
-    slots += np.arange(d)
     grads = ws.grads
-    grads.embed[...] = np.bincount(slots.ravel(), weights=dx.ravel(), minlength=V * d).reshape(V, d)
-    np.matmul(x.T, dpre, out=grads.w_hidden)
-    np.sum(dpre, axis=0, out=grads.b_hidden)
-    np.matmul(hidden.T, dlogits, out=grads.w_out)
-    np.sum(dlogits, axis=0, out=grads.b_out)
+    pending: list[Future] = []
+
+    def weight_grad(*args):
+        """_weight_grad(*args) on the helper, or at once on this thread without one."""
+        if helper is None:
+            _weight_grad(*args)
+        else:
+            pending.append(helper.submit(_weight_grad, *args))
+
+    try:
+        weight_grad(hidden, dlogits, grads.w_out, grads.b_out)
+        dhidden = np.matmul(dlogits, model.w_out.T, out=ws.dhidden[:B])
+        dpre = np.square(hidden, out=ws.dpre[:B])
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= dhidden
+        weight_grad(x, dpre, grads.w_hidden, grads.b_hidden)
+        dx = np.matmul(dpre, model.w_hidden.T, out=ws.dx[:B])
+        # one bincount over flat (token, column) slots sums each slot's terms in
+        # row order, the order np.add.at would use, so the result is bit-equal
+        V, d = model.embed.shape
+        slots = np.add(contexts[..., None] * d, np.arange(d), out=ws.slots[:B])
+        grads.embed[...] = np.bincount(slots.ravel(), weights=dx.ravel(), minlength=V * d).reshape(V, d)
+    finally:
+        wait(pending)
+    for future in pending:
+        future.result()
     return grads
 
 

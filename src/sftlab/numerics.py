@@ -80,14 +80,17 @@ def logsumexp(x):
     return (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
-def _normalize(s: np.ndarray) -> np.ndarray:
-    """s - logsumexp(s) over the last axis, max-shifted and floored at LOG_FLOOR.
+def _normalize(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """s - logsumexp(s) over the last axis, max-shifted and floored at LOG_FLOOR,
+    written into out when given (s itself, for a caller that owns s), else
+    into a fresh array.
 
     Max-subtraction guarantees every output entry is <= 0 exactly, and the
     floor never disturbs normalization beyond a few denormals.
     """
-    s = s - s.max(axis=-1, keepdims=True)
-    return np.maximum(s - np.log(np.exp(s).sum(axis=-1, keepdims=True)), LOG_FLOOR)
+    s = np.subtract(s, s.max(axis=-1, keepdims=True), out=out)
+    s -= np.log(np.exp(s).sum(axis=-1, keepdims=True))
+    return np.maximum(s, LOG_FLOOR, out=s)
 
 
 def log_softmax(z) -> np.ndarray:

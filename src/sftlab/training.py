@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -77,9 +79,11 @@ class Corpus:
         return "".join(sorted({ch for ex in self.examples for ch in ex.prompt + ex.response}))
 
     @classmethod
-    def load_jsonl(cls, path) -> "Corpus":
+    def load_jsonl(cls, path, data: bytes | None = None) -> "Corpus":
+        """The corpus in `data`, the bytes read from path, when given, else in
+        the file; errors name path."""
         keys = ("prompt", "response")
-        return cls([CorpusExample(**row) for _, row in read_jsonl(path, keys, keys)])
+        return cls([CorpusExample(**row) for _, row in read_jsonl(path, keys, keys, data=data)])
 
     def save_jsonl(self, path):
         write_file(path, "".join(json.dumps(asdict(ex), sort_keys=True) + "\n" for ex in self.examples))
@@ -276,6 +280,11 @@ class Checkpoint:
         return cls(model=model, step=step, config_hash=cfg_hash)
 
 
+# the least expected work per step, in multiply-adds of x @ w_hidden, at which
+# a helper thread for the backward pass's weight gradients pays for its
+# hand-offs; below it a step runs on the calling thread alone
+HELPER_MIN_WORK = 2**21
+
 # at most one step workspace per thread, kept across train calls: concurrent
 # trainers never share buffers, and a repeat call reuses pages already mapped
 _step_workspaces = threading.local()
@@ -303,9 +312,16 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
     encodes it, and the read-only rows are shared by every later call. Each
     step writes its activations, gradients and update terms into this
     thread's model.Workspace, which outlives the call and is unaffected by the
-    memo; no returned array is one of its buffers. Non-finite logits, a
-    non-finite loss, or non-finite parameters after the last update abort
-    with the failing step.
+    memo; no returned array is one of its buffers. When a step's expected
+    work, batch_size x the corpus's mean rows per example x c*d*h
+    multiply-adds, reaches HELPER_MIN_WORK, the call opens one helper thread
+    (a ThreadPoolExecutor with one worker) that runs each step's weight
+    gradients in model.backward_batch beside the input-gradient chain, and
+    closes it before it returns or raises; below the floor every step runs on
+    the calling thread. Each BLAS call is the same call on the same operands
+    either way, so the bits do not change. Non-finite logits, a non-finite
+    loss, or non-finite parameters after the last update abort with the
+    failing step.
     """
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
@@ -319,36 +335,40 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
     velocity = Gradients.zeros_like(model) if cfg.momentum > 0 else None
     decayed = {"embed", "w_hidden", "w_out"}
     ws = _step_workspace(model, cfg.batch_size * int(encoded.sizes.max()))
+    # a step's expected multiply-adds in x @ w_hidden, (c*d) * h per row
+    step_work = cfg.batch_size * len(encoded.targets) / len(encoded) * model.w_hidden.size
+    helper = ThreadPoolExecutor(max_workers=1) if step_work >= HELPER_MIN_WORK else None
 
-    for step in range(cfg.total_steps):
-        lr = schedule_lr(step, cfg)
-        rows = encoded.rows(list(itertools.islice(picks, cfg.batch_size)))
-        logits, cache = forward_batch(model, encoded.contexts[rows], ws)
-        if not np.all(np.isfinite(logits)):
-            # parameters overflowed on an earlier update; the per-token losses
-            # themselves are bounded by the log floor and cannot signal this
-            raise TrainingDivergedError(step, f"non-finite logits at step {step}")
-        values, dlogits = batch_loss(
-            logits, encoded.targets[rows], encoded.positions[rows], encoded.lengths[rows], cfg.objective
-        )
-        row_weights = weights[rows]
-        dlogits *= row_weights[:, None]
-        loss = left_sum(values * row_weights)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(step, f"non-finite loss at step {step}")
-        grads = backward_batch(model, cache, dlogits, ws)
-        for name, param in model.named_params():
-            g = getattr(grads, name)
-            scratch = getattr(ws.scratch, name)
-            if velocity is not None:
-                v = getattr(velocity, name)
-                v *= cfg.momentum
-                v += g
-                g = v
-            param -= np.multiply(lr, g, out=scratch)
-            if cfg.weight_decay > 0 and name in decayed:
-                param -= np.multiply(lr * cfg.weight_decay, param, out=scratch)
-        trace.append(TraceRow(step, float(loss), float(lr)))
+    with helper or nullcontext():
+        for step in range(cfg.total_steps):
+            lr = schedule_lr(step, cfg)
+            rows = encoded.rows(list(itertools.islice(picks, cfg.batch_size)))
+            logits, cache = forward_batch(model, encoded.contexts[rows], ws)
+            if not np.all(np.isfinite(logits)):
+                # parameters overflowed on an earlier update; the per-token losses
+                # themselves are bounded by the log floor and cannot signal this
+                raise TrainingDivergedError(step, f"non-finite logits at step {step}")
+            values, dlogits = batch_loss(
+                logits, encoded.targets[rows], encoded.positions[rows], encoded.lengths[rows], cfg.objective
+            )
+            row_weights = weights[rows]
+            dlogits *= row_weights[:, None]
+            loss = left_sum(values * row_weights)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(step, f"non-finite loss at step {step}")
+            grads = backward_batch(model, cache, dlogits, ws, helper)
+            for name, param in model.named_params():
+                g = getattr(grads, name)
+                scratch = getattr(ws.scratch, name)
+                if velocity is not None:
+                    v = getattr(velocity, name)
+                    v *= cfg.momentum
+                    v += g
+                    g = v
+                param -= np.multiply(lr, g, out=scratch)
+                if cfg.weight_decay > 0 and name in decayed:
+                    param -= np.multiply(lr * cfg.weight_decay, param, out=scratch)
+            trace.append(TraceRow(step, float(loss), float(lr)))
     if cfg.total_steps > 0 and not all(np.all(np.isfinite(p)) for _, p in model.named_params()):
         # an overflow on the last update has no next step's logits to show it
         last = cfg.total_steps - 1

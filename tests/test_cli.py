@@ -8,15 +8,24 @@ import platform
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict
+import threading
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sftlab import harness
+from sftlab import harness, training
 from sftlab.cli import main
-from sftlab.config import ConfigError, parse_model, parse_objective, parse_sampling, parse_train
+from sftlab.config import (
+    ConfigError,
+    load_experiment_config,
+    load_sweep_spec,
+    parse_model,
+    parse_objective,
+    parse_sampling,
+    parse_train,
+)
 from sftlab.hashing import config_hash, content_hash
 from sftlab.losses import LossConfig
 from sftlab.metrics import read_metric_reports
@@ -64,6 +73,13 @@ def write_experiment(tmp_path, out_name="run", **overrides):
 def strip_wall_clock(path):
     data = json.loads(path.read_text())
     data.pop("wall_clock_s")
+    return data
+
+
+def strip_paths(path):
+    """A run.json less its wall clock, with each input as its sha256 alone."""
+    data = strip_wall_clock(path)
+    data["inputs"] = {name: entry["sha256"] for name, entry in data["inputs"].items()}
     return data
 
 
@@ -903,10 +919,10 @@ def count_parses(monkeypatch, log: Path):
     so that the parses of forked sweep workers count too."""
     real = Corpus.load_jsonl
 
-    def counted(cls, path):
+    def counted(cls, path, data=None):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{path}\n")
-        return real(path)
+        return real(path, data)
 
     monkeypatch.setattr(Corpus, "load_jsonl", classmethod(counted))
 
@@ -942,6 +958,45 @@ def test_sweep_workers_write_the_same_summary(tmp_path):
         assert main(["sweep", str(spec)]) == 0
         summaries.append((tmp_path / f"w{workers}" / "sweep_summary.csv").read_bytes())
     assert summaries[0] == summaries[1]
+
+
+def test_forked_sweep_workers_above_the_helper_floor_write_the_same_files(tmp_path, monkeypatch):
+    # batch 8 of about 11 rows at c8 d32 h128 is 2.9M multiply-adds a step,
+    # above the floor, so every train call opens a helper thread. The
+    # workers=1 sweep trains in this process first; the workers=2 sweep then
+    # forks it, and a worker that inherited a helper thread (which a fork does
+    # not copy) would wait on it forever
+    spec = write_sweep(tmp_path, model={"context": 8, "embed_dim": 32, "hidden_dim": 128},
+                       train={**TRAIN, "total_steps": 4, "warmup_steps": 1, "batch_size": 8})
+    rng = np.random.default_rng(0)
+    rows = [{"prompt": "ab", "response": "".join(rng.choice(list("abcd"), n))} for n in range(7, 15)]
+    (tmp_path / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    helpers = []
+    real = training.ThreadPoolExecutor
+    monkeypatch.setattr(training, "ThreadPoolExecutor", lambda **kwargs: helpers.append(kwargs) or real(**kwargs))
+    outs = {}
+    for workers in (1, 2):
+        outs[workers] = tmp_path / f"w{workers}"
+        sweep = replace(load_sweep_spec(spec), workers=workers, output_dir=outs[workers])
+        runner = threading.Thread(target=harness.run_sweep, args=(sweep,), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        if runner.is_alive():  # end the hung workers, so that the pool and this test can end
+            for child in multiprocessing.active_children():
+                child.kill()
+            runner.join(timeout=30)
+            pytest.fail(f"workers={workers} sweep did not finish")
+        if workers == 1:
+            assert len(helpers) == 4  # 2 cells x 2 seeds, each with its helper
+    files = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+    assert len(files) == 2 + 4 * 6  # summary and run.json, then each task's three train and three eval files
+    assert files == sorted(p.relative_to(outs[2]) for p in outs[2].rglob("*") if p.is_file())
+    for name in files:
+        a, b = outs[1] / name, outs[2] / name
+        if name.name == "run.json":  # the same but for the clock and the paths, which name the output directory
+            assert strip_paths(a) == strip_paths(b), name
+        else:
+            assert a.read_bytes() == b.read_bytes(), name
 
 
 @pytest.mark.skipif(
@@ -1092,6 +1147,26 @@ def test_eval_run_records_the_bytes_it_parsed(tmp_path, monkeypatch):
     assert {name: entry["sha256"] for name, entry in run["inputs"].items()} == parsed
     assert content_hash(prompts) != parsed["prompts"] and content_hash(ckpt) != parsed["checkpoint"]
     assert len(decodes) == 1  # every prompt's completions in one lockstep
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_train_and_sweep_record_the_corpus_bytes_they_parsed(tmp_path, command):
+    # the corpus changes between the config load, whose parse the runs train
+    # on, and the records: every run.json must name the bytes that were parsed
+    if command == "train":
+        cfg = load_experiment_config(write_experiment(tmp_path, output_dir=str(tmp_path / "out")))
+        run, records = harness.run_train, ["out/run.json"]
+    else:
+        cfg = load_sweep_spec(write_sweep(tmp_path, gammas=[3.0], output_dir=str(tmp_path / "out")))
+        run, records = harness.run_sweep, ["out/run.json", "out/tofu_g3_b0.7/seed_0/run.json",
+                                           "out/tofu_g3_b0.7/seed_1/run.json"]
+    parsed = content_hash(tmp_path / "corpus.jsonl")
+    with open(tmp_path / "corpus.jsonl", "a") as fh:
+        fh.write(json.dumps({"prompt": "a", "response": "b"}) + "\n")
+    run(cfg)
+    for name in records:
+        assert json.loads((tmp_path / name).read_text())["inputs"]["corpus"]["sha256"] == parsed, name
+    assert content_hash(tmp_path / "corpus.jsonl") != parsed
 
 
 def test_eval_run_records_its_sampling_config(tmp_path):

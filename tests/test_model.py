@@ -2,6 +2,8 @@
 pass checked against parameter-space finite differences."""
 
 import re
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -243,6 +245,56 @@ class TestBackward:
             assert ws_logits.tobytes() == logits.tobytes()
             for name, grad in grads.named():
                 assert getattr(ws_grads, name).tobytes() == grad.tobytes(), (rows, name)
+
+    @pytest.mark.parametrize("rows", [0, 1, 363])
+    @pytest.mark.parametrize("with_workspace", [False, True], ids=["fresh", "workspace"])
+    def test_helper_gives_the_serial_gradients_bit_for_bit(self, rows, with_workspace):
+        readme = ToyModel.init(Vocab("abcdefghijklmnopqrstuvwxyz"), context=8, embed_dim=32, hidden_dim=128, seed=3)
+        rng = np.random.default_rng(rows)
+        ctx = rng.integers(0, readme.vocab.size, (rows, readme.context))
+        d = rng.normal(size=(rows, readme.vocab.size))
+        grads = {}
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for side in (None, helper):
+                ws = Workspace(readme, rows) if with_workspace else None
+                _, cache = forward_batch(readme, ctx, ws)
+                grads[side is None] = {name: g.tobytes() for name, g in backward_batch(readme, cache, d, ws, side).named()}
+        assert grads[True] == grads[False]
+
+    @pytest.mark.parametrize("failing", ["helper", "caller", None])
+    def test_helper_work_ends_before_backward_returns_or_raises(self, model, monkeypatch, failing):
+        # every job on the helper sleeps first, so a call that did not wait for
+        # it would end while the helper still writes the gradients
+        if failing == "caller":
+            def boom(*args, **kwargs):
+                raise RuntimeError("caller failed")
+
+            monkeypatch.setattr(np, "bincount", boom)  # the embedding scatter, on the calling thread
+        futures = []
+
+        class SlowHelper(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                def slow():
+                    time.sleep(0.05)
+                    if failing == "helper":
+                        raise RuntimeError("helper failed")
+                    return fn(*args)
+
+                futures.append(super().submit(slow))
+                return futures[-1]
+
+        ws = Workspace(model, 3)
+        _, cache = forward_batch(model, np.array([[0, 1, 2, 3], [2, 2, 0, 1], [4, 3, 2, 1]]), ws)
+        with SlowHelper(max_workers=1) as helper:
+            if failing is None:
+                backward_batch(model, cache, np.ones((3, model.vocab.size)), ws, helper)
+            else:
+                with pytest.raises(RuntimeError, match=f"{failing} failed"):
+                    backward_batch(model, cache, np.ones((3, model.vocab.size)), ws, helper)
+            assert len(futures) == 2 and all(f.done() for f in futures)
+            written = {name: g.tobytes() for name, g in ws.grads.named()}
+            time.sleep(0.1)
+            assert {name: g.tobytes() for name, g in ws.grads.named()} == written
 
     def test_workspace_that_does_not_fit_is_rejected(self, model, vocab):
         ctx = np.zeros((3, model.context), dtype=np.int64)

@@ -4,9 +4,11 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +568,53 @@ def test_concurrent_first_calls_encode_a_corpus_once(monkeypatch):
     assert not any(worker.is_alive() for worker in workers)
     assert got == expected
     assert calls == list(corpus.examples)
+
+
+def count_helpers(monkeypatch) -> list:
+    """The keyword arguments of each helper executor train opens from now on."""
+    made = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, **kwargs):
+            made.append(kwargs)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(training, "ThreadPoolExecutor", Counted)
+    return made
+
+
+@pytest.mark.parametrize("dims, helpers", [((4, 16, 32), 0), ((8, 32, 128), 1)], ids=["c4_d16_h32", "readme"])
+def test_only_a_step_above_the_floor_gets_a_helper(monkeypatch, dims, helpers):
+    # batch 16 x about 24 rows per example: 0.8M multiply-adds a step at c4
+    # d16 h32, under the 2**21 floor, and 12.6M at README dims
+    made = count_helpers(monkeypatch)
+    train(*readme_run(dims=dims))
+    assert made == [{"max_workers": 1}] * helpers
+
+
+@pytest.mark.parametrize("name", OBJECTIVES)
+@pytest.mark.parametrize("dims", [(4, 16, 32), (8, 32, 128)], ids=["c4_d16_h32", "readme"])
+def test_helper_trains_bit_equal_to_the_calling_thread_alone(monkeypatch, name, dims):
+    run = readme_run(name, dims=dims, steps=3)
+    got = {}
+    for floor in (0, math.inf):  # a helper on every step, then on none
+        monkeypatch.setattr(training, "HELPER_MIN_WORK", floor)
+        made = count_helpers(monkeypatch)
+        got[floor] = run_digest(*train(*run))
+        assert len(made) == (floor == 0)
+    assert got[0] == got[math.inf]
+
+
+def test_train_leaves_no_thread_behind(monkeypatch):
+    made = count_helpers(monkeypatch)
+    before = threading.active_count()
+    train(*readme_run())
+    assert threading.active_count() == before
+    model, corpus, cfg = readme_run()
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+        train(model, corpus, dataclasses.replace(cfg, learning_rate=1e308))
+    assert threading.active_count() == before
+    assert len(made) == 2  # both calls ran above the floor, with a helper
 
 
 def test_repeat_train_call_makes_almost_no_page_faults():
