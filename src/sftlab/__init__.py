@@ -30,9 +30,9 @@ from .losses import (
     LossResult,
     PrConfig,
     Target,
-    UnsupportedTargetError,
     batch_loss,
     drop_threshold,
+    expected_loss,
     focal_scaling,
     pr_weight,
     token_loss,

@@ -326,6 +326,9 @@ def load_sweep_spec(path) -> SweepSpec:
 
 @dataclass(frozen=True)
 class ProbeSpec:
+    """A probe run. Each corpus file is read once, at load: every run trains
+    on its parse, and run.json records the sha256 of the bytes parsed."""
+
     pretrain_corpus: Path
     pretrain: TrainConfig
     sft_corpus: Path
@@ -336,6 +339,10 @@ class ProbeSpec:
     valid_tokens: tuple[str, ...]
     seeds: tuple[int, ...]
     output_dir: Path
+    parsed_pretrain_corpus: Corpus = field(repr=False, metadata=PARSED)
+    pretrain_corpus_sha256: str = field(metadata=PARSED)
+    parsed_sft_corpus: Corpus = field(repr=False, metadata=PARSED)
+    sft_corpus_sha256: str = field(metadata=PARSED)
 
 
 def load_probe_spec(path) -> ProbeSpec:
@@ -355,11 +362,15 @@ def load_probe_spec(path) -> ProbeSpec:
     valid_tokens = _list_of(probe, "valid_tokens", [], str)
     if not valid_tokens or any(len(t) != 1 for t in valid_tokens):
         raise ConfigError("probe.valid_tokens must be single characters")
+    pretrain_corpus = _input_path(_require(pre, "corpus", "pretrain"), base, "pretrain.corpus")
+    sft_corpus = _input_path(_require(sft, "corpus", "sft"), base, "sft.corpus")
+    parsed_pretrain, pretrain_sha256 = _read_corpus(pretrain_corpus)
+    parsed_sft, sft_sha256 = _read_corpus(sft_corpus)
     return ProbeSpec(
-        pretrain_corpus=_input_path(_require(pre, "corpus", "pretrain"), base, "pretrain.corpus"),
+        pretrain_corpus=pretrain_corpus,
         # each seed of `seeds` replaces both train seeds, so a spec may not name them
         pretrain=parse_train(pre.get("train", {}), pre_objective, "pretrain.train", seed=0),
-        sft_corpus=_input_path(_require(sft, "corpus", "sft"), base, "sft.corpus"),
+        sft_corpus=sft_corpus,
         sft_base=parse_train(sft.get("train", {}), LossConfig("ce"), "sft.train", seed=0),
         sft_objectives=tuple(
             parse_objective(o, f"sft.objectives[{i}]") for i, o in enumerate(raw_objectives)
@@ -369,6 +380,10 @@ def load_probe_spec(path) -> ProbeSpec:
         valid_tokens=valid_tokens,
         seeds=_parse_seeds(data, str(path)),
         output_dir=_output_dir(data, str(path)),
+        parsed_pretrain_corpus=parsed_pretrain,
+        pretrain_corpus_sha256=pretrain_sha256,
+        parsed_sft_corpus=parsed_sft,
+        sft_corpus_sha256=sft_sha256,
     )
 
 

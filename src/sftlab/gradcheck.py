@@ -7,6 +7,11 @@ Two layers of evidence, never collapsed into one:
   2. central finite differences of the value expressions, with every detached
      quantity frozen at the base point, held to the looser fd tolerance.
 
+Every trial draws a one-hot target. The focal check's witness that focal is
+not a rescaled CE in general takes its gradients at soft targets from
+losses.expected_loss, the expectation of the kernel rows each one-hot trial
+checks.
+
 Every check keeps its verdict in one _Tally, so one rule decides them all: a
 check passes when each error channel's worst error is finite and within its
 bound and the check's own conditions hold.
@@ -30,6 +35,7 @@ from .losses import (
     TofuConfig,
     _oracle_inputs,
     ce,
+    expected_loss,
     focal,
     focal_scaling,
     gem,
@@ -236,8 +242,8 @@ def frozen_value_fn(
     """
     objective = OBJECTIVE_TABLE[cfg.objective]
     params = cfg.params(position, length)
-    l0, _ = _oracle_inputs(cfg.objective, z0, target)
-    return lambda rows: objective.value(log_softmax(rows), target, params, l0)
+    l0 = _oracle_inputs(z0, target)
+    return lambda rows: objective.value(log_softmax(rows), target.index, params, l0)
 
 
 def verify_gem_equivalence(trials: int = 1000, seed: int = 0) -> CheckReport:
@@ -260,7 +266,8 @@ def verify_gem_equivalence(trials: int = 1000, seed: int = 0) -> CheckReport:
 
 def verify_focal_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
     """One-hot focal gradients are g(p_hat, gamma)-rescaled CE gradients; the
-    rescaling does NOT survive soft targets, witnessed by componentwise ratios."""
+    rescaling does NOT survive an expectation over soft targets (expected_loss),
+    witnessed by componentwise ratios."""
     rng = np.random.default_rng(seed)
     tally = _Tally(identity=FOCAL_PROPORTION_TOL, fd=FD_SPEC.tolerance)
     for _ in range(trials):
@@ -282,21 +289,14 @@ def verify_focal_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
         z = rng.normal(0.0, 1.0, size)
         q = rng.dirichlet(np.ones(size))
         gamma = float(rng.choice([1.0, 2.0, 3.0, 5.0]))
-        target = Target.soft(q)
-        got = focal(z, target, FocalConfig(gamma)).grad
-        cg = ce(z, target).grad
-        numeric = fd_gradient(frozen_value_fn(LossConfig("focal", gamma=gamma), z, target), z)
-
-        def inputs():
-            return {"z": z.tolist(), "q": q.tolist(), "gamma": gamma}
-
-        tally.add("fd", rel_error(numeric, got, FD_SPEC.norm_floor), inputs)
+        got = expected_loss(z, q, LossConfig("focal", gamma=gamma)).grad
+        cg = expected_loss(z, q, LossConfig("ce")).grad
         keep = np.abs(cg) > 1e-6 * np.abs(cg).max()
         ratios = got[keep] / cg[keep]
         spread = float(ratios.max() - ratios.min())
         if spread > max_spread:
             max_spread = spread
-            witness = inputs()
+            witness = {"z": z.tolist(), "q": q.tolist(), "gamma": gamma}
     found = max_spread > RATIO_SPREAD_MIN
     extras = {"soft_trials": soft_trials, "max_ratio_spread": max_spread, "witness": witness, "witness_found": found}
     return tally.report("focal_scaling", trials, found, extras)
@@ -414,9 +414,9 @@ def _trial_loss_config(name: str, t: Trial, rng: np.random.Generator) -> tuple[L
 def verify_finite_difference(trials: int = 1000, seed: int = 0, objectives=None) -> CheckReport:
     """Every objective's closed-form gradient against central differences.
 
-    Runs `trials` random draws per objective. Soft targets are mixed in for
-    the objectives that accept them; lambda-PR additionally varies its
-    position/length pair so the position discount is exercised.
+    Runs `trials` random draws per objective, each at a one-hot target;
+    lambda-PR additionally varies its position/length pair so the position
+    discount is exercised.
     """
     names = tuple(objectives) if objectives else OBJECTIVES
     for name in names:
@@ -426,21 +426,16 @@ def verify_finite_difference(trials: int = 1000, seed: int = 0, objectives=None)
     tally = _Tally(fd=FD_SPEC.tolerance)
     per_objective = {}
     for name in names:
-        soft_targets = OBJECTIVE_TABLE[name].soft_targets
         worst = 0.0
-        for i in range(trials):
+        for _ in range(trials):
             t = draw_trial(rng)
-            if soft_targets and i % 3 == 2:
-                target = Target.soft(rng.dirichlet(np.ones(t.z.size)))
-            else:
-                target = Target.one_hot(t.index)
+            target = Target.one_hot(t.index)
             cfg, position, length = _trial_loss_config(name, t, rng)
             analytic = token_loss(t.z, target, cfg, position=position, length=length).grad
             numeric = fd_gradient(frozen_value_fn(cfg, t.z, target, position, length), t.z)
 
             def inputs():
-                drawn = {"target": t.index} if target.is_one_hot else {"q": target.dist.tolist()}
-                return {**cfg.key(), "z": t.z.tolist(), **drawn, "position": position, "length": length}
+                return {**cfg.key(), "z": t.z.tolist(), "target": t.index, "position": position, "length": length}
 
             worst = max(worst, tally.add("fd", rel_error(numeric, analytic, FD_SPEC.norm_floor), inputs))
         per_objective[name] = worst

@@ -399,8 +399,7 @@ def run_probe(spec: ProbeSpec) -> dict:
     pretrained model.
     """
     started = time.monotonic()
-    pre_corpus = Corpus.load_jsonl(spec.pretrain_corpus)
-    sft_corpus = Corpus.load_jsonl(spec.sft_corpus)
+    pre_corpus, sft_corpus = spec.parsed_pretrain_corpus, spec.parsed_sft_corpus
     chars = spec.model.vocab
     if chars is None:
         chars = Vocab.from_text(pre_corpus.charset(), sft_corpus.charset(), spec.prompt, *spec.valid_tokens).chars
@@ -491,7 +490,10 @@ def run_probe(spec: ProbeSpec) -> dict:
         "valid_tokens": list(spec.valid_tokens),
         "seeds": list(spec.seeds),
     }
-    inputs = _hashed_now({"pretrain_corpus": spec.pretrain_corpus, "sft_corpus": spec.sft_corpus})
+    inputs = {
+        "pretrain_corpus": (spec.pretrain_corpus, spec.pretrain_corpus_sha256),
+        "sft_corpus": (spec.sft_corpus, spec.sft_corpus_sha256),
+    }
     outputs = {f"probe_{label}": f"probe_{label}.csv" for label in probes} | {"verdict": "verdict.json"}
     write_run_record(out_dir, "probe", started, invocation, inputs, outputs)
     return verdict

@@ -1,26 +1,30 @@
 """Per-token SFT objectives with closed-form logit gradients.
 
-Every objective maps (logits, target) to a LossResult holding a scalar value
-and the analytic gradient with respect to the logits. The closed forms are
-canonical; the value expressions exist for reporting and for finite-difference
-cross-checks. Quantities documented as "detached" (the tempered distribution in
-GEM, the focal factor in TOFU, the weight and indicator in lambda-PR) are
-computed as plain constants before the gradient is assembled, which is all
-"stop-gradient" means without an autograd tape.
+Every objective maps (logits, one-hot target) to a LossResult holding a scalar
+value and the analytic gradient with respect to the logits. The closed forms
+are canonical; the value expressions exist for reporting and for
+finite-difference cross-checks. Quantities documented as "detached" (the
+tempered distribution in GEM, the focal factor in TOFU, the weight and
+indicator in lambda-PR) are computed as plain constants before the gradient is
+assembled, which is all "stop-gradient" means without an autograd tape.
 
 OBJECTIVE_TABLE states each objective's facts once: the hyperparameters it
-consumes, its rows kernel, its one value formula over log-prob rows, its
-default beta and, if it takes soft targets, its soft-target gradient. Its
-names, in order, are OBJECTIVES: ce, scaled_ce, gem, focal, lambda_pr, tofu,
-naive_tempered_focal.
+consumes, its rows kernel, its one value formula over log-prob rows and its
+default beta. Its names, in order, are OBJECTIVES: ce, scaled_ce, gem, focal,
+lambda_pr, tofu, naive_tempered_focal.
 
 The rows kernel is the one written form of each one-hot logit gradient.
 Training runs it through batch_loss over (N, V) logits, which makes the checks
 every objective shares with no code of its own per objective. The scalar
-functions (token_loss and one per objective) take their one-hot gradient from
-the kernel's row 0 and their value from the value formula, so the gradient
+functions (token_loss and one per objective) take their gradient from the
+kernel's row 0 and their value from the value formula, so the gradient
 battery checks the code training runs against finite differences of a
 formula written apart from it.
+
+Targets are one-hot. The loss at a soft target q is expected_loss: the
+expectation over k ~ q of the loss at target k, one batch_loss call over the
+V one-hot rows. For ce, scaled_ce, gem and focal, whose values are linear in
+the target, that expectation is the usual soft-target loss.
 """
 
 from __future__ import annotations
@@ -48,10 +52,6 @@ GEM_DEFAULT_BETA = 0.7
 TEMPERED_DEFAULT_BETA = 0.8
 
 
-class UnsupportedTargetError(ValueError):
-    """Raised when an objective defined only for hard labels gets a soft target."""
-
-
 class DropThresholdError(ValueError):
     """Raised when the lambda-PR drop threshold falls outside (0, 1]."""
 
@@ -60,47 +60,24 @@ class DropThresholdError(ValueError):
         self.delta = delta
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Target:
-    """A supervision target: either a token index or a full soft distribution."""
+    """A one-hot supervision target: the index of the target token, an
+    integer >= 0 kept as a Python int. The oracle checks it against the
+    vocab."""
 
-    index: int | None = None
-    dist: np.ndarray | None = None
+    index: int
 
     def __post_init__(self):
-        if (self.index is None) == (self.dist is None):
-            raise ValueError("target needs exactly one of index or dist")
+        if type(self.index) not in INT_TYPES:
+            raise ValueError(f"target index must be an integer, got {self.index!r}")
+        if self.index < 0:
+            raise ValueError(f"target index must be >= 0, got {self.index}")
+        object.__setattr__(self, "index", int(self.index))
 
     @classmethod
     def one_hot(cls, index: int) -> "Target":
-        if type(index) not in INT_TYPES:
-            raise ValueError(f"target index must be an integer, got {index!r}")
-        index = int(index)
-        if index < 0:
-            raise ValueError(f"target index must be >= 0, got {index}")
-        return cls(index=index)
-
-    @classmethod
-    def soft(cls, dist) -> "Target":
-        d = as_probs(dist)
-        d.setflags(write=False)
-        return cls(dist=d)
-
-    @property
-    def is_one_hot(self) -> bool:
-        return self.index is not None
-
-    def dense(self, size: int) -> np.ndarray:
-        """Materialize the target as a probability vector of the given length."""
-        if self.index is not None:
-            if self.index >= size:
-                raise ValueError(f"target index {self.index} out of range for vocab {size}")
-            q = np.zeros(size, dtype=np.float64)
-            q[self.index] = 1.0
-            return q
-        if self.dist.size != size:
-            raise ValueError(f"target distribution has length {self.dist.size}, expected {size}")
-        return np.array(self.dist, dtype=np.float64)
+        return cls(index)
 
 
 @dataclass(frozen=True)
@@ -226,37 +203,34 @@ def _tempered(l: np.ndarray, beta: float) -> np.ndarray:
 
 
 # Value formulas (Objective.value). Each maps log-prob rows l (N, V) to their
-# values (N,) at the target, with the objective's detached quantity taken at
-# base log-probs l0 (V,) and held constant over the rows. The oracle returns
-# the formula at its own log-probs; finite differences call it once on the
-# whole stencil. Dots with the target are numerics.row_dots, so row i is the
-# value at that row alone, bit for bit.
+# values (N,) at target index k, with the objective's detached quantity taken
+# at base log-probs l0 (V,) and held constant over the rows. The oracle
+# returns the formula at its own log-probs; finite differences call it once on
+# the whole stencil. Row i is the value at that row alone, bit for bit.
 
 
-def _ce_value(l: np.ndarray, target: Target, _, l0: np.ndarray) -> np.ndarray:
-    return -row_dots(l, target.dense(l.shape[1]))
+def _ce_value(l: np.ndarray, k: int, _, l0: np.ndarray) -> np.ndarray:
+    return -l[:, k]
 
 
-def _scaled_ce_value(l: np.ndarray, target: Target, beta: float, l0: np.ndarray) -> np.ndarray:
-    return -beta * row_dots(_tempered(l, beta), target.dense(l.shape[1]))
+def _scaled_ce_value(l: np.ndarray, k: int, beta: float, l0: np.ndarray) -> np.ndarray:
+    return -beta * _tempered(l, beta)[:, k]
 
 
-def _gem_value(l: np.ndarray, target: Target, beta: float, l0: np.ndarray) -> np.ndarray:
+def _gem_value(l: np.ndarray, k: int, beta: float, l0: np.ndarray) -> np.ndarray:
     pb0 = np.exp(_tempered(l0, beta))  # detached tempered distribution
-    return -row_dots(l, target.dense(l.shape[1])) + row_dots(l, pb0)
+    return -l[:, k] + row_dots(l, pb0)
 
 
-def _focal_value(l: np.ndarray, target: Target, cfg: FocalConfig, l0: np.ndarray) -> np.ndarray:
-    return -row_dots((1.0 - np.exp(l)) ** cfg.gamma * l, target.dense(l.shape[1]))
+def _focal_value(l: np.ndarray, k: int, cfg: FocalConfig, l0: np.ndarray) -> np.ndarray:
+    return -((1.0 - np.exp(l)[:, k]) ** cfg.gamma * l[:, k])
 
 
-def _lambda_pr_value(l: np.ndarray, target: Target, cfg: PrConfig, l0: np.ndarray) -> np.ndarray:
-    k = target.index
+def _lambda_pr_value(l: np.ndarray, k: int, cfg: PrConfig, l0: np.ndarray) -> np.ndarray:
     return -pr_weight(np.exp(l0)[k], cfg) * l[:, k]  # detached weight
 
 
-def _tofu_value(l: np.ndarray, target: Target, cfg: TofuConfig, l0: np.ndarray) -> np.ndarray:
-    k = target.index
+def _tofu_value(l: np.ndarray, k: int, cfg: TofuConfig, l0: np.ndarray) -> np.ndarray:
     g0 = focal_scaling(float(np.exp(l0[k])), cfg.gamma)  # detached focal factor
     return -g0 * cfg.beta * _tempered(l, cfg.beta)[:, k]
 
@@ -266,43 +240,26 @@ def _naive_factor(pb_k: np.ndarray, gamma: float) -> np.ndarray:
     return np.array([(1.0 - x) ** gamma for x in pb_k.tolist()])
 
 
-def _naive_tempered_focal_value(l: np.ndarray, target: Target, cfg: TofuConfig, l0: np.ndarray) -> np.ndarray:
-    lb_k = _tempered(l, cfg.beta)[:, target.index]
+def _naive_tempered_focal_value(l: np.ndarray, k: int, cfg: TofuConfig, l0: np.ndarray) -> np.ndarray:
+    lb_k = _tempered(l, cfg.beta)[:, k]
     return -cfg.beta * _naive_factor(np.exp(lb_k), cfg.gamma) * lb_k
 
 
-def _tempered_soft_grad(l: np.ndarray, q: np.ndarray, beta: float) -> np.ndarray:
-    """p^beta - q, the gradient of scaled_ce and of gem alike."""
-    return np.exp(_tempered(l, beta)) - q
-
-
-def _focal_soft_grad(l: np.ndarray, q: np.ndarray, cfg: FocalConfig) -> np.ndarray:
-    p = np.exp(l)
-    gvec = focal_scaling(p, cfg.gamma)
-    return p * float(np.dot(q, gvec)) - q * gvec
-
-
-def _oracle_inputs(name: str, z, target: Target) -> tuple[np.ndarray, np.ndarray]:
-    """The named objective's input checks, in the order every oracle and
-    finite differences make them (z a vector, a soft target only where the
-    objective takes one, the target fitting z), then log_softmax(z) and the
-    dense target."""
+def _oracle_inputs(z, target: Target) -> np.ndarray:
+    """The input checks every oracle and finite differences make, in one
+    order (z a vector, the target index inside it), then log_softmax(z)."""
     z = as_vector(z)
-    if not (target.is_one_hot or OBJECTIVE_TABLE[name].soft_targets):
-        raise UnsupportedTargetError(f"{name} is defined for one-hot targets only")
-    q = target.dense(z.size)
-    return log_softmax(z), q
+    if target.index >= z.size:
+        raise ValueError(f"target index {target.index} out of range for vocab {z.size}")
+    return log_softmax(z)
 
 
 def _oracle(name: str, z, target: Target, params, position: int = 1, length: int = 1) -> LossResult:
     """The one path of every oracle: the named objective's value formula, and
-    for a one-hot target row 0 of its kernel at this position and length,
-    else its soft_grad."""
+    row 0 of its kernel at this position and length."""
     objective = OBJECTIVE_TABLE[name]
-    l, q = _oracle_inputs(name, z, target)
-    value = float(objective.value(l[None], target, params, l)[0])
-    if not target.is_one_hot:
-        return LossResult(value, objective.soft_grad(l, q, params))
+    l = _oracle_inputs(z, target)
+    value = float(objective.value(l[None], target.index, params, l)[0])
     _, grads = objective.kernel(l[None], ([0], [target.index]), params, np.array([position]), np.array([length]))
     return LossResult(value, grads[0])
 
@@ -336,11 +293,11 @@ def gem(z, target: Target, beta: float = GEM_DEFAULT_BETA) -> LossResult:
 def focal(z, target: Target, cfg: FocalConfig) -> LossResult:
     """Focal loss -sum_i q_i (1 - p_i)^gamma l_i.
 
-    For a one-hot target the gradient is exactly g(p_hat, gamma) * (p - q),
-    a rescaled cross-entropy gradient. For a soft target the general
-    expression applies, grad_j = p_j * sum_i q_i g_i - q_j g_j with
-    g_i = focal_scaling(p_i, gamma), which is not proportional to p - q in
-    general (the per-component factors differ).
+    The gradient is exactly g(p_hat, gamma) * (p - q), a rescaled
+    cross-entropy gradient. Its expectation over a soft q (expected_loss) is
+    grad_j = p_j * sum_i q_i g_i - q_j g_j with g_i = focal_scaling(p_i,
+    gamma), which is not proportional to p - q in general (the per-component
+    factors differ).
     """
     return _oracle("focal", z, target, cfg)
 
@@ -348,7 +305,7 @@ def focal(z, target: Target, cfg: FocalConfig) -> LossResult:
 def lambda_pr(z, target: Target, cfg: PrConfig) -> LossResult:
     """lambda-PR: cross-entropy reweighted by the detached pr_weight.
 
-    Defined for hard labels only. The weight (position discount, drop
+    The weight (position discount, drop
     indicator, and saturating probability ratio) is computed from the current
     forward pass and treated as a constant, so the gradient is w * (p - q).
     Tokens over the drop threshold get weight 0: value and gradient vanish.
@@ -447,19 +404,12 @@ class Objective:
     is also their range check. kernel(l, at, params, positions, lengths) maps
     log-prob rows l (N, V), one-hot targets at = (arange(N), targets), params
     and the rows' int positions and lengths to values (N,) and logit gradients
-    (N, V). value(l, target, params, l0) is the value formula. soft_grad(l, q,
-    params) is the gradient of log-probs l (V,) at a dense soft target q (V,),
-    None where the objective takes one-hot targets only."""
+    (N, V). value(l, k, params, l0) is the value formula at target index k."""
 
     params: Callable[["LossConfig", int, int], Any]
     kernel: Callable[..., tuple[np.ndarray, np.ndarray]]
-    value: Callable[[np.ndarray, Target, Any, np.ndarray], np.ndarray]
+    value: Callable[[np.ndarray, int, Any, np.ndarray], np.ndarray]
     default_beta: float = 1.0
-    soft_grad: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
-
-    @property
-    def soft_targets(self) -> bool:
-        return self.soft_grad is not None
 
 
 def _beta_params(cfg: "LossConfig", position: int, length: int) -> float:
@@ -471,10 +421,10 @@ def _tofu_params(cfg: "LossConfig", position: int, length: int) -> TofuConfig:
 
 
 OBJECTIVE_TABLE = {
-    "ce": Objective(lambda cfg, i, m: None, _ce_rows, _ce_value, soft_grad=lambda l, q, _: np.exp(l) - q),
-    "scaled_ce": Objective(_beta_params, _scaled_ce_rows, _scaled_ce_value, TEMPERED_DEFAULT_BETA, _tempered_soft_grad),
-    "gem": Objective(_beta_params, _gem_rows, _gem_value, GEM_DEFAULT_BETA, _tempered_soft_grad),
-    "focal": Objective(lambda cfg, i, m: FocalConfig(cfg.gamma), _focal_rows, _focal_value, soft_grad=_focal_soft_grad),
+    "ce": Objective(lambda cfg, i, m: None, _ce_rows, _ce_value),
+    "scaled_ce": Objective(_beta_params, _scaled_ce_rows, _scaled_ce_value, TEMPERED_DEFAULT_BETA),
+    "gem": Objective(_beta_params, _gem_rows, _gem_value, GEM_DEFAULT_BETA),
+    "focal": Objective(lambda cfg, i, m: FocalConfig(cfg.gamma), _focal_rows, _focal_value),
     "lambda_pr": Objective(lambda cfg, i, m: PrConfig(cfg.lam, cfg.alpha, i, m), _lambda_pr_rows, _lambda_pr_value),
     "tofu": Objective(_tofu_params, _tofu_rows, _tofu_value, TEMPERED_DEFAULT_BETA),
     "naive_tempered_focal": Objective(_tofu_params, _naive_tempered_focal_rows, _naive_tempered_focal_value, TEMPERED_DEFAULT_BETA),
@@ -561,3 +511,24 @@ def batch_loss(logits, targets, positions, lengths, cfg: LossConfig) -> tuple[np
     if np.any(k < 0) or np.any(k >= v):
         raise ValueError(f"target index out of range for vocab {v}")
     return OBJECTIVE_TABLE[cfg.objective].kernel(l, (np.arange(n), k), params, positions, lengths)
+
+
+def expected_loss(z, q, cfg: LossConfig) -> LossResult:
+    """The loss of logits z (V,) at a soft target q (V,): the expectation over
+    k ~ q of token_loss(z, Target.one_hot(k), cfg), lambda-PR at position 1
+    of 1. One batch_loss call on V copies of z, row k at target k, then q @
+    its values and q @ its gradients.
+
+    For ce, scaled_ce, gem and focal, whose values are linear in the target,
+    this is the usual soft-target loss: gradients p - q, p^beta - q, p^beta - q
+    and p * (q . g) - q * g with g = focal_scaling(p, gamma). Raises
+    ValueError for a z that is not a vector or a q that is not a probability
+    vector of its length.
+    """
+    z = as_vector(z)
+    q = as_probs(q)
+    if q.size != z.size:
+        raise ValueError(f"target distribution has length {q.size}, expected {z.size}")
+    ones = np.ones(z.size, dtype=np.int64)
+    values, grads = batch_loss(np.broadcast_to(z, (z.size, z.size)), np.arange(z.size), ones, ones, cfg)
+    return LossResult(float(q @ values), q @ grads)

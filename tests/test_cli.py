@@ -20,6 +20,7 @@ from sftlab.cli import main
 from sftlab.config import (
     ConfigError,
     load_experiment_config,
+    load_probe_spec,
     load_sweep_spec,
     parse_model,
     parse_objective,
@@ -1167,6 +1168,30 @@ def test_train_and_sweep_record_the_corpus_bytes_they_parsed(tmp_path, command):
     for name in records:
         assert json.loads((tmp_path / name).read_text())["inputs"]["corpus"]["sha256"] == parsed, name
     assert content_hash(tmp_path / "corpus.jsonl") != parsed
+
+
+def test_probe_records_the_corpus_bytes_it_parsed(tmp_path, monkeypatch):
+    # the SFT corpus changes after the first training run: the probe trains
+    # every branch on the load's parse, and run.json names those bytes
+    monkeypatch.setenv("SFTLAB_OUT_ROOT", str(tmp_path))
+    write_probe_inputs(tmp_path)
+    spec = load_probe_spec(tmp_path / "probe.json")
+    parsed = {"pretrain_corpus": content_hash(tmp_path / "pre.jsonl"), "sft_corpus": content_hash(tmp_path / "sft.jsonl")}
+    real_train, corpora = harness.train, []
+
+    def edits_the_sft_corpus(model, corpus, cfg):
+        with open(tmp_path / "sft.jsonl", "a") as fh:
+            fh.write(json.dumps({"prompt": "a", "response": "b"}) + "\n")
+        corpora.append(corpus)
+        return real_train(model, corpus, cfg)
+
+    monkeypatch.setattr(harness, "train", edits_the_sft_corpus)
+    harness.run_probe(spec)
+    run = json.loads((spec.output_dir / "run.json").read_text())
+    assert {name: entry["sha256"] for name, entry in run["inputs"].items()} == parsed
+    assert content_hash(tmp_path / "sft.jsonl") != parsed["sft_corpus"]
+    assert len(corpora) == 2
+    assert corpora[0] is spec.parsed_pretrain_corpus and corpora[1] is spec.parsed_sft_corpus
 
 
 def test_eval_run_records_its_sampling_config(tmp_path):

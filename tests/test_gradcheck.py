@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kernel_record import kernels_note
 from sftlab import gradcheck
 from sftlab.cli import main
 from sftlab.gradcheck import (
@@ -35,11 +36,9 @@ from sftlab.gradcheck import (
 from sftlab.losses import (
     OBJECTIVE_TABLE,
     OBJECTIVES,
-    FocalConfig,
     LossConfig,
     LossResult,
     Target,
-    UnsupportedTargetError,
     focal_scaling,
     gem,
     pr_weight,
@@ -175,8 +174,8 @@ def scalar_value(cfg, z0, target, position, length):
     detached quantity is frozen at z0 and written out as a scalar expression."""
     params, l0 = cfg.params(position, length), log_softmax(z0)
     if cfg.objective == "gem":
-        pb0, q = np.exp(tempered_log_softmax(l0, params)), target.dense(z0.size)
-        return lambda z: float(-np.dot(q, log_softmax(z)) + np.dot(pb0, log_softmax(z)))
+        pb0 = np.exp(tempered_log_softmax(l0, params))
+        return lambda z: float(-log_softmax(z)[target.index] + np.dot(pb0, log_softmax(z)))
     if cfg.objective == "lambda_pr":
         w0 = pr_weight(float(np.exp(l0[target.index])), params)
         return lambda z: float(-w0 * log_softmax(z)[target.index])
@@ -189,7 +188,7 @@ def scalar_value(cfg, z0, target, position, length):
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_rows_values_equal_the_scalar_values_at_every_stencil_row(objective):
     """At the trial scales and at saturation (scale 1e3, rows floored at
-    LOG_FLOOR); soft targets drawn and with exact zeros (a one-hot q)."""
+    LOG_FLOOR)."""
     rng = np.random.default_rng(OBJECTIVES.index(objective))
     floored = 0
     for size in TRIAL_VOCAB_SIZES:
@@ -205,17 +204,13 @@ def test_rows_values_equal_the_scalar_values_at_every_stencil_row(objective):
                 )
                 length = int(rng.integers(2, 9)) if objective == "lambda_pr" else 1
                 position = int(rng.integers(2, length + 1)) if objective == "lambda_pr" else 1
-                k = int(rng.integers(size))
-                targets = [Target.one_hot(k)]
-                if OBJECTIVE_TABLE[objective].soft_targets:
-                    targets += [Target.soft(rng.dirichlet(np.ones(size))), Target.soft(np.eye(size)[k])]
+                target = Target.one_hot(int(rng.integers(size)))
                 rows = per_component_stencil(z0, FiniteDiffSpec().step)
                 floored += bool((log_softmax(rows) == LOG_FLOOR).any())
-                for target in targets:
-                    got = frozen_value_fn(cfg, z0, target, position, length)(rows)
-                    scalar = scalar_value(cfg, z0, target, position, length)
-                    assert got.shape == (len(rows),)
-                    assert got.tolist() == [scalar(z) for z in rows], (size, scale, cfg, target)
+                got = frozen_value_fn(cfg, z0, target, position, length)(rows)
+                scalar = scalar_value(cfg, z0, target, position, length)
+                assert got.shape == (len(rows),)
+                assert got.tolist() == [scalar(z) for z in rows], (size, scale, cfg, target)
     assert floored  # the saturated case reached the floor
 
 
@@ -223,8 +218,7 @@ def test_rows_values_equal_the_scalar_values_at_every_stencil_row(objective):
 def test_frozen_value_at_its_base_point_is_the_oracle_value(objective):
     """The oracle and finite differences read one value formula: at z0 itself
     the frozen value is token_loss's value bit for bit, detached quantity and
-    all. One-hot targets for every objective; drawn soft targets and one-hot
-    ones given as soft for the soft-capable ones."""
+    all."""
     rng = np.random.default_rng(100 + OBJECTIVES.index(objective))
     for size in TRIAL_VOCAB_SIZES:
         for scale in (*TRIAL_LOGIT_SCALES, 1e3):
@@ -239,39 +233,29 @@ def test_frozen_value_at_its_base_point_is_the_oracle_value(objective):
                 )
                 length = int(rng.integers(1, 9)) if objective == "lambda_pr" else 1
                 position = int(rng.integers(1, length + 1))
-                k = int(rng.integers(size))
-                targets = [Target.one_hot(k)]
-                if OBJECTIVE_TABLE[objective].soft_targets:
-                    targets += [Target.soft(rng.dirichlet(np.ones(size))), Target.soft(np.eye(size)[k])]
-                for target in targets:
-                    frozen = frozen_value_fn(cfg, z0, target, position, length)(z0[None])
-                    oracle = token_loss(z0, target, cfg, position=position, length=length).value
-                    assert frozen.shape == (1,)
-                    assert float(frozen[0]) == oracle, (size, scale, cfg, target)
+                target = Target.one_hot(int(rng.integers(size)))
+                frozen = frozen_value_fn(cfg, z0, target, position, length)(z0[None])
+                oracle = token_loss(z0, target, cfg, position=position, length=length).value
+                assert frozen.shape == (1,)
+                assert float(frozen[0]) == oracle, (size, scale, cfg, target)
 
 
-@pytest.mark.parametrize("objective", [o for o in OBJECTIVES if not OBJECTIVE_TABLE[o].soft_targets])
+@pytest.mark.parametrize("objective", OBJECTIVES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-def test_soft_target_outranks_non_finite_logits(objective, bad):
-    """A soft target of a one-hot-only objective is an UnsupportedTargetError
-    from both paths even when z0 is not finite: the target is checked before
-    the log-softmax."""
+def test_index_out_of_range_outranks_non_finite_logits(objective, bad):
+    """An index past the vocab is the range error from both paths even when
+    z0 is not finite: the target is checked before the log-softmax."""
     z = np.array([0.3, bad, 0.5])
-    cfg, soft = LossConfig(objective), Target.soft([0.2, 0.5, 0.3])
-    with pytest.raises(UnsupportedTargetError):
-        token_loss(z, soft, cfg)
-    with pytest.raises(UnsupportedTargetError):
-        frozen_value_fn(cfg, z, soft)
+    cfg, target = LossConfig(objective), Target.one_hot(3)
+    with pytest.raises(ValueError, match="out of range for vocab 3"):
+        token_loss(z, target, cfg)
+    with pytest.raises(ValueError, match="out of range for vocab 3"):
+        frozen_value_fn(cfg, z, target)
 
 
-# inputs every oracle rejects, and the soft target only the soft-capable ones take
+# the target every oracle rejects
 REJECTED_TARGETS = {
     "index_out_of_range": (OBJECTIVES, Target.one_hot(3)),
-    "soft_of_wrong_length": (OBJECTIVES, Target.soft([0.5, 0.5])),
-    "soft_without_soft_targets": (
-        [o for o in OBJECTIVES if not OBJECTIVE_TABLE[o].soft_targets],
-        Target.soft([0.2, 0.5, 0.3]),
-    ),
 }
 
 
@@ -400,11 +384,13 @@ def test_battery_matches_golden_reports():
     """Byte-exact replay of a small battery run, every passing report.
 
     tests/data/golden_gradcheck.jsonl holds run_all_checks(trials=60, seed=3)
-    as one JSON line per report, written before the checks shared one verdict
-    rule; regenerate it deliberately if a check's draws or report change.
+    as one JSON line per report; regenerate it deliberately if a check's
+    draws or report change. It was last re-pinned when the finite-difference
+    check stopped drawing soft targets.
     """
     reports = run_all_checks(trials=60, seed=3)
-    assert "".join(r.to_json() + "\n" for r in reports) == (DATA / "golden_gradcheck.jsonl").read_text()
+    got = "".join(r.to_json() + "\n" for r in reports)
+    assert got == (DATA / "golden_gradcheck.jsonl").read_text(), kernels_note()
 
 
 def test_objective_filter_matches_golden_reports():
@@ -412,7 +398,7 @@ def test_objective_filter_matches_golden_reports():
     tests/data/golden_gradcheck_objective.jsonl is
     run_all_checks(trials=40, seed=3, objectives=(OBJECTIVES[i],))."""
     lines = [r.to_json() + "\n" for o in OBJECTIVES for r in run_all_checks(trials=40, seed=3, objectives=(o,))]
-    assert "".join(lines) == (DATA / "golden_gradcheck_objective.jsonl").read_text()
+    assert "".join(lines) == (DATA / "golden_gradcheck_objective.jsonl").read_text(), kernels_note()
 
 
 def nan_gradients(oracle):
@@ -466,7 +452,7 @@ def offset_gradients_when(broken):
 
 # an objective and the part of its input space whose gradient is broken
 BROKEN_PATHS = {
-    "soft_target": ("focal", lambda target, position: not target.is_one_hot),
+    "focal_past_index_0": ("focal", lambda target, position: target.index > 0),
     "lambda_pr_late_position": ("lambda_pr", lambda target, position: position > 1),
 }
 
@@ -479,7 +465,7 @@ def test_finite_difference_counterexample_reproduces_the_failure(monkeypatch, pa
     assert not report.passed
     found = json.loads(json.dumps(report.counterexample))
     z = np.array(found["z"])
-    target = Target.soft(found["q"]) if "q" in found else Target.one_hot(found["target"])
+    target = Target.one_hot(found["target"])
     cfg = loss_config(found["objective"], found["params"])
     position, length = found["position"], found["length"]
     assert broken(target, position)
@@ -500,22 +486,20 @@ def test_battery_catches_a_fault_in_the_training_kernel(monkeypatch, objective):
     assert not run_all_checks(20, 0, objectives=[objective])[0].passed
 
 
-def test_focal_soft_phase_counterexample_reproduces_the_failure(monkeypatch):
-    real = gradcheck.focal
+def test_focal_witness_fails_when_the_expected_focal_gradient_is_a_rescaled_ce(monkeypatch):
+    # an expected_loss whose focal gradient is 2x its ce gradient leaves every
+    # soft-target ratio equal: no witness, so the check fails on that alone
+    real = gradcheck.expected_loss
 
-    def oracle(z, target, cfg):
-        out = real(z, target, cfg)
-        return out if target.is_one_hot else LossResult(out.value, out.grad + 0.01)
+    def proportional(z, q, cfg):
+        out = real(z, q, LossConfig("ce"))
+        return LossResult(out.value, 2.0 * out.grad) if cfg.objective == "focal" else out
 
-    monkeypatch.setattr(gradcheck, "focal", oracle)
+    monkeypatch.setattr(gradcheck, "expected_loss", proportional)
     report = verify_focal_scaling(trials=30, seed=5)
-    assert not report.passed and report.max_rel_error <= report.tolerance
-    found = json.loads(json.dumps(report.counterexample))
-    assert set(found) == {"z", "q", "gamma"}
-    z, target, gamma = np.array(found["z"]), Target.soft(found["q"]), found["gamma"]
-    numeric = fd_gradient(frozen_value_fn(LossConfig("focal", gamma=gamma), z, target), z)
-    got = oracle(z, target, FocalConfig(gamma)).grad
-    assert rel_error(numeric, got, FiniteDiffSpec().norm_floor) > report.fd_tolerance
+    assert not report.passed
+    assert report.max_rel_error <= report.tolerance and report.fd_max_rel_error <= report.fd_tolerance
+    assert not report.extras["witness_found"] and report.extras["max_ratio_spread"] <= 1e-3
 
 
 def scalar_entropy_gradient(l):

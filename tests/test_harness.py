@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+from kernel_record import RECORD, kernels_note
 from sftlab.config import KNOWN_METRICS
 from sftlab.harness import run_eval
 from sftlab.losses import LossConfig
@@ -48,4 +49,11 @@ def test_eval_matches_golden_outputs(tmp_path):
     run_eval(tmp_path / "checkpoint.bin", prompts, SamplingConfig(top_p=0.9, max_tokens=24, seed=3), out,
              samples=64, metrics=KNOWN_METRICS)
     for name in ("generations.jsonl", "metrics.csv"):
-        assert (out / name).read_bytes() == (GOLDEN_EVAL / name).read_bytes(), name
+        assert (out / name).read_bytes() == (GOLDEN_EVAL / name).read_bytes(), f"{name}: {kernels_note()}"
+
+
+def test_golden_failure_message_says_whether_the_kernels_match_the_record():
+    recorded = json.loads(RECORD.read_text())
+    assert "match" in kernels_note(recorded)
+    other = kernels_note({**recorded, "openblas_core": "Prescott"})
+    assert "differ" in other and "Prescott" in other and str(recorded) in other

@@ -1,5 +1,6 @@
 """Loss zoo tests: frozen hand-derived values, algebraic reductions, error
-paths, and the batched kernel pinned to the scalar oracle."""
+paths, the batched kernel pinned to the scalar oracle, and the soft-target
+loss as the expectation of the one-hot rows."""
 
 import json
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sftlab.gradcheck import FD_SPEC, fd_gradient, frozen_value_fn, rel_error
 from sftlab.losses import (
     OBJECTIVES,
     DropThresholdError,
@@ -15,10 +17,10 @@ from sftlab.losses import (
     PrConfig,
     Target,
     TofuConfig,
-    UnsupportedTargetError,
     batch_loss,
     ce,
     drop_threshold,
+    expected_loss,
     focal,
     focal_scaling,
     gem,
@@ -35,24 +37,17 @@ Z_04 = np.array([0.0, np.log(4.0)])  # p = [0.2, 0.8]
 
 
 class TestTarget:
-    def test_needs_exactly_one_spec(self):
-        with pytest.raises(ValueError):
-            Target()
-        with pytest.raises(ValueError):
-            Target(index=0, dist=np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("build", [Target, Target.one_hot], ids=["constructor", "one_hot"])
+    def test_takes_a_non_negative_integer(self, build):
+        assert build(np.int64(2)).index == 2 and type(build(np.int64(2)).index) is int
+        for bad in (-1, 1.5, 1.0, True, "1"):
+            with pytest.raises(ValueError, match="target index must be"):
+                build(bad)
 
-    def test_dense_one_hot(self):
-        np.testing.assert_array_equal(Target.one_hot(1).dense(3), [0.0, 1.0, 0.0])
-
-    def test_dense_range_checks(self):
-        with pytest.raises(ValueError):
-            Target.one_hot(3).dense(3)
-        with pytest.raises(ValueError):
-            Target.soft([0.5, 0.5]).dense(3)
-
-    def test_soft_validates_distribution(self):
-        with pytest.raises(ValueError):
-            Target.soft([0.5, 0.6])
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_oracle_range_checks_the_index(self, name):
+        with pytest.raises(ValueError, match="target index 3 out of range for vocab 3"):
+            token_loss(UNIFORM3, Target.one_hot(3), LossConfig(name))
 
 
 class TestCrossEntropy:
@@ -68,7 +63,7 @@ class TestCrossEntropy:
 
     def test_soft_target(self):
         q = np.array([0.25, 0.75])
-        res = ce(Z_04, Target.soft(q))
+        res = expected_loss(Z_04, q, LossConfig("ce"))
         l = np.log([0.2, 0.8])
         assert abs(res.value + np.dot(q, l)) < 1e-12
         np.testing.assert_allclose(res.grad, np.array([0.2, 0.8]) - q, atol=1e-12)
@@ -118,8 +113,8 @@ class TestGem:
 
     def test_soft_target_supported(self):
         q = np.array([0.4, 0.6])
-        res = gem(Z_04, Target.soft(q), 0.7)
-        expected = scaled_ce(Z_04, Target.soft(q), 0.7).grad
+        res = expected_loss(Z_04, q, LossConfig("gem", beta=0.7))
+        expected = expected_loss(Z_04, q, LossConfig("scaled_ce", beta=0.7)).grad
         np.testing.assert_allclose(res.grad, expected, atol=1e-12)
 
 
@@ -173,8 +168,8 @@ class TestFocal:
     def test_soft_target_not_proportional_to_ce(self):
         z = np.array([0.5, -1.0, 1.5])
         q = np.array([0.5, 0.3, 0.2])
-        fg = focal(z, Target.soft(q), FocalConfig(3.0)).grad
-        cg = ce(z, Target.soft(q)).grad
+        fg = expected_loss(z, q, LossConfig("focal", gamma=3.0)).grad
+        cg = expected_loss(z, q, LossConfig("ce")).grad
         ratios = fg / cg
         assert ratios.max() - ratios.min() > 1e-3
 
@@ -186,7 +181,7 @@ class TestFocal:
         gvec = focal_scaling(p, 3.0)
         expected = p * float(np.dot(q, gvec)) - q * gvec
         np.testing.assert_allclose(
-            focal(z, Target.soft(q), FocalConfig(3.0)).grad, expected, atol=1e-12
+            expected_loss(z, q, LossConfig("focal", gamma=3.0)).grad, expected, atol=1e-12
         )
 
 
@@ -233,10 +228,6 @@ class TestLambdaPr:
         with pytest.raises(ValueError, match="integers"):
             PrConfig(0.5, 0.5, position, length)
 
-    def test_soft_target_rejected(self):
-        with pytest.raises(UnsupportedTargetError):
-            lambda_pr(Z_04, Target.soft([0.5, 0.5]), PrConfig(1.0, 0.5, 1, 1))
-
 
 class TestTofu:
     def test_hand_case_factor_on_raw_probability(self):
@@ -258,10 +249,6 @@ class TestTofu:
         res = tofu(Z_04, Target.one_hot(1), TofuConfig(2.0, 1.0))
         expected = focal(Z_04, Target.one_hot(1), FocalConfig(2.0))
         np.testing.assert_allclose(res.grad, expected.grad, atol=1e-12)
-
-    def test_soft_target_rejected(self):
-        with pytest.raises(UnsupportedTargetError):
-            tofu(Z_04, Target.soft([0.5, 0.5]), TofuConfig(3.0, 0.8))
 
 
 class TestNaiveTemperedFocal:
@@ -287,10 +274,6 @@ class TestNaiveTemperedFocal:
         res_tofu = tofu(Z_04, Target.one_hot(1), TofuConfig(3.0, 0.5))
         np.testing.assert_allclose(res_naive.grad, naive_factor * np.array([1 / 17, -1 / 17]), atol=1e-12)
         assert np.abs(res_naive.grad).max() < np.abs(res_tofu.grad).max()
-
-    def test_soft_target_rejected(self):
-        with pytest.raises(UnsupportedTargetError):
-            naive_tempered_focal(Z_04, Target.soft([0.5, 0.5]), TofuConfig(3.0, 0.8))
 
 
 class TestGradientStructure:
@@ -529,3 +512,79 @@ class TestBatchLoss:
             target, position, length = (c[0] for c in columns)
             token_loss(z[0], Target.one_hot(target), LossConfig(name), position=position, length=length)
         assert type(kernel_error.value) is type(oracle_error.value)
+
+
+def log_probs(z, beta=1.0):
+    """log softmax(z / beta), written out here for the closed forms."""
+    s = z / beta - (z / beta).max()
+    return s - np.log(np.exp(s).sum())
+
+
+def closed_form(cfg, z, q):
+    """The soft-target value and gradient of ce, scaled_ce, gem and focal,
+    with p = softmax(z), p_beta = softmax(z / beta), g = focal_scaling(p)."""
+    l, beta = log_probs(z), cfg.resolved_beta()
+    lb, p = log_probs(z, beta), np.exp(l)
+    if cfg.objective == "ce":
+        return -np.dot(q, l), p - q
+    if cfg.objective == "scaled_ce":
+        return -beta * np.dot(q, lb), np.exp(lb) - q
+    if cfg.objective == "gem":
+        return -np.dot(q, l) + np.dot(np.exp(lb), l), np.exp(lb) - q
+    g = focal_scaling(p, cfg.gamma)
+    return -np.dot(q, (1.0 - p) ** cfg.gamma * l), p * np.dot(q, g) - q * g
+
+
+def expected_loss_trials(name, seed, count):
+    """(z, q, cfg) draws over the kernel test's configs, vocab sizes 2-64,
+    logit scales up to 20 and Dirichlet targets."""
+    rng = np.random.default_rng(seed)
+    configs = kernel_configs(name)
+    for _ in range(count):
+        vocab = int(rng.choice([2, 3, 7, 28, 64]))
+        z = rng.normal(0.0, float(rng.choice([0.1, 1.0, 5.0, 20.0])), vocab)
+        yield z, rng.dirichlet(np.ones(vocab)), configs[rng.integers(len(configs))]
+
+
+class TestExpectedLoss:
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_one_hot_q_is_token_loss(self, name):
+        for z, _, cfg in expected_loss_trials(name, 3, 30):
+            for k in range(z.size):
+                got = expected_loss(z, np.eye(z.size)[k], cfg)
+                want = token_loss(z, Target.one_hot(k), cfg)
+                assert got.value == want.value, (cfg, z.size, k)
+                assert np.array_equal(got.grad, want.grad), (cfg, z.size, k)
+
+    @pytest.mark.parametrize("name", ["ce", "scaled_ce", "gem", "focal"])
+    def test_dirichlet_q_matches_the_closed_form(self, name):
+        # held to 1e-12 of sum_k |q_k v_k|, v_k the value at one-hot k; the
+        # gradient to 1e-12 of sum_k q_k max|G_k|, G_k the gradient there
+        for z, q, cfg in expected_loss_trials(name, 4, 200):
+            rows = [token_loss(z, Target.one_hot(k), cfg) for k in range(z.size)]
+            value, grad = closed_form(cfg, z, q)
+            got = expected_loss(z, q, cfg)
+            assert abs(got.value - value) <= 1e-12 * sum(abs(qk * r.value) for qk, r in zip(q, rows)), cfg
+            scale = sum(qk * np.abs(r.grad).max() for qk, r in zip(q, rows))
+            assert np.abs(got.grad - grad).max() <= 1e-12 * scale, cfg
+
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_gradient_matches_finite_differences_of_the_expected_value(self, name):
+        for z, q, cfg in expected_loss_trials(name, 5, 40):
+            frozen = [frozen_value_fn(cfg, z, Target.one_hot(k)) for k in range(z.size)]
+            numeric = fd_gradient(lambda rows: sum(qk * f(rows) for qk, f in zip(q, frozen)), z)
+            analytic = expected_loss(z, q, cfg).grad
+            assert rel_error(numeric, analytic, FD_SPEC.norm_floor) <= FD_SPEC.tolerance, (cfg, z, q)
+
+    @pytest.mark.parametrize(
+        "z, q, match",
+        [
+            (np.zeros(3), [0.5, 0.5], "length 2, expected 3"),
+            (np.zeros(3), [0.5, 0.3, 0.3], "sum to 1"),
+            (np.zeros((2, 3)), [0.2, 0.3, 0.5], r"\(2, 3\)"),
+        ],
+        ids=["q_wrong_length", "q_not_summing_to_1", "z_not_a_vector"],
+    )
+    def test_rejects_inputs(self, z, q, match):
+        with pytest.raises(ValueError, match=match):
+            expected_loss(z, q, LossConfig("ce"))

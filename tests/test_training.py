@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_record import kernels_note
 from sftlab.losses import OBJECTIVES, LossConfig, Target, token_loss
 from sftlab.hashing import config_hash
 from sftlab import training
@@ -744,10 +745,10 @@ def test_train_matches_golden_regression():
                       warmup_steps=5, total_steps=25, weight_decay=0.01,
                       batch_size=2, seed=11)
     ckpt, trace = train(model, corpus, cfg)
-    assert repr(trace[0].loss) == golden["first_loss"]
-    assert repr(trace[-1].loss) == golden["final_loss"]
+    assert repr(trace[0].loss) == golden["first_loss"], kernels_note()
+    assert repr(trace[-1].loss) == golden["final_loss"], kernels_note()
     logits = forward(ckpt.model, vocab.encode("ab"))
-    assert [repr(float(v)) for v in logits] == golden["logits_after_ab"]
+    assert [repr(float(v)) for v in logits] == golden["logits_after_ab"], kernels_note()
     assert ckpt.config_hash == golden["config_hash"]
 
 
@@ -780,7 +781,7 @@ def test_train_matches_golden_zoo_regression(name):
     examples and, for gem, carry momentum: what golden_train.json and the
     scalar reference (one fresh permutation per step, no momentum) miss."""
     golden = json.loads((DATA / "golden_train_zoo.json").read_text())
-    assert golden_zoo_record(name) == golden[name]
+    assert golden_zoo_record(name) == golden[name], kernels_note()
 
 
 # ------------------------------------------------------- synth and probe ----
