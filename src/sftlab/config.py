@@ -198,10 +198,11 @@ def _config_keys(cls) -> set[str]:
     return {f.name for f in fields(cls) if not f.metadata.get("parsed")}
 
 
-def _read_corpus(path: Path) -> tuple[Corpus, str]:
-    """The corpus file read once: its parse and the sha256 of the bytes parsed."""
+def _read_parsed(path: Path, parse):
+    """An input file read once: parse(path, bytes) of its bytes, and the
+    sha256 of the bytes parsed."""
     data = path.read_bytes()
-    return Corpus.load_jsonl(path, data), bytes_hash(data)
+    return parse(path, data), bytes_hash(data)
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     train = parse_train(data.get("train", {}), objective)
     model = parse_model(data.get("model", {}))
     corpus = _input_path(_require(data, "corpus", str(path)), base, "corpus")
-    cfg = ExperimentConfig(train, model, corpus, _output_dir(data, str(path)), *_read_corpus(corpus))
+    cfg = ExperimentConfig(train, model, corpus, _output_dir(data, str(path)), *_read_parsed(corpus, Corpus.load_jsonl))
     if cfg.model.vocab is not None:
         check_encodable(cfg.model.vocab, {"corpus": cfg.parsed_corpus.charset()})
     return cfg
@@ -264,6 +265,8 @@ class SweepSpec:
     output_dir: Path
     parsed_corpus: Corpus = field(repr=False, metadata=PARSED)  # every task trains on this parse
     corpus_sha256: str = field(metadata=PARSED)  # of the bytes parsed, which every run.json records
+    parsed_prompts: tuple[PromptSpec, ...] = field(repr=False, metadata=PARSED)  # every task evaluates on this parse
+    prompts_sha256: str = field(metadata=PARSED)  # of the bytes parsed, which every run.json records
 
     def cells(self) -> list[tuple[str, LossConfig]]:
         """(label, loss config) of every grid cell, in objective, gamma, beta order."""
@@ -300,9 +303,9 @@ def load_sweep_spec(path) -> SweepSpec:
     corpus = _input_path(_require(data, "corpus", str(path)), base, "corpus")
     prompts = _input_path(_require(data, "prompts", str(path)), base, "prompts")
     # a request no cell could evaluate fails here, before any cell trains
-    rows = load_prompts(prompts)
+    rows, prompts_sha256 = _read_parsed(prompts, load_prompts)
     metrics = validate_eval_request(_list_of(data, "metrics", list(DEFAULT_EVAL_METRICS), str), samples, rows)
-    parsed, corpus_sha256 = _read_corpus(corpus)
+    parsed, corpus_sha256 = _read_parsed(corpus, Corpus.load_jsonl)
     check_encodable(model.chars(parsed), {"corpus": parsed.charset(), **{f"prompt {p.id!r}": p.prompt for p in rows}})
     return SweepSpec(
         objectives=objectives,
@@ -321,6 +324,8 @@ def load_sweep_spec(path) -> SweepSpec:
         output_dir=_output_dir(data, str(path)),
         parsed_corpus=parsed,
         corpus_sha256=corpus_sha256,
+        parsed_prompts=tuple(rows),
+        prompts_sha256=prompts_sha256,
     )
 
 
@@ -364,8 +369,8 @@ def load_probe_spec(path) -> ProbeSpec:
         raise ConfigError("probe.valid_tokens must be single characters")
     pretrain_corpus = _input_path(_require(pre, "corpus", "pretrain"), base, "pretrain.corpus")
     sft_corpus = _input_path(_require(sft, "corpus", "sft"), base, "sft.corpus")
-    parsed_pretrain, pretrain_sha256 = _read_corpus(pretrain_corpus)
-    parsed_sft, sft_sha256 = _read_corpus(sft_corpus)
+    parsed_pretrain, pretrain_sha256 = _read_parsed(pretrain_corpus, Corpus.load_jsonl)
+    parsed_sft, sft_sha256 = _read_parsed(sft_corpus, Corpus.load_jsonl)
     return ProbeSpec(
         pretrain_corpus=pretrain_corpus,
         # each seed of `seeds` replaces both train seeds, so a spec may not name them

@@ -15,6 +15,7 @@ both outside config_hash.
 from __future__ import annotations
 
 import ctypes
+import functools
 import importlib
 import json
 import os
@@ -32,12 +33,13 @@ from .config import (
     ExperimentConfig,
     ModelSpec,
     ProbeSpec,
+    PromptSpec,
     SweepSpec,
     check_encodable,
     load_prompts,
     validate_eval_request,
 )
-from .hashing import bytes_hash, canonical_json, config_hash, content_hash, csv_text, write_file
+from .hashing import bytes_hash, canonical_json, config_hash, csv_text, write_file
 from .losses import LossConfig, PrConfig, focal_scaling, pr_weight
 from .metrics import (
     GenerationSet,
@@ -61,10 +63,12 @@ CURVE_POINTS = 512
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+@functools.cache
 def _openblas_core() -> str | None:
     """The core name whose kernels the OpenBLAS bundled with numpy picked at
     load time (it picks by CPU, or by OPENBLAS_CORETYPE), or None where no
-    bundled library exports scipy_openblas_get_corename64_."""
+    bundled library exports scipy_openblas_get_corename64_. Fixed at load
+    time, so probed once per process."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
@@ -75,9 +79,11 @@ def _openblas_core() -> str | None:
     return None
 
 
+@functools.cache
 def _numpy_dispatch() -> list[str] | None:
     """numpy's active SIMD dispatch targets, as np.show_runtime() lists them
-    (honouring NPY_DISABLE_CPU_FEATURES), or None where numpy does not say."""
+    (honouring NPY_DISABLE_CPU_FEATURES), or None where numpy does not say.
+    Fixed at import, so read once per process; callers do not change it."""
     for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):  # numpy >= 2, then 1.x
         try:
             umath = importlib.import_module(name)
@@ -103,12 +109,6 @@ def _run_environment() -> dict:
         "kernels": {"openblas_core": _openblas_core(), "numpy_dispatch": _numpy_dispatch()},
         "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
-
-
-def _hashed_now(paths: dict) -> dict:
-    """{name: (path, sha256)} of input files hashed at this call, for a run
-    that does not keep the bytes it parsed."""
-    return {name: (path, content_hash(path)) for name, path in paths.items()}
 
 
 def write_run_record(out_dir, command, started, invocation, inputs, outputs, status="ok"):
@@ -189,6 +189,26 @@ def run_eval(
     started = time.monotonic()
     prompt_bytes = Path(prompts_path).read_bytes()
     prompts = load_prompts(prompts_path, prompt_bytes)
+    return _evaluate(
+        checkpoint_path, prompts_path, prompts, bytes_hash(prompt_bytes), sampling, out_dir, samples, metrics, started
+    )
+
+
+def _evaluate(
+    checkpoint_path,
+    prompts_path,
+    prompts: list[PromptSpec],
+    prompts_sha256: str,
+    sampling: SamplingConfig,
+    out_dir,
+    samples: int,
+    metrics,
+    started: float,
+) -> dict:
+    """run_eval on prompts already parsed from the bytes whose sha256 is
+    prompts_sha256, the step it shares with every sweep cell. The checkpoint
+    is read once; run.json records the sha256 of the bytes that were parsed
+    and the seconds since `started`."""
     metrics = validate_eval_request(metrics, samples, prompts)
     checkpoint_bytes = Path(checkpoint_path).read_bytes()
     model = Checkpoint.load(checkpoint_path, checkpoint_bytes).model
@@ -235,7 +255,7 @@ def run_eval(
         {"sampling": asdict(sampling), "samples": samples, "metrics": list(metrics)},
         {
             "checkpoint": (checkpoint_path, bytes_hash(checkpoint_bytes)),
-            "prompts": (prompts_path, bytes_hash(prompt_bytes)),
+            "prompts": (prompts_path, prompts_sha256),
         },
         {"generations": "generations.jsonl", "metrics": "metrics.csv"},
     )
@@ -268,28 +288,48 @@ def _failure(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_task(args: tuple[SweepSpec, str, TrainConfig]) -> tuple[dict, str | None]:
+def _sweep_cell(spec: SweepSpec, label: str, train_cfg: TrainConfig) -> tuple[dict, str | None]:
     """One (cell, seed) unit of the sweep: train the cell's config, whose seed
-    is the task's, then eval with the sampling seed set to it. Top-level so it
-    pickles for the process pool. Returns (metric means dict, error or None)."""
-    spec, label, train_cfg = args
+    is the task's, on the spec's parsed corpus, then evaluate on its parsed
+    prompts with the sampling seed set to it. Returns (metric means dict,
+    error or None)."""
     seed = train_cfg.seed
     cell_dir = spec.output_dir / label / f"seed_{seed}"
     try:
         train_out = run_train(
             ExperimentConfig(train_cfg, spec.model, spec.corpus, cell_dir, spec.parsed_corpus, spec.corpus_sha256)
         )
-        eval_out = run_eval(
+        eval_out = _evaluate(
             train_out["checkpoint"],
             spec.prompts,
+            spec.parsed_prompts,
+            spec.prompts_sha256,
             replace(spec.sampling, seed=seed),
             cell_dir / "eval",
-            samples=spec.samples_per_prompt,
-            metrics=spec.metrics,
+            spec.samples_per_prompt,
+            spec.metrics,
+            time.monotonic(),
         )
         return {"final_loss": train_out["final_loss"], **eval_out["reports"]}, None
     except Exception as exc:  # cell failures are recorded, not fatal to the sweep
         return {}, _failure(exc)
+
+
+# the spec of a sweep worker process, set once by the pool's initializer, so
+# that a task carries only its (label, train config) and every task of the
+# worker shares one parsed corpus and its encoding
+_worker_spec: SweepSpec | None = None
+
+
+def _init_sweep_worker(spec: SweepSpec):
+    global _worker_spec
+    _worker_spec = spec
+
+
+def _sweep_task(label: str, train_cfg: TrainConfig) -> tuple[dict, str | None]:
+    """_sweep_cell on this worker's spec. Top-level so it pickles for the
+    process pool."""
+    return _sweep_cell(_worker_spec, label, train_cfg)
 
 
 def _distinct_objectives(cells) -> tuple[list[tuple[str, LossConfig]], dict[str, str]]:
@@ -312,6 +352,10 @@ def run_sweep(spec: SweepSpec) -> dict:
     LossConfig.key() train identically: each distinct key trains and evaluates
     once per seed, under the first label that has it, and the other labels
     (its aliases) get that label's values in the summary and no run directory.
+    Every cell trains on the spec's parsed corpus and evaluates on its parsed
+    prompts, and every run.json records the sha256 of the bytes parsed. With
+    workers > 1, each worker process receives the spec once, through the
+    pool's initializer, and a task carries only its (label, train config).
     Cell failures are recorded in the summary as empty values and reported in
     the return value; the sweep itself keeps going. A worker process that dies
     fails its task and every task still pending in the pool, and the finished
@@ -323,14 +367,14 @@ def run_sweep(spec: SweepSpec) -> dict:
     labels = [label for label, _ in cells]
     trained, aliases = _distinct_objectives(cells)
     tasks = [
-        (spec, label, replace(spec.train, objective=loss_cfg, seed=seed))
+        (label, replace(spec.train, objective=loss_cfg, seed=seed))
         for label, loss_cfg in trained
         for seed in spec.seeds
     ]
 
     if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [pool.submit(_sweep_task, t) for t in tasks]
+        with ProcessPoolExecutor(spec.workers, initializer=_init_sweep_worker, initargs=(spec,)) as pool:
+            futures = [pool.submit(_sweep_task, *t) for t in tasks]
             results = []
             for future in futures:
                 try:
@@ -338,11 +382,11 @@ def run_sweep(spec: SweepSpec) -> dict:
                 except Exception as exc:  # a dead worker fails its tasks; finished ones keep their values
                     results.append(({}, _failure(exc)))
     else:
-        results = [_sweep_task(t) for t in tasks]
+        results = [_sweep_cell(spec, *t) for t in tasks]
 
     values: dict[tuple[str, int], dict] = {}
     failures = []
-    for (_, label, train_cfg), (metrics_out, error) in zip(tasks, results):
+    for (label, train_cfg), (metrics_out, error) in zip(tasks, results):
         values[(label, train_cfg.seed)] = metrics_out
         if error is not None:
             failures.append({"cell": label, "seed": train_cfg.seed, "error": error})
@@ -378,7 +422,7 @@ def run_sweep(spec: SweepSpec) -> dict:
         "aliases": aliases,
     }
     status = "ok" if not failures else f"{len(failures)} cell(s) failed"
-    inputs = {"corpus": (spec.corpus, spec.corpus_sha256), **_hashed_now({"prompts": spec.prompts})}
+    inputs = {"corpus": (spec.corpus, spec.corpus_sha256), "prompts": (spec.prompts, spec.prompts_sha256)}
     write_run_record(out_dir, "sweep", started, invocation, inputs, {"summary": "sweep_summary.csv"}, status)
     return {
         "summary": summary_path,

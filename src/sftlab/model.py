@@ -9,6 +9,7 @@ finite-difference oracle check the whole composite.
 from __future__ import annotations
 
 from concurrent.futures import Executor, Future, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -183,19 +184,77 @@ def _workspace(model: ToyModel, rows: int, workspace: Workspace | None) -> Works
     return workspace
 
 
-def _layers(model: ToyModel, x: np.ndarray, hidden=None, logits=None):
-    """Logits (B, V) and hidden activations (B, h) of embedded windows x
-    (B, c*d), written into the given buffers or fresh arrays: the one copy of
-    the layer formula."""
-    hidden = np.matmul(x, model.w_hidden, out=hidden)
+def _hidden(model: ToyModel, x: np.ndarray, out=None) -> np.ndarray:
+    """Hidden activations tanh(x @ w_hidden + b_hidden) of embedded windows x
+    (B, c*d), written into `out` or a fresh array: the one copy of the
+    hidden layer's formula. Each output row depends on its own row of x
+    alone. On the kernels in tests/data/golden_kernels.json, and at one BLAS
+    thread on the Haswell and Prescott cores too, splitting x by rows at a
+    multiple of 16 leaves every element's bits unchanged; with two BLAS
+    threads on the Haswell core it does not."""
+    hidden = np.matmul(x, model.w_hidden, out=out)
     hidden += model.b_hidden
     np.tanh(hidden, out=hidden)
-    logits = np.matmul(hidden, model.w_out, out=logits)
+    return hidden
+
+
+def _logits(model: ToyModel, hidden: np.ndarray, out=None) -> np.ndarray:
+    """Logits hidden @ w_out + b_out, written into `out` or a fresh array.
+    Always one product: OpenBLAS's row splits of it change bits once it
+    outgrows the small-matrix kernel."""
+    logits = np.matmul(hidden, model.w_out, out=out)
     logits += model.b_out
-    return logits, hidden
+    return logits
 
 
-def forward_batch(model: ToyModel, contexts: np.ndarray, workspace: Workspace | None = None):
+@contextmanager
+def _helper_jobs(helper: Executor | None):
+    """A submit(fn, *args) -> Future for the block: fn(*args) on the helper,
+    or at once on this thread without one. A helper job runs under the numpy
+    error state this thread has at submit, since np.errstate is per thread.
+    Leaving the block waits for every job, so no buffer is written after it,
+    then raises the first job's error, so an error on either thread reaches
+    the caller."""
+    pending: list[Future] = []
+
+    def submit(fn, *args) -> Future:
+        if helper is None:
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+        errstate = np.geterr()
+
+        def job():
+            with np.errstate(**errstate):
+                return fn(*args)
+
+        pending.append(helper.submit(job))
+        return pending[-1]
+
+    try:
+        yield submit
+    finally:
+        wait(pending)
+    for future in pending:
+        future.result()
+
+
+def _embedded_hidden(model: ToyModel, contexts: np.ndarray, x: np.ndarray, hidden: np.ndarray):
+    """The windows' embeddings gathered into x (B, c*d), then their hidden
+    activations into `hidden`. Every id must be in range: mode="clip" gathers
+    straight into x, where mode="raise" would gather into a temporary and
+    copy."""
+    np.take(model.embed, contexts, axis=0, out=x.reshape(*contexts.shape, model.embed.shape[1]), mode="clip")
+    _hidden(model, x, hidden)
+
+
+# forward_batch computes the hidden layer in two row blocks from this many rows on
+SPLIT_MIN_ROWS = 64
+
+
+def forward_batch(
+    model: ToyModel, contexts: np.ndarray, workspace: Workspace | None = None, helper: Executor | None = None
+):
     """Logits (B, V) for a batch of already-padded windows (B, c), plus the
     activation cache the backward pass needs; B may be 0. Raises ValueError
     unless the windows are a 2-D (B, c) array, and TokenizationError unless
@@ -205,6 +264,17 @@ def forward_batch(model: ToyModel, contexts: np.ndarray, workspace: Workspace | 
     Given a workspace that fits B rows of this model's shape (ValueError
     otherwise), the logits and the cache are views of its buffers, valid
     until its next use; without one they are fresh arrays.
+
+    From B >= SPLIT_MIN_ROWS on, the windows are gathered and their hidden
+    rows computed (x @ w_hidden, + b_hidden, tanh) in two row blocks, [:m]
+    and [m:] with m = 16 * (B // 32); the logits product then runs whole.
+    Given a helper, an executor with one worker, the helper computes the
+    block [m:] while this thread computes [:m]; without one, this thread
+    computes both. Each block is the same calls on the same operands either
+    way, so the logits and the cache are the same bits with a helper or
+    without, on any kernels and BLAS thread count. This call waits for the
+    helper's block before it goes on or raises, and an error on either thread
+    reaches the caller.
     """
     contexts = np.asarray(contexts)
     if contexts.ndim != 2 or contexts.shape[1] != model.context:
@@ -214,14 +284,17 @@ def forward_batch(model: ToyModel, contexts: np.ndarray, workspace: Workspace | 
     contexts = contexts.astype(np.int64, copy=False)
     if contexts.size and (contexts.min() < 0 or contexts.max() >= model.vocab.size):
         raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
-    B, c = contexts.shape
+    B = len(contexts)
     ws = _workspace(model, B, workspace)
-    x = ws.x[:B]
-    # every id is in range; mode="clip" gathers straight into out, where
-    # mode="raise" would gather into a temporary and copy
-    np.take(model.embed, contexts, axis=0, out=x.reshape(B, c, model.embed.shape[1]), mode="clip")
-    logits, hidden = _layers(model, x, ws.hidden[:B], ws.logits[:B])
-    return logits, (contexts, x, hidden)
+    x, hidden = ws.x[:B], ws.hidden[:B]
+    if B < SPLIT_MIN_ROWS:
+        _embedded_hidden(model, contexts, x, hidden)
+    else:
+        m = 16 * (B // 32)
+        with _helper_jobs(helper) as submit:
+            submit(_embedded_hidden, model, contexts[m:], x[m:], hidden[m:])
+            _embedded_hidden(model, contexts[:m], x[:m], hidden[:m])
+    return _logits(model, hidden, ws.logits[:B]), (contexts, x, hidden)
 
 
 def _weight_grad(inputs: np.ndarray, dout: np.ndarray, weight: np.ndarray, bias: np.ndarray):
@@ -229,6 +302,13 @@ def _weight_grad(inputs: np.ndarray, dout: np.ndarray, weight: np.ndarray, bias:
     sums of dout, written into the given buffers."""
     np.matmul(inputs.T, dout, out=weight)
     np.sum(dout, axis=0, out=bias)
+
+
+def _slots_and_output_grad(contexts, d, slots, hidden, dlogits, grads: Gradients):
+    """The embedding scatter's flat (token, column) slots of each window,
+    contexts * d + column, then the output layer's weight and bias gradients."""
+    np.add(contexts[..., None] * d, np.arange(d), out=slots)
+    _weight_grad(hidden, dlogits, grads.w_out, grads.b_out)
 
 
 def backward_batch(
@@ -241,45 +321,35 @@ def backward_batch(
     gradients are its buffers, valid until its next use; without one they are
     fresh arrays.
 
-    Given a helper, an executor with one worker, the weight and bias
-    gradients (hidden.T @ dlogits, x.T @ dpre and the two column sums) run on
-    it while this thread runs the input-gradient chain (dlogits @ w_out.T,
-    dpre, dpre @ w_hidden.T and the embedding scatter). Each is the same
-    numpy call on the same operands either way, so the gradients are the
-    same bits with a helper or without. This call waits for the helper's
-    work before it returns or raises, so no buffer is written after it ends,
-    and an error on either thread reaches the caller.
+    Given a helper, an executor with one worker, two jobs run on it: first the
+    embedding scatter's slots and the output layer's gradients (hidden.T @
+    dlogits and its column sum), then, once dpre exists, the hidden layer's
+    (x.T @ dpre and its column sum). Meanwhile this thread runs the
+    input-gradient chain (dlogits @ w_out.T, dpre, dpre @ w_hidden.T) and then
+    the embedding scatter on the helper's slots. Each is the same numpy call
+    on the same operands either way, so the gradients are the same bits with
+    a helper or without. This call waits for the helper's work before it
+    returns or raises, so no buffer is written after it ends, and an error on
+    either thread reaches the caller.
     """
     contexts, x, hidden = cache
     B = len(x)
     ws = _workspace(model, B, workspace)
     grads = ws.grads
-    pending: list[Future] = []
-
-    def weight_grad(*args):
-        """_weight_grad(*args) on the helper, or at once on this thread without one."""
-        if helper is None:
-            _weight_grad(*args)
-        else:
-            pending.append(helper.submit(_weight_grad, *args))
-
-    try:
-        weight_grad(hidden, dlogits, grads.w_out, grads.b_out)
+    V, d = model.embed.shape
+    slots = ws.slots[:B]
+    with _helper_jobs(helper) as submit:
+        first = submit(_slots_and_output_grad, contexts, d, slots, hidden, dlogits, grads)
         dhidden = np.matmul(dlogits, model.w_out.T, out=ws.dhidden[:B])
         dpre = np.square(hidden, out=ws.dpre[:B])
         np.subtract(1.0, dpre, out=dpre)
         dpre *= dhidden
-        weight_grad(x, dpre, grads.w_hidden, grads.b_hidden)
+        submit(_weight_grad, x, dpre, grads.w_hidden, grads.b_hidden)
         dx = np.matmul(dpre, model.w_hidden.T, out=ws.dx[:B])
+        first.result()  # the slots
         # one bincount over flat (token, column) slots sums each slot's terms in
         # row order, the order np.add.at would use, so the result is bit-equal
-        V, d = model.embed.shape
-        slots = np.add(contexts[..., None] * d, np.arange(d), out=ws.slots[:B])
         grads.embed[...] = np.bincount(slots.ravel(), weights=dx.ravel(), minlength=V * d).reshape(V, d)
-    finally:
-        wait(pending)
-    for future in pending:
-        future.result()
     return grads
 
 
@@ -310,8 +380,8 @@ def forward(model: ToyModel, context_tokens) -> np.ndarray:
     Raises ValueError on an empty context and TokenizationError on an id that
     is a float or a bool, or that lies outside [0, V).
     """
-    logits, _ = _layers(model, model.embed.take(_window(model, context_tokens), 0).reshape(1, -1))
-    return logits[0]
+    x = model.embed.take(_window(model, context_tokens), 0).reshape(1, -1)
+    return _logits(model, _hidden(model, x))[0]
 
 
 def backward(model: ToyModel, context_tokens, dloss_dlogits) -> Gradients:

@@ -281,8 +281,9 @@ class Checkpoint:
 
 
 # the least expected work per step, in multiply-adds of x @ w_hidden, at which
-# a helper thread for the backward pass's weight gradients pays for its
-# hand-offs; below it a step runs on the calling thread alone
+# a helper thread pays for its hand-offs: half of the forward pass's hidden
+# layer, the embedding scatter's slots and the backward pass's weight
+# gradients; below it a step runs on the calling thread alone
 HELPER_MIN_WORK = 2**21
 
 # at most one step workspace per thread, kept across train calls: concurrent
@@ -315,13 +316,15 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
     memo; no returned array is one of its buffers. When a step's expected
     work, batch_size x the corpus's mean rows per example x c*d*h
     multiply-adds, reaches HELPER_MIN_WORK, the call opens one helper thread
-    (a ThreadPoolExecutor with one worker) that runs each step's weight
-    gradients in model.backward_batch beside the input-gradient chain, and
-    closes it before it returns or raises; below the floor every step runs on
-    the calling thread. Each BLAS call is the same call on the same operands
-    either way, so the bits do not change. Non-finite logits, a non-finite
-    loss, or non-finite parameters after the last update abort with the
-    failing step.
+    (a ThreadPoolExecutor with one worker) and closes it before it returns or
+    raises. Each step passes it to model.forward_batch, where it gathers
+    and computes the last half of the hidden layer's rows of a batch of 64
+    rows or more, and to model.backward_batch, where it builds the embedding
+    scatter's slots and runs the weight gradients beside the input-gradient
+    chain; below the floor every step runs on the calling thread. Each output
+    element is computed from the same operands by the same kernel either
+    way, so the bits do not change. Non-finite logits, a non-finite loss, or
+    non-finite parameters after the last update abort with the failing step.
     """
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
@@ -343,7 +346,7 @@ def train(model: ToyModel, corpus: Corpus, cfg: TrainConfig) -> tuple[Checkpoint
         for step in range(cfg.total_steps):
             lr = schedule_lr(step, cfg)
             rows = encoded.rows(list(itertools.islice(picks, cfg.batch_size)))
-            logits, cache = forward_batch(model, encoded.contexts[rows], ws)
+            logits, cache = forward_batch(model, encoded.contexts[rows], ws, helper)
             if not np.all(np.isfinite(logits)):
                 # parameters overflowed on an earlier update; the per-token losses
                 # themselves are bounded by the log floor and cannot signal this

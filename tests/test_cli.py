@@ -30,7 +30,7 @@ from sftlab.config import (
 from sftlab.hashing import config_hash, content_hash
 from sftlab.losses import LossConfig
 from sftlab.metrics import read_metric_reports
-from sftlab.training import Corpus
+from sftlab.training import Corpus, EncodedCorpus
 
 MODEL = {"context": 4, "embed_dim": 8, "hidden_dim": 16}
 TRAIN = {"total_steps": 20, "warmup_steps": 2, "batch_size": 2, "learning_rate": 0.2}
@@ -1168,6 +1168,59 @@ def test_train_and_sweep_record_the_corpus_bytes_they_parsed(tmp_path, command):
     for name in records:
         assert json.loads((tmp_path / name).read_text())["inputs"]["corpus"]["sha256"] == parsed, name
     assert content_hash(tmp_path / "corpus.jsonl") != parsed
+
+
+def test_sweep_cells_evaluate_on_the_prompts_it_parsed(tmp_path, monkeypatch):
+    # the prompts file gains a prompt before every cell trains: each cell
+    # evaluates the load's parse, and every run.json names the bytes parsed
+    spec = load_sweep_spec(write_sweep(tmp_path, output_dir=str(tmp_path / "out")))
+    prompts = tmp_path / "prompts.jsonl"
+    parsed = content_hash(prompts)
+    real_train, edits = harness.train, []
+
+    def edits_the_prompts(model, corpus, cfg):
+        edits.append(cfg)
+        with open(prompts, "a") as fh:
+            fh.write(json.dumps({"id": f"added{len(edits)}", "prompt": "a"}) + "\n")
+        return real_train(model, corpus, cfg)
+
+    monkeypatch.setattr(harness, "train", edits_the_prompts)
+    assert harness.run_sweep(spec)["failures"] == []
+    assert len(edits) == 4 and content_hash(prompts) != parsed
+    evals = sorted((tmp_path / "out").glob("*/seed_*/eval"))
+    assert len(evals) == 4
+    for eval_dir in evals:
+        rows = [json.loads(line) for line in (eval_dir / "generations.jsonl").read_text().splitlines()]
+        assert {row["prompt_id"] for row in rows} == {"p0", "p1"}, eval_dir
+        assert json.loads((eval_dir / "run.json").read_text())["inputs"]["prompts"]["sha256"] == parsed, eval_dir
+    assert json.loads((tmp_path / "out" / "run.json").read_text())["inputs"]["prompts"]["sha256"] == parsed
+
+
+def count_encodes(monkeypatch, log: Path):
+    """Append the process id of each later corpus encoding to `log`, a file
+    so that the encodings of forked sweep workers count too."""
+    real = EncodedCorpus.concat.__func__
+
+    def counted(cls, encoded):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(cls, encoded)
+
+    monkeypatch.setattr(EncodedCorpus, "concat", classmethod(counted))
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched encoder reaches workers only by fork"
+)
+def test_sweep_workers_encode_the_corpus_once_each(tmp_path, monkeypatch):
+    # 2 gammas x 2 seeds on 2 workers: each worker gets the spec once, so its
+    # tasks share one parsed corpus and its one encoding
+    count_parses(monkeypatch, tmp_path / "parses.log")
+    count_encodes(monkeypatch, tmp_path / "encodes.log")
+    assert main(["sweep", str(write_sweep(tmp_path, workers=2))]) == 0
+    pids = (tmp_path / "encodes.log").read_text().splitlines()
+    assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids) and str(os.getpid()) not in pids
+    assert (tmp_path / "parses.log").read_text().splitlines() == [str(tmp_path / "corpus.jsonl")]
 
 
 def test_probe_records_the_corpus_bytes_it_parsed(tmp_path, monkeypatch):
