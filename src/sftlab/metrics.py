@@ -146,7 +146,9 @@ def distinct_n(gen_set: GenerationSet, n: int) -> float:
 def answer_entropy(probs) -> float:
     """Shannon entropy in nats of a probability vector (renormalized first).
 
-    Zero entries contribute zero; a one-hot distribution scores exactly 0.
+    Zero entries contribute zero; a one-hot distribution scores exactly +0.0.
+    Adding 0.0 turns the negated sum's -0.0 into +0.0, which would otherwise
+    print as "-0.0", and leaves every other value's bits as they are.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
@@ -158,7 +160,7 @@ def answer_entropy(probs) -> float:
         raise ValueError("probabilities must not all be zero")
     p = as_probs(p / total)
     nz = p[p > 0]
-    return float(-np.dot(nz, np.log(nz)))
+    return 0.0 + float(-np.dot(nz, np.log(nz)))
 
 
 def completion_entropy(gen_set: GenerationSet) -> float:

@@ -186,12 +186,14 @@ def _workspace(model: ToyModel, rows: int, workspace: Workspace | None) -> Works
 
 def _hidden(model: ToyModel, x: np.ndarray, out=None) -> np.ndarray:
     """Hidden activations tanh(x @ w_hidden + b_hidden) of embedded windows x
-    (B, c*d), written into `out` or a fresh array: the one copy of the
-    hidden layer's formula. Each output row depends on its own row of x
-    alone. On the kernels in tests/data/golden_kernels.json, and at one BLAS
-    thread on the Haswell and Prescott cores too, splitting x by rows at a
-    multiple of 16 leaves every element's bits unchanged; with two BLAS
-    threads on the Haswell core it does not."""
+    (B, c*d), or (h,) of one window's vector x (c*d,), written into `out` or
+    a fresh array: the one copy of the hidden layer's formula. A vector takes
+    the same matmul branch as a one-row x, so its bits are that row's. Each
+    output row depends on its own row of x alone. On the kernels in
+    tests/data/golden_kernels.json, and at one BLAS thread on the Haswell and
+    Prescott cores too, splitting x by rows at a multiple of 16 leaves every
+    element's bits unchanged; with two BLAS threads on the Haswell core it
+    does not."""
     hidden = np.matmul(x, model.w_hidden, out=out)
     hidden += model.b_hidden
     np.tanh(hidden, out=hidden)
@@ -199,9 +201,10 @@ def _hidden(model: ToyModel, x: np.ndarray, out=None) -> np.ndarray:
 
 
 def _logits(model: ToyModel, hidden: np.ndarray, out=None) -> np.ndarray:
-    """Logits hidden @ w_out + b_out, written into `out` or a fresh array.
-    Always one product: OpenBLAS's row splits of it change bits once it
-    outgrows the small-matrix kernel."""
+    """Logits hidden @ w_out + b_out, (B, V) of hidden (B, h) or (V,) of one
+    vector (h,), written into `out` or a fresh array; a vector's bits are
+    those of a one-row hidden. Always one product: OpenBLAS's row splits of
+    it change bits once it outgrows the small-matrix kernel."""
     logits = np.matmul(hidden, model.w_out, out=out)
     logits += model.b_out
     return logits
@@ -355,33 +358,49 @@ def backward_batch(
 
 def _window(model: ToyModel, context_tokens) -> list:
     """The last `model.context` ids, left-padded with EOS: one window's c
-    ids. Raises ValueError on an empty context and TokenizationError on an
-    id that is a float or a bool, or that lies outside [0, V); it checks at
-    most c ids."""
+    ids, as a new list. Raises ValueError on an empty context and
+    TokenizationError on an id that is a float or a bool, or that lies
+    outside [0, V).
+
+    A list, tuple or 1-D array is sliced before it is copied, so at most c of
+    its ids are read and checked; any other iterable is read whole first. The
+    range check reads len(vocab.chars), V - 1, rather than the `size`
+    property, and a short tail is padded in place: this check runs once per
+    sampled token."""
     c = model.context
-    tail = list(context_tokens)[-c:]
+    if isinstance(context_tokens, (list, tuple)) or (isinstance(context_tokens, np.ndarray) and context_tokens.ndim == 1):
+        tail = list(context_tokens[-c:])
+    else:
+        tail = list(context_tokens)[-c:]
     if not tail:
         raise ValueError("context must contain at least one token")
     if not INT_TYPES.issuperset(map(type, tail)):
         raise TokenizationError(f"token ids must be integers, got {tail!r}")
-    if min(tail) < 0 or max(tail) >= model.vocab.size:
+    if min(tail) < 0 or max(tail) > len(model.vocab.chars):
         raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
-    return [model.vocab.eos_id] * (c - len(tail)) + tail
+    if len(tail) < c:
+        tail[:0] = [model.vocab.eos_id] * (c - len(tail))
+    return tail
 
 
 def forward(model: ToyModel, context_tokens) -> np.ndarray:
     """Next-token logits (V,) for one context: the single-window pass that
-    decode makes once per sampled token.
-
-    The last `model.context` ids, left-padded with EOS, are gathered straight
-    from the id list into one (1, c*d) row that goes through `forward_batch`'s
-    layer arithmetic on the same 2-D operands, so the logits are bit-equal to
-    that window's row of `forward_batch`. It builds no activation cache.
+    decode makes once per sampled token. It builds no activation cache.
     Raises ValueError on an empty context and TokenizationError on an id that
     is a float or a bool, or that lies outside [0, V).
+
+    The last `model.context` ids, left-padded with EOS, are gathered straight
+    from the id list into one (c*d,) vector, which goes through `_hidden` and
+    `_logits` as a vector: (h,), then (V,). numpy's matmul sends a (K,)
+    vector and a (1, K) row down the same vector-matrix branch, the same
+    BLAS gemv or, for a weight BLAS cannot take, the same strided loop, so
+    the logits are bit-equal to that window's row of `forward_batch` for any
+    parameter layout, and a 1-D pass skips the 2-D operands' overhead.
+    np.dot would be faster still, but on a strided weight its bits differ
+    from matmul's.
     """
-    x = model.embed.take(_window(model, context_tokens), 0).reshape(1, -1)
-    return _logits(model, _hidden(model, x))[0]
+    x = model.embed.take(_window(model, context_tokens), 0).ravel()
+    return _logits(model, _hidden(model, x))
 
 
 def backward(model: ToyModel, context_tokens, dloss_dlogits) -> Gradients:

@@ -5,9 +5,12 @@ completion_index), so a generation set is reproducible no matter how the
 completions are scheduled. All of an eval's completions, k per prompt, are
 decoded in one lockstep: each step runs one forward pass per unfinished
 completion, on its own window, then filters and draws for all of them at once
-on the stacked logits. Every step of a row computes the bits the same step
-would compute for that completion alone, so no completion depends on its
-siblings, on k, or on the other prompts.
+on the stacked logits. That pass, `model.forward`, runs the window as one
+vector through the layers: it gives the bits of the window's row of
+`forward_batch`, with less overhead per call than a one-row batch. Every
+step of a row computes the bits the same step would compute for that
+completion alone, so no completion depends on its siblings, on k, or on the
+other prompts.
 """
 
 from __future__ import annotations

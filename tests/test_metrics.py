@@ -162,6 +162,16 @@ def test_completion_entropy():
         completion_entropy(GenerationSet("p", ()))
 
 
+def test_collapsed_entropy_is_positive_zero(tmp_path):
+    # == 0.0 holds for -0.0 too; the sign shows in metrics.csv as "-0.0"
+    collapsed = completion_entropy(GenerationSet("p", ("a", "a")))
+    assert math.copysign(1.0, collapsed) == 1.0
+    assert math.copysign(1.0, answer_entropy([0.0, 1.0, 0.0])) == 1.0
+    path = tmp_path / "metrics.csv"
+    write_metric_reports(path, [MetricReport("entropy", {"p0": collapsed})])
+    assert path.read_text().splitlines()[1:] == ["entropy,p0,0.0", "entropy,mean,0.0", "entropy,std,0.0"]
+
+
 # --------------------------------------------------------------- coverage ----
 
 

@@ -123,6 +123,66 @@ class TestForward:
                 expected = forward_batch(model, pad_context(window, c)[None])[0][0]
                 assert forward(model, window).tobytes() == expected.tobytes(), window
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("c, d, h, V", [(1, 1, 1, 2), (3, 5, 7, 11), (4, 16, 32, 28), (5, 3, 130, 29), (8, 32, 128, 28)])
+    def test_forward_vector_bits_equal_batch_row_in_every_layout(self, c, d, h, V, layout):
+        # the (c*d,) vector pass against the one-row batch, byte for byte,
+        # with w_hidden and w_out in C order, F order or as strided views
+        # (which no BLAS call takes, so both go through numpy's own loop)
+        vocab = Vocab("abcdefghijklmnopqrstuvwxyz .,"[: V - 1])
+        model = ToyModel.init(vocab, context=c, embed_dim=d, hidden_dim=h, seed=c + d)
+        rng = np.random.default_rng(h * V)
+        model.b_hidden[:] = rng.normal(size=h)
+        model.b_out[:] = rng.normal(size=V)
+        for name in ("w_hidden", "w_out"):
+            w = getattr(model, name)
+            if layout == "F":
+                w = np.asfortranarray(w)
+            elif layout == "strided":
+                wide = np.zeros((2 * w.shape[0], 3 * w.shape[1]))
+                wide[::2, ::3] = w
+                w = wide[::2, ::3]
+            setattr(model, name, w)
+        for _ in range(100):
+            window = rng.integers(0, V, int(rng.integers(1, 2 * c + 1))).tolist()
+            expected = forward_batch(model, pad_context(window, c)[None])[0][0]
+            logits = forward(model, window)
+            assert logits.shape == (V,)
+            assert logits.tobytes() == expected.tobytes(), window
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: [3, 1, 2], lambda: (3, 1, 2), lambda: np.array([3, 1, 2], dtype=np.int32), lambda: iter([3, 1, 2]),
+         lambda: [5, 4, 2.5, 0, 3, 1, 2]],
+        ids=["list", "tuple", "int32", "generator", "longer_than_c"],
+    )
+    def test_forward_and_backward_take_every_id_sequence(self, model, make):
+        # only the last c ids are read, so a bad id before them is never seen
+        expected = forward(model, [0, 3, 1, 2])
+        assert forward(model, make()).tobytes() == expected.tobytes()
+        dlogits = np.linspace(-1.0, 1.0, model.vocab.size)
+        want = backward(model, [0, 3, 1, 2], dlogits)
+        got = backward(model, make(), dlogits)
+        for (name, g), (_, w) in zip(got.named(), want.named()):
+            assert g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [(lambda: (3, 2.0), TokenizationError), (lambda: np.array([1, -1], dtype=np.int32), TokenizationError),
+         (lambda: iter([1, 6]), TokenizationError), (lambda: iter([]), ValueError), (lambda: (), ValueError),
+         (lambda: [1, 2, 3, 4, 5, 6], TokenizationError), (lambda: np.array(2), TypeError),
+         (lambda: np.array([[1, 2]]), TokenizationError)],
+        ids=["tuple_float", "int32_negative", "generator_out_of_range", "empty_generator", "empty_tuple",
+             "longer_than_c_ends_out_of_range", "zero_dim_array", "two_dim_array"],
+    )
+    def test_forward_and_backward_reject_bad_windows_alike(self, model, make, error):
+        # the exact class: TokenizationError is a ValueError too
+        dlogits = np.zeros(model.vocab.size)
+        for call in (lambda: forward(model, make()), lambda: backward(model, make(), dlogits)):
+            with pytest.raises(error) as raised:
+                call()
+            assert raised.type is error
+
     def test_out_of_range_tokens_rejected(self, model):
         with pytest.raises(TokenizationError):
             forward_batch(model, np.array([[0, 1, 2, 99]]))
