@@ -358,29 +358,18 @@ def backward_batch(
 
 def _window(model: ToyModel, context_tokens) -> list:
     """The last `model.context` ids, left-padded with EOS: one window's c
-    ids, as a new list. Raises ValueError on an empty context and
-    TokenizationError on an id that is a float or a bool, or that lies
-    outside [0, V).
-
-    A list, tuple or 1-D array is sliced before it is copied, so at most c of
-    its ids are read and checked; any other iterable is read whole first. The
-    range check reads len(vocab.chars), V - 1, rather than the `size`
-    property, and a short tail is padded in place: this check runs once per
-    sampled token."""
+    ids. Raises ValueError on an empty context and TokenizationError on an
+    id that is a float or a bool, or that lies outside [0, V); it checks at
+    most c ids."""
     c = model.context
-    if isinstance(context_tokens, (list, tuple)) or (isinstance(context_tokens, np.ndarray) and context_tokens.ndim == 1):
-        tail = list(context_tokens[-c:])
-    else:
-        tail = list(context_tokens)[-c:]
+    tail = list(context_tokens)[-c:]
     if not tail:
         raise ValueError("context must contain at least one token")
     if not INT_TYPES.issuperset(map(type, tail)):
         raise TokenizationError(f"token ids must be integers, got {tail!r}")
-    if min(tail) < 0 or max(tail) > len(model.vocab.chars):
+    if min(tail) < 0 or max(tail) >= model.vocab.size:
         raise TokenizationError(f"token id out of range for vocab size {model.vocab.size}")
-    if len(tail) < c:
-        tail[:0] = [model.vocab.eos_id] * (c - len(tail))
-    return tail
+    return [model.vocab.eos_id] * (c - len(tail)) + tail
 
 
 def forward(model: ToyModel, context_tokens) -> np.ndarray:

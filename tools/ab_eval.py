@@ -24,7 +24,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
@@ -36,7 +35,7 @@ from time import perf_counter  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from ab_train import load_side  # noqa: E402
+from ab_train import alternate, load_sides, pair_ratios, parse_ab_args  # noqa: E402
 
 OUTPUTS = ("generations.jsonl", "metrics.csv")
 
@@ -59,20 +58,12 @@ def eval_op(side: dict, files: dict, checkpoint: Path, out_dir: Path):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", default="default")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=30)
-    args = parser.parse_args(argv)
-
+    args = parse_ab_args(__doc__, 30, argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import inputs
     from phases import read_generations, sampled_tokens
 
-    sides = {"parent": load_side("ab_parent", args.parent.resolve()), "change": load_side("ab_change", args.change.resolve())}
-    seconds: dict[str, list[float]] = {name: [] for name in sides}
+    sides = load_sides(args)
     with tempfile.TemporaryDirectory() as work:
         inputs.write_inputs(Path(work), args.workload, inputs.FULL, args.seed)
         files = inputs.input_files(Path(work))
@@ -85,18 +76,20 @@ def main(argv=None) -> int:
         max_tokens = json.loads(files["eval"].read_text())["sampling"]["max_tokens"]
         generations = read_generations(Path(work) / "eval_parent" / "generations.jsonl")
         tokens = sum(sampled_tokens(c, max_tokens) for c in generations.values())
-        for pair in range(-1, args.pairs):  # pair -1 checks the change's outputs before any run is timed
-            order = ("change",) if pair < 0 else ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for name in order:
-                run_seconds, outputs = ops[name]()
-                differ = [o for o in OUTPUTS if outputs[o] != expected[o]]
-                if differ:
-                    print(json.dumps({"error": "eval outputs differ", "side": name, "pair": pair, "files": differ}))
-                    return 1
-                if pair >= 0:
-                    seconds[name].append(run_seconds)
 
-    ratios = [p / c for p, c in zip(seconds["parent"], seconds["change"])]
+        def check(name, pair, outputs):
+            differ = [o for o in OUTPUTS if outputs[o] != expected[o]]
+            return {"error": "eval outputs differ", "side": name, "pair": pair, "files": differ} if differ else None
+
+        # pair -1 checks the change's outputs before any run is timed
+        error = check("change", -1, ops["change"]()[1])
+        if error:
+            print(json.dumps(error))
+            return 1
+        seconds = alternate(ops, args.pairs, check)
+    if seconds is None:
+        return 1
+
     print(json.dumps({
         "op": "run_eval",
         "workload": args.workload,
@@ -105,9 +98,7 @@ def main(argv=None) -> int:
         "change_ms": 1e3 * statistics.median(seconds["change"]),
         "parent_tokens_per_s": statistics.median(tokens / s for s in seconds["parent"]),
         "change_tokens_per_s": statistics.median(tokens / s for s in seconds["change"]),
-        "median_ratio": statistics.median(ratios),
-        "change_wins": sum(r > 1.0 for r in ratios),
-        "pairs": len(ratios),
+        **pair_ratios(seconds["parent"], seconds["change"]),
     }))
     return 0
 

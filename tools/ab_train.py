@@ -52,6 +52,51 @@ def load_side(name: str, checkout: Path) -> dict:
     return {module: importlib.import_module(f"{name}.{module}") for module in ("config", "training", "harness")}
 
 
+def parse_ab_args(doc: str, pairs: int, argv=None) -> argparse.Namespace:
+    """The A/B tools' shared command line: PARENT, CHANGE, --workload, --seed
+    and --pairs (default `pairs`)."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", default="default")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=pairs)
+    return parser.parse_args(argv)
+
+
+def load_sides(args: argparse.Namespace) -> dict:
+    """{"parent": side, "change": side} of the two checkouts, loaded as the
+    packages `ab_parent` and `ab_change`."""
+    return {"parent": load_side("ab_parent", args.parent.resolve()), "change": load_side("ab_change", args.change.resolve())}
+
+
+def alternate(ops: dict, pairs: int, check) -> dict | None:
+    """Runs `pairs` pairs of ops["parent"] and ops["change"], one call of
+    each per pair, alternating which side runs first. Each op returns
+    (seconds, output); check(side, pair, output) returns None if the output
+    is right and an error dict otherwise. Returns {side: [seconds]}, or None
+    after printing the first error as a JSON line."""
+    seconds: dict[str, list[float]] = {name: [] for name in ops}
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for name in order:
+            run_seconds, output = ops[name]()
+            error = check(name, pair, output)
+            if error:
+                print(json.dumps(error))
+                return None
+            seconds[name].append(run_seconds)
+    return seconds
+
+
+def pair_ratios(parent: list[float], change: list[float]) -> dict:
+    """The median of the per-pair ratios parent seconds over change seconds
+    (above 1 means the change is faster) and the number of pairs the change
+    won."""
+    ratios = [p / c for p, c in zip(parent, change)]
+    return {"median_ratio": statistics.median(ratios), "change_wins": sum(r > 1.0 for r in ratios), "pairs": len(ratios)}
+
+
 def train_ops(side: dict, files: dict, objectives) -> dict:
     """{objective: a no-argument call of that objective's train op}, on the
     inputs as this side's own loaders read them."""
@@ -85,30 +130,20 @@ def timed(op) -> float:
 
 
 def summary(name: str, steps: int, parent: list[float], change: list[float]) -> dict:
-    ratios = [p / c for p, c in zip(parent, change)]  # change over parent, in steps/s
     return {
         "op": name,
         "parent_steps_per_s": statistics.median(steps / s for s in parent),
         "change_steps_per_s": statistics.median(steps / s for s in change),
-        "median_ratio": statistics.median(ratios),
-        "change_wins": sum(r > 1.0 for r in ratios),
-        "pairs": len(ratios),
+        **pair_ratios(parent, change),
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", default="default")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=40)
-    args = parser.parse_args(argv)
-
+    args = parse_ab_args(__doc__, 40, argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import inputs
 
-    sides = {"parent": load_side("ab_parent", args.parent.resolve()), "change": load_side("ab_change", args.change.resolve())}
+    sides = load_sides(args)
     with tempfile.TemporaryDirectory() as work:
         inputs.write_inputs(Path(work), args.workload, inputs.FULL, args.seed)
         files = inputs.input_files(Path(work))
