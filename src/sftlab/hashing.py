@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import threading
 from pathlib import Path
 
 
@@ -63,12 +64,13 @@ def content_hash(path) -> str:
 
 def write_file(path, data: str | bytes):
     """Write `data` (text as UTF-8) as the whole of `path`, making its parent
-    directories. The bytes go to the hidden sibling `.{name}.{pid}.tmp`, which
-    then replaces `path`, so a killed run leaves at most that temp file, never
-    a partial `path`; a failed write removes it."""
+    directories. The bytes go to the hidden sibling `.{name}.{pid}.{thread}.tmp`,
+    which then replaces `path`, so a killed run leaves at most that temp file,
+    never a partial `path`, and two threads writing one path never share it; a
+    failed write removes it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)

@@ -256,8 +256,12 @@ class Checkpoint:
             names = tuple(a["name"] for a in header["arrays"])
             if names != ToyModel.PARAM_NAMES:
                 raise ValueError(f"arrays {names}, expected {ToyModel.PARAM_NAMES}")
-            if not (isinstance(context, int) and context >= 1):
+            if not (type(context) is int and context >= 1):
                 raise ValueError(f"context {context!r} is not a positive int")
+            if not (type(step) is int and step >= 0):
+                raise ValueError(f"step {step!r} is not a non-negative int")
+            if not isinstance(cfg_hash, str):
+                raise ValueError(f"config_hash {cfg_hash!r} is not a string")
             # the shapes a model of this vocab and context has at the stored widths
             expected = ToyModel.zeros(vocab, context, shapes["embed"][-1], shapes["b_hidden"][0])
             for name, param in expected.named_params():

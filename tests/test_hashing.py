@@ -3,12 +3,14 @@ guard that keeps every write in hashing.py."""
 
 import ast
 import re
+import threading
 from pathlib import Path
 
 import pytest
 
 import sftlab
 from sftlab.config import ConfigError
+from sftlab import hashing
 from sftlab.hashing import csv_text, read_jsonl, write_file
 
 # ---------------------------------------------------------------- writes ----
@@ -48,6 +50,35 @@ def test_write_file_permissions_follow_the_umask(tmp_path):
     write_file(tmp_path / "whole.txt", "x")
     mode = lambda name: (tmp_path / name).stat().st_mode & 0o777
     assert mode("whole.txt") == mode("plain.txt")
+
+
+def test_write_file_from_two_threads_to_one_path(tmp_path, monkeypatch):
+    """A second thread writes the same path while the first one's temp file
+    waits to replace it: each thread has a temp file of its own, so both
+    writes succeed and the file holds one of them whole."""
+    path = tmp_path / "out.txt"
+    replace = hashing.os.replace
+    errors = []
+
+    def other_writer():
+        try:
+            write_file(path, "second\n")
+        except Exception as exc:
+            errors.append(exc)
+
+    def replace_after_other_writer(src, dst):
+        monkeypatch.setattr(hashing.os, "replace", replace)
+        thread = threading.Thread(target=other_writer)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        replace(src, dst)
+
+    monkeypatch.setattr(hashing.os, "replace", replace_after_other_writer)
+    write_file(path, "first\n")
+    assert errors == []
+    assert path.read_text() == "first\n"
+    assert temp_files(tmp_path) == []
 
 
 def test_csv_text_quotes_and_ends_lines_with_newline():

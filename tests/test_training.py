@@ -727,6 +727,21 @@ def test_checkpoint_rejects_unknown_array_name(tmp_path):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("context", True), ("context", 0), ("step", "abc"), ("step", -3), ("step", 1.0), ("config_hash", 7)],
+)
+def test_checkpoint_rejects_mistyped_header_fields(tmp_path, field, value):
+    """A bool is no context (True would load as a context-1 model), a step is
+    a non-negative int and a config hash a string."""
+    path = tmp_path / "model.bin"
+    Checkpoint(ToyModel.zeros(Vocab("ab"), 1, 2, 3), 0, "0" * 64).save(path)  # arrays of context 1
+    rewrite_header(path, lambda h: h.update({field: value}))
+    with pytest.raises(ValueError, match="bad checkpoint header") as info:
+        Checkpoint.load(path)
+    assert str(path) in str(info.value)
+
+
 # --------------------------------------------------------------- golden ----
 
 
