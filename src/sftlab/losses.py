@@ -40,6 +40,7 @@ from .numerics import (
     _normalize,
     as_probs,
     as_vector,
+    check_gamma,
     check_temperature,
     log_softmax,
     row_dots,
@@ -91,8 +92,7 @@ class FocalConfig:
     gamma: float = 3.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"focal gamma must be >= 0, got {self.gamma}")
+        check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ class TofuConfig:
     beta: float = TEMPERED_DEFAULT_BETA
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        check_gamma(self.gamma)
         check_temperature(self.beta)
 
 
@@ -169,9 +168,7 @@ def focal_scaling(p_hat, gamma: float):
     maximum before falling to 0, which is what lets focal-style objectives
     keep pushing on low-probability tokens while releasing confident ones.
     """
-    gamma = float(gamma)
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    gamma = check_gamma(gamma)
     p = np.asarray(p_hat, dtype=np.float64)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)

@@ -2,8 +2,9 @@
 
 A fixed window of the last `context` tokens is embedded, concatenated, pushed
 through one tanh hidden layer, and projected to vocabulary logits. No autograd
-anywhere: backward() implements the exact reverse pass, which is what lets the
-finite-difference oracle check the whole composite.
+anywhere: backward_batch() is the one exact reverse pass, the one training
+runs; finite differences of a training step's loss check it for all seven
+objectives.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class Vocab:
     chars: str
 
     def __post_init__(self):
+        if not isinstance(self.chars, str):
+            raise ValueError(f"vocab chars must be a str, got {self.chars!r}")
         if len(set(self.chars)) != len(self.chars):
             raise ValueError("vocab chars must be distinct")
         object.__setattr__(self, "_stoi", {ch: i + 1 for i, ch in enumerate(self.chars)})
@@ -391,13 +394,3 @@ def forward(model: ToyModel, context_tokens) -> np.ndarray:
     x = model.embed.take(_window(model, context_tokens), 0).ravel()
     return _logits(model, _hidden(model, x))
 
-
-def backward(model: ToyModel, context_tokens, dloss_dlogits) -> Gradients:
-    """Parameter gradients for one context given the loss gradient at the
-    logits. The context is checked as forward checks it."""
-    window = np.array([_window(model, context_tokens)], dtype=np.int64)
-    dlogits = np.asarray(dloss_dlogits, dtype=np.float64)
-    if dlogits.shape != (model.vocab.size,):
-        raise ValueError(f"dloss_dlogits must have shape ({model.vocab.size},), got {dlogits.shape}")
-    _, cache = forward_batch(model, window)
-    return backward_batch(model, cache, dlogits[None, :])

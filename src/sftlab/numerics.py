@@ -73,6 +73,14 @@ def check_temperature(beta) -> float:
     return beta
 
 
+def check_gamma(gamma) -> float:
+    """Focal exponents are finite and >= 0; gamma = 0 is plain CE weighting."""
+    gamma = float(gamma)
+    if not 0.0 <= gamma < np.inf:  # False for NaN too
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    return gamma
+
+
 def logsumexp(x):
     """log(sum(exp(x))) over the last axis: 0-d for a vector, (N,) for rows."""
     x = np.asarray(x, dtype=np.float64)

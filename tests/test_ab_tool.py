@@ -49,3 +49,13 @@ def test_a_change_to_the_trained_bits_fails_naming_the_op(tmp_path):
     code, printed = ab(ROOT, tmp_path, "train:ce")
     assert code == 1
     assert printed[-1] == {"op": "train:ce", "error": "the sides differ in ['first_digest']"}
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_pairs_below_one_is_a_usage_error_before_any_setup(pairs):
+    # with no pair to summarise, the run would end in an IndexError after its whole setup
+    cmd = [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT), "--op", "eval", "--pairs", pairs]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert f"--pairs must be >= 1, got {pairs}" in proc.stderr
+    assert proc.stdout == ""

@@ -8,11 +8,13 @@ import csv
 import json
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bleu_oracle import oracle_self_bleu
+from kernel_record import kernels_note
 from sftlab.cli import main
 from sftlab.config import load_probe_spec
 from sftlab.gradcheck import (
@@ -43,6 +45,7 @@ from sftlab.model import ToyModel, Vocab, backward_batch, forward_batch
 from sftlab.training import synth_diversity_corpus
 
 TRIALS = 1000
+DATA = Path(__file__).parent / "data"
 
 
 def test_criterion_01_gem_gradient_equals_scaled_ce_and_matches_fd():
@@ -234,6 +237,17 @@ def test_criterion_07_skewed_sft_keeps_entropy_without_tail_leak(tmp_path):
           f"ce {summary['ce']['median_entropy']:.3f}, argmax agrees on 5 seeds, "
           f"tail {summary['tofu']['median_tail_mass']:.4f} <= "
           f"1.10 x {summary['pretrained']['median_tail_mass']:.4f}, {elapsed:.1f}s")
+
+
+def test_criterion_07_verdict_matches_golden(tmp_path):
+    """Criterion 7's verdict.json, byte for byte, as
+    tests/data/golden_probe_verdict.json pins it: criterion 7 asserts
+    inequalities only, so a change to any field of the verdict shows here.
+    The fixture is the verdict.json criterion 7's run writes; rewrite it from
+    that run only when the probe is meant to change."""
+    test_criterion_07_skewed_sft_keeps_entropy_without_tail_leak(tmp_path)
+    got = (tmp_path / "out" / "verdict.json").read_bytes()
+    assert got == (DATA / "golden_probe_verdict.json").read_bytes(), kernels_note()
 
 
 def test_criterion_08_metric_suite_against_oracles():

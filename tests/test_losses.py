@@ -146,6 +146,16 @@ class TestFocalScaling:
         with pytest.raises(ValueError):
             focal_scaling(1.5, 2.0)
 
+    @pytest.mark.parametrize("gamma", [np.inf, -np.inf, np.nan], ids=["inf", "minus_inf", "nan"])
+    def test_rejects_non_finite_gamma(self, gamma):
+        # gamma = inf once gave focal the value 0.0 and an all-NaN gradient
+        for call in (lambda: focal_scaling(0.5, gamma), lambda: FocalConfig(gamma), lambda: TofuConfig(gamma)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+        for name in ("focal", "tofu", "naive_tempered_focal"):
+            with pytest.raises(ValueError, match="finite"):
+                token_loss(np.array([0.3, -0.2, 0.1]), Target.one_hot(1), LossConfig(name, gamma=gamma))
+
 
 class TestFocal:
     def test_gamma_zero_is_ce(self):

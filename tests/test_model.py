@@ -1,5 +1,5 @@
-"""Toy-model tests: vocab round trips, padding, and the hand-written backward
-pass checked against parameter-space finite differences."""
+"""Toy-model tests: vocab round trips, padding, the single-window and batch
+forward passes, and the hand-written batch backward pass."""
 
 import re
 import time
@@ -15,7 +15,6 @@ from sftlab.model import (
     ToyModel,
     Vocab,
     Workspace,
-    backward,
     backward_batch,
     forward,
     forward_batch,
@@ -156,15 +155,10 @@ class TestForward:
          lambda: [5, 4, 2.5, 0, 3, 1, 2]],
         ids=["list", "tuple", "int32", "generator", "longer_than_c"],
     )
-    def test_forward_and_backward_take_every_id_sequence(self, model, make):
+    def test_forward_takes_every_id_sequence(self, model, make):
         # only the last c ids are read, so a bad id before them is never seen
         expected = forward(model, [0, 3, 1, 2])
         assert forward(model, make()).tobytes() == expected.tobytes()
-        dlogits = np.linspace(-1.0, 1.0, model.vocab.size)
-        want = backward(model, [0, 3, 1, 2], dlogits)
-        got = backward(model, make(), dlogits)
-        for (name, g), (_, w) in zip(got.named(), want.named()):
-            assert g.tobytes() == w.tobytes(), name
 
     @pytest.mark.parametrize(
         "make, error",
@@ -175,13 +169,11 @@ class TestForward:
         ids=["tuple_float", "int32_negative", "generator_out_of_range", "empty_generator", "empty_tuple",
              "longer_than_c_ends_out_of_range", "zero_dim_array", "two_dim_array"],
     )
-    def test_forward_and_backward_reject_bad_windows_alike(self, model, make, error):
+    def test_forward_rejects_bad_windows(self, model, make, error):
         # the exact class: TokenizationError is a ValueError too
-        dlogits = np.zeros(model.vocab.size)
-        for call in (lambda: forward(model, make()), lambda: backward(model, make(), dlogits)):
-            with pytest.raises(error) as raised:
-                call()
-            assert raised.type is error
+        with pytest.raises(error) as raised:
+            forward(model, make())
+        assert raised.type is error
 
     def test_out_of_range_tokens_rejected(self, model):
         with pytest.raises(TokenizationError):
@@ -366,99 +358,12 @@ class TestBackward:
             with pytest.raises(ValueError, match="does not fit 3 rows"):
                 backward_batch(model, cache, np.zeros((3, model.vocab.size)), ws)
 
-    def test_dlogits_shape_checked(self, model):
-        with pytest.raises(ValueError):
-            backward(model, [1, 2], np.zeros(3))
-
-    @pytest.mark.parametrize(
-        "window", [[2.7], [1, 2.0], [True], np.array([2.5, 1.0])],
-        ids=["float", "integral_float", "bool", "float_array"],
-    )
-    def test_backward_rejects_non_integer_ids(self, model, window):
-        # cast to int64, [2.7] would return the gradients of id 2
-        with pytest.raises(TokenizationError, match="must be integers"):
-            backward(model, window, np.ones(model.vocab.size))
-
-    def test_backward_rejects_out_of_range_and_empty_context(self, model):
-        with pytest.raises(TokenizationError, match="out of range"):
-            backward(model, [1, 6], np.ones(model.vocab.size))
-        with pytest.raises(ValueError, match="at least one token"):
-            backward(model, [], np.ones(model.vocab.size))
-
-
-def _loss_of(model, ctx_tokens, target_id, cfg):
-    logits = forward(model, ctx_tokens)
-    return token_loss(logits, Target.one_hot(target_id), cfg)
-
-
-def _frozen_value(model, ctx_tokens, target_id, cfg, g0):
-    """Objective value with the detached focal factor held at its base value,
-    which is what the analytic tofu gradient differentiates."""
-    from sftlab.numerics import log_softmax, tempered_log_softmax
-
-    logits = forward(model, ctx_tokens)
-    lb = tempered_log_softmax(log_softmax(logits), cfg.resolved_beta())
-    return float(-g0 * cfg.resolved_beta() * lb[target_id])
-
-
-class TestCompositeFiniteDifferences:
-    """End-to-end oracle: loss(forward(params)) differentiated by hand vs
-    nudged parameters. Sampled entries only; full enumeration is wasteful."""
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            LossConfig("ce"),
-            LossConfig("scaled_ce", beta=0.8),
-            LossConfig("tofu", gamma=3.0, beta=0.8),
-        ],
-        ids=lambda c: c.objective,
-    )
-    def test_param_gradients_match_fd(self, model, cfg):
-        ctx_tokens = [1, 2, 3]
-        target_id = 4
-        h = 1e-5
-        res = _loss_of(model, ctx_tokens, target_id, cfg)
-        grads = backward(model, ctx_tokens, res.grad)
-
-        if cfg.objective == "tofu":
-            # the analytic gradient detaches the focal factor, so the oracle
-            # must differentiate the value with that factor frozen
-            from sftlab.losses import focal_scaling
-            from sftlab.numerics import log_softmax
-
-            p_hat = float(np.exp(log_softmax(forward(model, ctx_tokens))[target_id]))
-            g0 = focal_scaling(p_hat, cfg.gamma)
-            value_at = lambda: _frozen_value(model, ctx_tokens, target_id, cfg, g0)
-        else:
-            value_at = lambda: _loss_of(model, ctx_tokens, target_id, cfg).value
-
-        rng = np.random.default_rng(3)
-        checked = 0
-        for name, param in model.named_params():
-            flat_grad = getattr(grads, name).ravel()
-            flat_param = param.ravel()
-            idx = rng.choice(flat_param.size, size=min(6, flat_param.size), replace=False)
-            for j in idx:
-                orig = flat_param[j]
-                flat_param[j] = orig + h
-                fp = value_at()
-                flat_param[j] = orig - h
-                fm = value_at()
-                flat_param[j] = orig
-                fd = (fp - fm) / (2 * h)
-                assert abs(fd - flat_grad[j]) <= 1e-4 * max(abs(flat_grad[j]), 1e-3), (
-                    f"{name}[{j}]: fd={fd} analytic={flat_grad[j]}"
-                )
-                checked += 1
-        assert checked >= 25
-
     def test_untouched_embedding_rows_get_zero_grad(self, model):
-        ctx_tokens = [1, 1, 1]
-        res = _loss_of(model, ctx_tokens, 2, LossConfig("ce"))
-        grads = backward(model, ctx_tokens, res.grad)
-        # rows 3..5 never appear in the (padded) context
-        np.testing.assert_array_equal(grads.embed[3:], np.zeros_like(grads.embed[3:]))
+        window = np.array([[0, 1, 1, 1]])  # the context [1, 1, 1], left-padded with EOS
+        logits, cache = forward_batch(model, window)
+        grads = backward_batch(model, cache, token_loss(logits[0], Target.one_hot(2), LossConfig("ce")).grad[None])
+        # rows 2..5 never appear in the window
+        np.testing.assert_array_equal(grads.embed[2:], np.zeros_like(grads.embed[2:]))
         assert np.abs(grads.embed[1]).sum() > 0  # used row
         assert np.abs(grads.embed[0]).sum() > 0  # padding row is used too
 

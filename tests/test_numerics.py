@@ -16,6 +16,7 @@ from sftlab.numerics import (
     as_log_probs,
     as_logits,
     as_probs,
+    check_gamma,
     check_temperature,
     entropy_from_log_probs,
     entropy_logit_gradient,
@@ -69,6 +70,13 @@ class TestValidation:
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 check_temperature(bad)
+
+    def test_gamma_range(self):
+        assert check_gamma(0) == 0.0
+        assert check_gamma(3.0) == 3.0
+        for bad in (-1.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                check_gamma(bad)
 
 
 class TestLogSoftmax:

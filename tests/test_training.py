@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_record import kernels_note
-from sftlab.losses import OBJECTIVES, LossConfig, Target, token_loss
+from sftlab.gradcheck import frozen_value_fn
+from sftlab.losses import OBJECTIVES, LossConfig, Target, batch_loss, token_loss
 from sftlab.hashing import config_hash
 from sftlab import training
-from sftlab.model import ToyModel, Vocab, backward_batch, forward, forward_batch, pad_context
+from sftlab.model import ToyModel, Vocab, Workspace, backward_batch, forward, forward_batch, pad_context
 from sftlab.training import (
     Checkpoint,
     Corpus,
@@ -464,6 +465,69 @@ def test_train_objectives_share_the_same_loop():
         assert np.all(np.isfinite(ckpt.model.w_out))
 
 
+# ------------------------------------------------------------- backprop ----
+
+
+@pytest.mark.parametrize("name", OBJECTIVES)
+def test_step_gradients_match_central_differences(name):
+    """train's step, its calls in its order (forward_batch, batch_loss, the
+    rows' weights (1/B)/length, backward_batch with a Workspace and a helper
+    thread), gives each parameter block the gradient of the step's weighted
+    loss sum_i w_i * value_i: central differences at h = 1e-6 agree with it to
+    1e-6 relative per block. Each row's value has its detached quantity
+    frozen at the step's own logits, through gradcheck.frozen_value_fn.
+
+    The batch repeats an example and reaches position 4 of a length-4
+    response; parameters are scaled x3 so that the detached factors are far
+    from 1, and lambda_pr at lambda 0.8 drops some rows and discounts later
+    positions."""
+    corpus = Corpus([
+        CorpusExample("ab", "cad"),
+        CorpusExample("h", "f"),
+        CorpusExample("", "gh"),
+        CorpusExample("ce", "eb"),
+        CorpusExample("fa", "d"),
+    ])
+    model = ToyModel.init(Vocab(corpus.charset()), context=4, embed_dim=6, hidden_dim=10, seed=11)
+    for _, param in model.named_params():
+        param *= 3.0
+    cfg = LossConfig(name, lam=0.8, alpha=0.6) if name == "lambda_pr" else LossConfig(name)
+    encoded = corpus.encoded(model.vocab, model.context)
+    picks = [3, 0, 4, 0, 1]
+    rows = encoded.rows(picks)
+    contexts, targets, positions, lengths = (a[rows] for a in (encoded.contexts, encoded.targets, encoded.positions, encoded.lengths))
+    row_weights = ((1.0 / len(picks)) / encoded.lengths)[rows]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ws = Workspace(model, len(rows))
+        logits, cache = forward_batch(model, contexts, ws, helper)
+        values, dlogits = batch_loss(logits, targets, positions, lengths, cfg)
+        dlogits *= row_weights[:, None]
+        grads = backward_batch(model, cache, dlogits, ws, helper)
+    frozen = [frozen_value_fn(cfg, z0, Target.one_hot(k), i, m)
+              for z0, k, i, m in zip(logits, targets.tolist(), positions.tolist(), lengths.tolist())]
+    np.testing.assert_allclose([f(z0[None])[0] for f, z0 in zip(frozen, logits)], values, rtol=1e-12)
+    if name == "lambda_pr":
+        assert 0 < np.count_nonzero(values == 0.0) < len(rows)  # some rows dropped, some kept
+
+    def weighted_loss():
+        z = forward_batch(model, contexts)[0]
+        return sum(w * f(z[i : i + 1])[0] for i, (w, f) in enumerate(zip(row_weights, frozen)))
+
+    h = 1e-6
+    for pname, param in model.named_params():
+        flat = param.reshape(-1)  # a view of the parameter, which is contiguous
+        fd = np.empty(flat.size)
+        for j, base in enumerate(flat.tolist()):
+            flat[j] = base + h
+            up = weighted_loss()
+            flat[j] = base - h
+            down = weighted_loss()
+            flat[j] = base
+            fd[j] = (up - down) / (2 * h)
+        grad = getattr(grads, pname).reshape(-1)
+        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad), pname
+
+
 # -------------------------------------------------------- step workspace ----
 
 
@@ -729,13 +793,15 @@ def test_checkpoint_rejects_unknown_array_name(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("context", True), ("context", 0), ("step", "abc"), ("step", -3), ("step", 1.0), ("config_hash", 7)],
+    [("context", True), ("context", 0), ("step", "abc"), ("step", -3), ("step", 1.0), ("config_hash", 7),
+     ("vocab_chars", ["xy", "z"])],
 )
 def test_checkpoint_rejects_mistyped_header_fields(tmp_path, field, value):
     """A bool is no context (True would load as a context-1 model), a step is
-    a non-negative int and a config hash a string."""
+    a non-negative int, a config hash a string and the vocab chars a str
+    (["xy", "z"] would load as a size-3 vocab whose id 1 decodes to "xy")."""
     path = tmp_path / "model.bin"
-    Checkpoint(ToyModel.zeros(Vocab("ab"), 1, 2, 3), 0, "0" * 64).save(path)  # arrays of context 1
+    Checkpoint(ToyModel.zeros(Vocab("ab"), 1, 2, 3), 0, "0" * 64).save(path)  # arrays of context 1, vocab size 3
     rewrite_header(path, lambda h: h.update({field: value}))
     with pytest.raises(ValueError, match="bad checkpoint header") as info:
         Checkpoint.load(path)

@@ -123,6 +123,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not re.fullmatch(r"train(:\w+)?|eval|gradcheck|sweep", args.op):
         parser.error(f"unknown op {args.op!r}")
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1, got {args.pairs}")
 
     sys.path.insert(0, str(PERFBENCH))  # calibrate and tracer, which both sides' phases share
     with tempfile.TemporaryDirectory() as tmp:
