@@ -7,10 +7,16 @@ Two layers of evidence, never collapsed into one:
   2. central finite differences of the value expressions, with every detached
      quantity frozen at the base point, held to the looser fd tolerance.
 
-Every trial draws a one-hot target. The focal check's witness that focal is
-not a rescaled CE in general takes its gradients at soft targets from
-losses.expected_loss, the expectation of the kernel rows each one-hot trial
-checks.
+Every trial draws a one-hot target and computes its base point once: the
+oracle's input checks and log-softmax of z (losses._oracle_inputs), and the
+params the oracle would build. Every gradient it compares is row 0 of an
+OBJECTIVE_TABLE kernel at those log-probs (losses._kernel_row), the code the
+oracles and training run, and its finite differences take the value formula
+at the same log-probs (_frozen_values). No oracle value is computed.
+
+The focal check's witness that focal is not a rescaled CE in general takes
+its gradients at soft targets from losses.expected_loss, the expectation of
+the kernel rows each one-hot trial checks.
 
 Every check keeps its verdict in one _Tally, so one rule decides them all: a
 check passes when each error channel's worst error is finite and within its
@@ -33,18 +39,14 @@ from .losses import (
     LossConfig,
     Target,
     TofuConfig,
+    _kernel_row,
     _oracle_inputs,
-    ce,
     expected_loss,
-    focal,
     focal_scaling,
-    gem,
-    naive_tempered_focal,
-    scaled_ce,
-    token_loss,
-    tofu,
 )
-from .numerics import entropy_logit_gradient_rows, log_softmax, tempered_log_softmax
+# token_loss stays importable from here: perfbench traces it under this module's name
+from .losses import token_loss  # noqa: F401
+from .numerics import check_temperature, entropy_logit_gradient_rows, log_softmax, tempered_log_softmax
 
 IDENTITY_TOL = 1e-12
 FOCAL_PROPORTION_TOL = 1e-10
@@ -238,27 +240,43 @@ def frozen_value_fn(
     focal factor) taken at the log-softmax of z0. The oracle returns the same
     formula at its own point, so at z0 the value is the oracle's, and row i's
     value is the formula at that row alone, bit for bit. A target or z0 the
-    oracle rejects raises the oracle's error class, checked in its order.
+    oracle rejects raises the oracle's error class, checked in its order: the
+    params first, then z0 and the target. Checked, they go to _frozen_values.
     """
-    objective = OBJECTIVE_TABLE[cfg.objective]
     params = cfg.params(position, length)
-    l0 = _oracle_inputs(z0, target)
-    return lambda rows: objective.value(log_softmax(rows), target.index, params, l0)
+    return _frozen_values(cfg.objective, _oracle_inputs(z0, target), target.index, params)
+
+
+def _frozen_values(name: str, l0: np.ndarray, index: int, params) -> Callable[[np.ndarray], np.ndarray]:
+    """frozen_value_fn's values of the named objective, from inputs already
+    checked: base log-probs l0 that _oracle_inputs returned, the target index
+    inside them, and params built as the oracle builds them. Each battery trial
+    computes l0 and params once and reads its gradients from _kernel_row."""
+    value = OBJECTIVE_TABLE[name].value
+    return lambda rows: value(log_softmax(rows), index, params, l0)
+
+
+def _check_trials(trials: int):
+    """Every trial check needs a trial: with none it would pass on no evidence."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
 
 def verify_gem_equivalence(trials: int = 1000, seed: int = 0) -> CheckReport:
     """GEM's closed-form gradient equals the tempered-CE gradient, and both
     match finite differences of the GEM value with the tempered distribution
     frozen at the base point."""
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     tally = _Tally(identity=IDENTITY_TOL, fd=FD_SPEC.tolerance)
     for _ in range(trials):
         t = draw_trial(rng)
-        target = Target.one_hot(t.index)
-        g_gem = gem(t.z, target, t.beta).grad
-        g_sce = scaled_ce(t.z, target, t.beta).grad
+        beta = check_temperature(t.beta)
+        l = _oracle_inputs(t.z, Target.one_hot(t.index))
+        g_gem = _kernel_row("gem", l, t.index, beta)
+        g_sce = _kernel_row("scaled_ce", l, t.index, beta)
         tally.add("identity", rel_error(g_gem, g_sce), t.describe)
-        numeric = fd_gradient(frozen_value_fn(LossConfig("gem", beta=t.beta), t.z, target), t.z)
+        numeric = fd_gradient(_frozen_values("gem", l, t.index, beta), t.z)
         for analytic in (g_gem, g_sce):
             tally.add("fd", rel_error(numeric, analytic, FD_SPEC.norm_floor), t.describe)
     return tally.report("gem_equivalence", trials)
@@ -268,15 +286,18 @@ def verify_focal_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
     """One-hot focal gradients are g(p_hat, gamma)-rescaled CE gradients; the
     rescaling does NOT survive an expectation over soft targets (expected_loss),
     witnessed by componentwise ratios."""
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     tally = _Tally(identity=FOCAL_PROPORTION_TOL, fd=FD_SPEC.tolerance)
     for _ in range(trials):
         t = draw_trial(rng)
-        target = Target.one_hot(t.index)
-        got = focal(t.z, target, FocalConfig(t.gamma)).grad
-        p_hat = float(np.exp(log_softmax(t.z))[t.index])
-        tally.add("identity", rel_error(got, focal_scaling(p_hat, t.gamma) * ce(t.z, target).grad), t.describe)
-        numeric = fd_gradient(frozen_value_fn(LossConfig("focal", gamma=t.gamma), t.z, target), t.z)
+        params = FocalConfig(t.gamma)
+        l = _oracle_inputs(t.z, Target.one_hot(t.index))
+        got = _kernel_row("focal", l, t.index, params)
+        p_hat = float(np.exp(l)[t.index])
+        g_ce = _kernel_row("ce", l, t.index, None)
+        tally.add("identity", rel_error(got, focal_scaling(p_hat, t.gamma) * g_ce), t.describe)
+        numeric = fd_gradient(_frozen_values("focal", l, t.index, params), t.z)
         tally.add("fd", rel_error(numeric, got, FD_SPEC.norm_floor), t.describe)
 
     # Soft-target witness. Needs vocab >= 3: gradients of both losses sum to
@@ -320,6 +341,7 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
     up to trials + 100 times that floor; a check that hits the cap fails. The
     report's trials is the number of draws made.
     """
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     tally = _Tally(identity=IDENTITY_TOL)
     min_separation = np.inf
@@ -331,18 +353,17 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
     while draws < trials or (eligible < floor and draws < trials + 100 * floor):
         draws += 1
         t = draw_trial(rng)
-        target = Target.one_hot(t.index)
         cfg = TofuConfig(t.gamma, t.beta)
-        base = scaled_ce(t.z, target, t.beta)
-        l = log_softmax(t.z)
+        l = _oracle_inputs(t.z, Target.one_hot(t.index))
+        base = _kernel_row("scaled_ce", l, t.index, cfg.beta)
         p_hat = float(np.exp(l[t.index]))
         pb_hat = float(np.exp(tempered_log_softmax(l, t.beta)[t.index]))
         g_raw = focal_scaling(p_hat, t.gamma)
         g_tempered = focal_scaling(pb_hat, t.gamma)
-        grad_tofu = tofu(t.z, target, cfg).grad
-        grad_naive = naive_tempered_focal(t.z, target, cfg).grad
-        tally.add("identity", rel_error(grad_tofu, g_raw * base.grad), t.describe)
-        tally.add("identity", rel_error(grad_naive, g_tempered * base.grad), t.describe)
+        grad_tofu = _kernel_row("tofu", l, t.index, cfg)
+        grad_naive = _kernel_row("naive_tempered_focal", l, t.index, cfg)
+        tally.add("identity", rel_error(grad_tofu, g_raw * base), t.describe)
+        tally.add("identity", rel_error(grad_naive, g_tempered * base), t.describe)
 
         if t.gamma == 0.0:
             excluded["gamma_zero"] += 1
@@ -354,7 +375,7 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
             excluded["uniform_logits"] += 1
             continue
         distinct = abs(g_raw - g_tempered) > FACTOR_DISTINCT_EPS * max(g_raw, g_tempered)
-        if not distinct or np.abs(base.grad).max() == 0.0:
+        if not distinct or np.abs(base).max() == 0.0:
             excluded["float_degenerate"] += 1
             continue
         eligible += 1
@@ -418,6 +439,7 @@ def verify_finite_difference(trials: int = 1000, seed: int = 0, objectives=None)
     lambda-PR additionally varies its position/length pair so the position
     discount is exercised.
     """
+    _check_trials(trials)
     names = tuple(objectives) if objectives else OBJECTIVES
     for name in names:
         if name not in OBJECTIVES:
@@ -429,10 +451,11 @@ def verify_finite_difference(trials: int = 1000, seed: int = 0, objectives=None)
         worst = 0.0
         for _ in range(trials):
             t = draw_trial(rng)
-            target = Target.one_hot(t.index)
             cfg, position, length = _trial_loss_config(name, t, rng)
-            analytic = token_loss(t.z, target, cfg, position=position, length=length).grad
-            numeric = fd_gradient(frozen_value_fn(cfg, t.z, target, position, length), t.z)
+            params = cfg.params(position, length)
+            l = _oracle_inputs(t.z, Target.one_hot(t.index))
+            analytic = _kernel_row(name, l, t.index, params, position, length)
+            numeric = fd_gradient(_frozen_values(name, l, t.index, params), t.z)
 
             def inputs():
                 return {**cfg.key(), "z": t.z.tolist(), "target": t.index, "position": position, "length": length}
@@ -446,7 +469,7 @@ def run_all_checks(trials: int = 1000, seed: int = 0, objectives=None) -> list[C
     """The full battery, deterministically seeded per check.
 
     With an objective filter only the finite-difference oracle runs, restricted
-    to that objective.
+    to that objective. Raises ValueError for trials < 1, as each check does.
     """
     if objectives:
         return [verify_finite_difference(trials, seed + 4, objectives=objectives)]

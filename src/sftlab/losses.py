@@ -16,10 +16,11 @@ lambda_pr, tofu, naive_tempered_focal.
 The rows kernel is the one written form of each one-hot logit gradient.
 Training runs it through batch_loss over (N, V) logits, which makes the checks
 every objective shares with no code of its own per objective. The scalar
-functions (token_loss and one per objective) take their gradient from the
-kernel's row 0 and their value from the value formula, so the gradient
-battery checks the code training runs against finite differences of a
-formula written apart from it.
+functions (token_loss and one per objective) take their gradient from
+_kernel_row, the kernel's row 0, and their value from the value formula. The
+gradient battery reads its gradients from _kernel_row too, so it checks the
+code training runs against finite differences of a formula written apart
+from it.
 
 Targets are one-hot. The loss at a soft target q is expected_loss: the
 expectation over k ~ q of the loss at target k, one batch_loss call over the
@@ -172,7 +173,7 @@ def focal_scaling(p_hat, gamma: float):
     p = np.asarray(p_hat, dtype=np.float64)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+    if not (np.all(p >= -1e-12) and np.all(p <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("p_hat must lie in [0, 1]")
     p = np.clip(p, 0.0, 1.0)
     if gamma == 0.0:
@@ -251,14 +252,20 @@ def _oracle_inputs(z, target: Target) -> np.ndarray:
     return log_softmax(z)
 
 
+def _kernel_row(name: str, l: np.ndarray, index: int, params, position: int = 1, length: int = 1) -> np.ndarray:
+    """Row 0 of the named objective's kernel: the logit gradient at log-probs
+    l (V,) that _oracle_inputs returned, at target index, params, position and
+    length. The oracles and the gradient battery take every gradient here."""
+    kernel = OBJECTIVE_TABLE[name].kernel
+    return kernel(l[None], ([0], [index]), params, np.array([position]), np.array([length]))[1][0]
+
+
 def _oracle(name: str, z, target: Target, params, position: int = 1, length: int = 1) -> LossResult:
     """The one path of every oracle: the named objective's value formula, and
     row 0 of its kernel at this position and length."""
-    objective = OBJECTIVE_TABLE[name]
     l = _oracle_inputs(z, target)
-    value = float(objective.value(l[None], target.index, params, l)[0])
-    _, grads = objective.kernel(l[None], ([0], [target.index]), params, np.array([position]), np.array([length]))
-    return LossResult(value, grads[0])
+    value = float(OBJECTIVE_TABLE[name].value(l[None], target.index, params, l)[0])
+    return LossResult(value, _kernel_row(name, l, target.index, params, position, length))
 
 
 def ce(z, target: Target) -> LossResult:

@@ -57,7 +57,7 @@ def as_probs(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
         raise ValueError(f"probabilities must be a 1-d vector, got shape {p.shape}")
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+    if not (np.all(p >= -1e-12) and np.all(p <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("probabilities must lie in [0, 1]")
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:

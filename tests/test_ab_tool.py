@@ -1,5 +1,6 @@
 """tools/ab.py, the in-process A/B of one benchmark op between two checkouts."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -59,3 +60,22 @@ def test_pairs_below_one_is_a_usage_error_before_any_setup(pairs):
     assert proc.returncode == 2
     assert f"--pairs must be >= 1, got {pairs}" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_summary_gives_each_sides_quartiles_next_to_its_median(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # ab.py pins them at import; undone after the test
+    spec = importlib.util.spec_from_file_location("ab_tool", ROOT / "tools" / "ab.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = {
+        "parent": [({"m": v}, 1.0 / v) for v in (4.0, 1.0, 3.0, 2.0, 5.0)],
+        "change": [({"m": v}, 1.0 / v) for v in (8.0, 6.0, 7.0, 10.0, 9.0)],
+    }
+    got = tool.summary("gradcheck", runs)
+    assert list(got)[2:6] == ["parent", "parent_quartiles", "change", "change_quartiles"]
+    assert (got["parent"], got["parent_quartiles"]) == (3.0, [2.0, 4.0])
+    assert (got["change"], got["change_quartiles"]) == (8.0, [7.0, 9.0])
+    assert got["change_wins"] == 5 and got["pairs"] == 5
+    one = tool.summary("gradcheck", {side: pairs[:1] for side, pairs in runs.items()})
+    assert one["parent_quartiles"] == [4.0, 4.0] and one["change_quartiles"] == [8.0, 8.0]

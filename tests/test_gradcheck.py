@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kernel_record import kernels_note
-from sftlab import gradcheck
+from sftlab import gradcheck, losses
 from sftlab.cli import main
 from sftlab.gradcheck import (
     FACTOR_DISTINCT_EPS,
@@ -401,27 +401,34 @@ def test_objective_filter_matches_golden_reports():
     assert "".join(lines) == (DATA / "golden_gradcheck_objective.jsonl").read_text(), kernels_note()
 
 
-def nan_gradients(oracle):
-    def broken(*args, **kwargs):
-        out = oracle(*args, **kwargs)
-        return LossResult(out.value, np.full_like(out.grad, np.nan))
+def broken_kernel(objective, broken, fault):
+    """OBJECTIVE_TABLE's entry for objective with fault applied to the
+    gradient rows whose (target, position) is broken."""
+    entry = OBJECTIVE_TABLE[objective]
 
-    return broken
+    def kernel(l, at, params, positions, lengths):
+        values, grads = entry.kernel(l, at, params, positions, lengths)
+        rows = [broken(Target.one_hot(int(k)), int(i)) for k, i in zip(at[1], positions)]
+        return values, np.where(np.array(rows)[:, None], fault(grads), grads)
+
+    return replace(entry, kernel=kernel)
 
 
-# each trial check and the oracle it calls, as gradcheck imports it
+# each trial check and the objective whose table kernel it reads
 NAN_CASES = {
-    "gem": verify_gem_equivalence,
-    "focal": verify_focal_scaling,
-    "tofu": verify_tofu_scaling,
-    "token_loss": verify_finite_difference,
+    "gem": (verify_gem_equivalence, "gem"),
+    "focal": (verify_focal_scaling, "focal"),
+    "tofu": (verify_tofu_scaling, "tofu"),
+    "token_loss": (verify_finite_difference, "ce"),
 }
 
 
 @pytest.mark.parametrize("oracle", NAN_CASES)
 def test_non_finite_gradients_fail_the_check(monkeypatch, capsys, oracle):
-    monkeypatch.setattr(gradcheck, oracle, nan_gradients(getattr(gradcheck, oracle)))
-    report = NAN_CASES[oracle](trials=20, seed=0)
+    check, objective = NAN_CASES[oracle]
+    nan = broken_kernel(objective, lambda target, position: True, lambda grads: np.full_like(grads, np.nan))
+    monkeypatch.setitem(OBJECTIVE_TABLE, objective, nan)
+    report = check(trials=20, seed=0)
     assert not report.passed
     assert report.counterexample is not None
     assert math.inf in (report.max_rel_error, report.fd_max_rel_error)
@@ -440,16 +447,6 @@ def loss_config(objective, params):
     return cfg
 
 
-def offset_gradients_when(broken):
-    real = gradcheck.token_loss
-
-    def oracle(z, target, cfg, position=1, length=1):
-        out = real(z, target, cfg, position=position, length=length)
-        return LossResult(out.value, out.grad + 0.01) if broken(target, position) else out
-
-    return oracle
-
-
 # an objective and the part of its input space whose gradient is broken
 BROKEN_PATHS = {
     "focal_past_index_0": ("focal", lambda target, position: target.index > 0),
@@ -460,7 +457,7 @@ BROKEN_PATHS = {
 @pytest.mark.parametrize("path", BROKEN_PATHS)
 def test_finite_difference_counterexample_reproduces_the_failure(monkeypatch, path):
     objective, broken = BROKEN_PATHS[path]
-    monkeypatch.setattr(gradcheck, "token_loss", offset_gradients_when(broken))
+    monkeypatch.setitem(OBJECTIVE_TABLE, objective, broken_kernel(objective, broken, lambda grads: grads + 0.01))
     report = verify_finite_difference(trials=30, seed=9, objectives=(objective,))
     assert not report.passed
     found = json.loads(json.dumps(report.counterexample))
@@ -529,6 +526,36 @@ def test_entropy_counterexample_is_the_first_bad_min_prob(monkeypatch, fault):
     report = verify_entropy_bounded()
     assert not report.passed
     assert report.counterexample == {"min_prob": 10.0**-100}
+
+
+TRIAL_CHECKS = [verify_gem_equivalence, verify_focal_scaling, verify_tofu_scaling, verify_finite_difference]
+
+
+@pytest.mark.parametrize("check", TRIAL_CHECKS)
+def test_each_trial_takes_one_log_softmax_at_its_base_point(monkeypatch, check):
+    # the base point's log-probs, params and gradients are shared by the whole
+    # trial; only the stencil (and the focal witness's soft targets) take rows
+    ndims = []
+
+    def counted(z):
+        ndims.append(np.ndim(z))
+        return log_softmax(z)
+
+    for module in (losses, gradcheck):
+        monkeypatch.setattr(module, "log_softmax", counted)
+    report = check(trials=12, seed=1)
+    assert report.passed
+    assert ndims.count(1) == report.trials
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_trials_below_one_is_refused_by_every_trial_check(trials):
+    # run_all_checks(0, 0) once passed every check on no trial at all
+    for check in [run_all_checks, *TRIAL_CHECKS]:
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            check(trials, 0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_all_checks(trials, 0, objectives=("gem",))
 
 
 def test_tofu_scaling_draws_until_enough_trials_are_eligible(capsys):

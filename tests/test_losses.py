@@ -146,6 +146,12 @@ class TestFocalScaling:
         with pytest.raises(ValueError):
             focal_scaling(1.5, 2.0)
 
+    @pytest.mark.parametrize("p", [np.nan, np.array([0.5, np.nan])], ids=["scalar", "vector"])
+    def test_rejects_nan_p(self, p):
+        # as pr_weight does; a NaN p_hat once returned a NaN factor
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            focal_scaling(p, 2.0)
+
     @pytest.mark.parametrize("gamma", [np.inf, -np.inf, np.nan], ids=["inf", "minus_inf", "nan"])
     def test_rejects_non_finite_gamma(self, gamma):
         # gamma = inf once gave focal the value 0.0 and an all-NaN gradient
@@ -592,8 +598,9 @@ class TestExpectedLoss:
             (np.zeros(3), [0.5, 0.5], "length 2, expected 3"),
             (np.zeros(3), [0.5, 0.3, 0.3], "sum to 1"),
             (np.zeros((2, 3)), [0.2, 0.3, 0.5], r"\(2, 3\)"),
+            (np.array([0.1, 0.2]), [np.nan, 1.0], r"lie in \[0, 1\]"),
         ],
-        ids=["q_wrong_length", "q_not_summing_to_1", "z_not_a_vector"],
+        ids=["q_wrong_length", "q_not_summing_to_1", "z_not_a_vector", "q_nan"],
     )
     def test_rejects_inputs(self, z, q, match):
         with pytest.raises(ValueError, match=match):

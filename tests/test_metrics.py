@@ -144,6 +144,12 @@ def test_answer_entropy_renormalizes():
     assert answer_entropy([2.0, 2.0]) == pytest.approx(math.log(2))
 
 
+def test_answer_entropy_rejects_nan():
+    # NaN once passed every check and scored 0.0
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        answer_entropy([0.3, np.nan, 0.7])
+
+
 def test_answer_entropy_rejects_bad_input():
     with pytest.raises(ValueError):
         answer_entropy([0.5, -0.5])

@@ -64,6 +64,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_probs([-0.1, 1.1])
 
+    @pytest.mark.parametrize("p", [[np.nan, 1.0], [0.5, np.nan, 0.5]], ids=["nan_then_one", "nan_inside"])
+    def test_probs_reject_nan(self, p):
+        # NaN compares False with both ends of the range, and its sum with the 1
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            as_probs(p)
+
     def test_temperature_range(self):
         assert check_temperature(1.0) == 1.0
         assert check_temperature(0.5) == 0.5

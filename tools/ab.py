@@ -11,8 +11,10 @@ of its own. `--op` is `train:<objective>`, `train` (every objective), `eval`,
 script exits 1, naming the op, if a check failed or the sides differ in their
 inputs, decode checkpoint, `Bench.first_digest`, output files or gradcheck
 reports. Otherwise it alternates `pairs` pairs of runs and prints, per op,
-each side's median metric, the median of the per-pair ratios of parent over
-change seconds (above 1: the change is faster) and the pairs the change won.
+each side's median metric and its first and third quartiles, the median of
+the per-pair ratios of parent over change seconds (above 1: the change is
+faster) and the pairs the change won. A gain stands out from the noise when
+the gap between the medians is wider than the parent's interquartile range.
 The sweep forks its workers, so the fork start method (Linux's) is needed.
 """
 
@@ -93,14 +95,27 @@ def differing(got: dict) -> list:
     return sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
 
 
+def quartiles(values: list) -> list:
+    """[first, third] quartile by statistics.quantiles' inclusive method, the
+    one numpy's percentile takes by default; one value is both."""
+    if len(values) < 2:
+        return values * 2
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
 def summary(op: str, runs: dict) -> dict:
     """runs: {side: [(the op's {metric: value}, seconds)], one per pair}."""
     [metric] = runs["parent"][0][0]
     ratios = [p / c for (_, p), (_, c) in zip(runs["parent"], runs["change"])]
+    per_side = {}
+    for side in SIDES:
+        got = [values[metric] for values, _ in runs[side]]
+        per_side |= {side: statistics.median(got), f"{side}_quartiles": quartiles(got)}
     return {
         "op": op,
         "metric": metric,
-        **{side: statistics.median(values[metric] for values, _ in runs[side]) for side in SIDES},
+        **per_side,
         "median_ratio": statistics.median(ratios),
         "change_wins": sum(r > 1.0 for r in ratios),
         "pairs": len(ratios),
