@@ -17,7 +17,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
-from .hashing import bytes_hash, check_int_fields, read_jsonl
+from .hashing import check_int_fields, read_jsonl, read_parsed
 from .losses import LossConfig
 from .metrics import AGGREGATE_IDS
 from .model import Vocab
@@ -198,13 +198,6 @@ def _config_keys(cls) -> set[str]:
     return {f.name for f in fields(cls) if not f.metadata.get("parsed")}
 
 
-def _read_parsed(path: Path, parse):
-    """An input file read once: parse(path, bytes) of its bytes, and the
-    sha256 of the bytes parsed."""
-    data = path.read_bytes()
-    return parse(path, data), bytes_hash(data)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One train run: the inputs that produce its checkpoint, and where it goes.
@@ -231,7 +224,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     train = parse_train(data.get("train", {}), objective)
     model = parse_model(data.get("model", {}))
     corpus = _input_path(_require(data, "corpus", str(path)), base, "corpus")
-    cfg = ExperimentConfig(train, model, corpus, _output_dir(data, str(path)), *_read_parsed(corpus, Corpus.load_jsonl))
+    cfg = ExperimentConfig(train, model, corpus, _output_dir(data, str(path)), *read_parsed(corpus, Corpus.load_jsonl))
     if cfg.model.vocab is not None:
         check_encodable(cfg.model.vocab, {"corpus": cfg.parsed_corpus.charset()})
     return cfg
@@ -303,9 +296,9 @@ def load_sweep_spec(path) -> SweepSpec:
     corpus = _input_path(_require(data, "corpus", str(path)), base, "corpus")
     prompts = _input_path(_require(data, "prompts", str(path)), base, "prompts")
     # a request no cell could evaluate fails here, before any cell trains
-    rows, prompts_sha256 = _read_parsed(prompts, load_prompts)
+    rows, prompts_sha256 = read_parsed(prompts, load_prompts)
     metrics = validate_eval_request(_list_of(data, "metrics", list(DEFAULT_EVAL_METRICS), str), samples, rows)
-    parsed, corpus_sha256 = _read_parsed(corpus, Corpus.load_jsonl)
+    parsed, corpus_sha256 = read_parsed(corpus, Corpus.load_jsonl)
     check_encodable(model.chars(parsed), {"corpus": parsed.charset(), **{f"prompt {p.id!r}": p.prompt for p in rows}})
     return SweepSpec(
         objectives=objectives,
@@ -369,8 +362,8 @@ def load_probe_spec(path) -> ProbeSpec:
         raise ConfigError("probe.valid_tokens must be single characters")
     pretrain_corpus = _input_path(_require(pre, "corpus", "pretrain"), base, "pretrain.corpus")
     sft_corpus = _input_path(_require(sft, "corpus", "sft"), base, "sft.corpus")
-    parsed_pretrain, pretrain_sha256 = _read_parsed(pretrain_corpus, Corpus.load_jsonl)
-    parsed_sft, sft_sha256 = _read_parsed(sft_corpus, Corpus.load_jsonl)
+    parsed_pretrain, pretrain_sha256 = read_parsed(pretrain_corpus, Corpus.load_jsonl)
+    parsed_sft, sft_sha256 = read_parsed(sft_corpus, Corpus.load_jsonl)
     return ProbeSpec(
         pretrain_corpus=pretrain_corpus,
         # each seed of `seeds` replaces both train seeds, so a spec may not name them

@@ -61,6 +61,7 @@ TRIAL_VOCAB_SIZES = (2, 3, 16, 64)
 TRIAL_LOGIT_SCALES = (0.1, 1.0, 10.0)
 TRIAL_BETAS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 TRIAL_GAMMAS = (0.0, 1.0, 2.0, 3.0, 5.0)
+ENTROPY_MIN_PROBS = tuple(10.0**-e for e in range(3, 301))  # verify_entropy_bounded's vanishing probabilities
 
 
 class OracleError(RuntimeError):
@@ -394,19 +395,17 @@ def verify_tofu_scaling(trials: int = 1000, seed: int = 0) -> CheckReport:
     return tally.report("tofu_scaling", draws, violations == 0 and eligible >= floor, extras)
 
 
-def verify_entropy_bounded(min_probs=None) -> CheckReport:
+def verify_entropy_bounded() -> CheckReport:
     """The entropy logit gradient stays finite as a probability vanishes, and
     the vanishing component's magnitude decays monotonically toward zero.
     A failure's counterexample is the first min-prob where either broke. The
     gradients at all min-probs come from one entropy_logit_gradient_rows call."""
-    if min_probs is None:
-        min_probs = [10.0**-e for e in range(3, 301)]
     tally = _Tally(identity=1e-8)
     all_finite = monotone = True
     final = math.inf
-    vanishing = np.array(min_probs, dtype=np.float64)
+    vanishing = np.array(ENTROPY_MIN_PROBS, dtype=np.float64)
     grads = entropy_logit_gradient_rows(np.log(np.stack([1.0 - vanishing, vanishing], axis=1)))
-    for eps, grad in zip(min_probs, grads):
+    for eps, grad in zip(ENTROPY_MIN_PROBS, grads):
         if not np.all(np.isfinite(grad)):
             all_finite, final = False, math.inf
             tally.flag(lambda: {"min_prob": eps})
@@ -416,9 +415,9 @@ def verify_entropy_bounded(min_probs=None) -> CheckReport:
             monotone = False
             tally.flag(lambda: {"min_prob": eps})
         final = magnitude
-    extras = {"all_finite": all_finite, "monotone": monotone, "min_prob_floor": float(min(min_probs))}
+    extras = {"all_finite": all_finite, "monotone": monotone, "min_prob_floor": min(ENTROPY_MIN_PROBS)}
     tally.add("identity", final, lambda: {"min_prob": eps})
-    return tally.report("entropy_gradient_bounded", len(min_probs), all_finite and monotone, extras)
+    return tally.report("entropy_gradient_bounded", len(ENTROPY_MIN_PROBS), all_finite and monotone, extras)
 
 
 def _trial_loss_config(name: str, t: Trial, rng: np.random.Generator) -> tuple[LossConfig, int, int]:

@@ -2,14 +2,15 @@
 
 Every run directory gets one run.json, written by write_run_record. It holds
 the run's invocation, every setting its primary outputs depend on, and each
-input file's path and sha256; its config_hash is the hash of the invocation
-and those sha256s, so it is a function of what run.json shows and never of a
-path. A run can thus be reproduced from its outputs alone. Primary outputs
-(checkpoints, generations, CSVs) are byte-identical across reruns on one
-(BLAS build, OpenBLAS core, numpy dispatch targets) triple; run.json is the
-one file allowed to differ, and only in its wall-clock field and in its
-environment block (the interpreter, numpy, BLAS and kernels that wrote it),
-both outside config_hash.
+input file's path and sha256, which hashing.read_parsed takes of the very
+bytes the run parsed. config_hash is the hash of the invocation and those
+sha256s, so it is a function of what run.json shows and never of a path. A run
+can thus be reproduced from its outputs alone. Primary outputs (checkpoints,
+generations, CSVs) are byte-identical across reruns on one (BLAS build,
+OpenBLAS core, numpy dispatch targets) triple; run.json is the one file
+allowed to differ, and only in its wall-clock field and in its environment
+block (the interpreter, numpy, BLAS and kernels that wrote it), both outside
+config_hash.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .config import (
     load_prompts,
     validate_eval_request,
 )
-from .hashing import bytes_hash, canonical_json, config_hash, csv_text, write_file
+from .hashing import canonical_json, config_hash, csv_text, read_parsed, write_file
 from .losses import LossConfig, PrConfig, focal_scaling, pr_weight
 from .metrics import (
     GenerationSet,
@@ -187,11 +188,8 @@ def run_eval(
     the sha256 of the bytes that were parsed. All prompts' completions are
     decoded in one lockstep by `sample_generation_sets`."""
     started = time.monotonic()
-    prompt_bytes = Path(prompts_path).read_bytes()
-    prompts = load_prompts(prompts_path, prompt_bytes)
-    return _evaluate(
-        checkpoint_path, prompts_path, prompts, bytes_hash(prompt_bytes), sampling, out_dir, samples, metrics, started
-    )
+    prompts, prompts_sha256 = read_parsed(prompts_path, load_prompts)
+    return _evaluate(checkpoint_path, prompts_path, prompts, prompts_sha256, sampling, out_dir, samples, metrics, started)
 
 
 def _evaluate(
@@ -210,8 +208,8 @@ def _evaluate(
     is read once; run.json records the sha256 of the bytes that were parsed
     and the seconds since `started`."""
     metrics = validate_eval_request(metrics, samples, prompts)
-    checkpoint_bytes = Path(checkpoint_path).read_bytes()
-    model = Checkpoint.load(checkpoint_path, checkpoint_bytes).model
+    checkpoint, checkpoint_sha256 = read_parsed(checkpoint_path, Checkpoint.load)
+    model = checkpoint.model
     check_encodable(model.vocab.chars, {f"prompt {p.id!r}": p.prompt for p in prompts})
     out_dir = Path(out_dir)
 
@@ -254,7 +252,7 @@ def _evaluate(
         started,
         {"sampling": asdict(sampling), "samples": samples, "metrics": list(metrics)},
         {
-            "checkpoint": (checkpoint_path, bytes_hash(checkpoint_bytes)),
+            "checkpoint": (checkpoint_path, checkpoint_sha256),
             "prompts": (prompts_path, prompts_sha256),
         },
         {"generations": "generations.jsonl", "metrics": "metrics.csv"},
@@ -334,15 +332,14 @@ def _sweep_task(label: str, train_cfg: TrainConfig) -> tuple[dict, str | None]:
 
 def _distinct_objectives(cells) -> tuple[list[tuple[str, LossConfig]], dict[str, str]]:
     """Split (label, loss config) pairs by LossConfig.key(): the first pair of
-    each key, in order, and {alias label: the label whose key it shares}.
-    Runs that differ only in configs with equal keys train identically."""
+    each key, in order, and {label: the first label whose key it shares} for
+    every label, itself included. Runs that differ only in configs with equal
+    keys train identically."""
     trained: dict[str, tuple[str, LossConfig]] = {}  # canonical key -> (label, loss config)
-    aliases: dict[str, str] = {}
+    ran: dict[str, str] = {}
     for label, loss_cfg in cells:
-        ran, _ = trained.setdefault(canonical_json(loss_cfg.key()), (label, loss_cfg))
-        if ran != label:
-            aliases[label] = ran
-    return list(trained.values()), aliases
+        ran[label], _ = trained.setdefault(canonical_json(loss_cfg.key()), (label, loss_cfg))
+    return list(trained.values()), ran
 
 
 def run_sweep(spec: SweepSpec) -> dict:
@@ -365,7 +362,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     out_dir = spec.output_dir
     cells = spec.cells()
     labels = [label for label, _ in cells]
-    trained, aliases = _distinct_objectives(cells)
+    trained, ran = _distinct_objectives(cells)
     tasks = [
         (label, replace(spec.train, objective=loss_cfg, seed=seed))
         for label, loss_cfg in trained
@@ -390,17 +387,14 @@ def run_sweep(spec: SweepSpec) -> dict:
         values[(label, train_cfg.seed)] = metrics_out
         if error is not None:
             failures.append({"cell": label, "seed": train_cfg.seed, "error": error})
-    for label, ran in aliases.items():
-        for seed in spec.seeds:
-            values[(label, seed)] = values[(ran, seed)]
 
     metric_names = ["final_loss"] + [
         m for m in spec.metrics if m != "coverage"
     ] + (["coverage", "mean_success"] if "coverage" in spec.metrics else [])
     rows = [["metric", "seed"] + labels]
     for metric in metric_names:
-        # columns[i][j]: label i at seed j, None where the cell failed
-        columns = [[values.get((label, seed), {}).get(metric) for seed in spec.seeds] for label in labels]
+        # columns[i][j]: label i at seed j, read from the label that ran; None where the cell failed
+        columns = [[values.get((ran[label], seed), {}).get(metric) for seed in spec.seeds] for label in labels]
         for seed, row in zip(spec.seeds, zip(*columns)):
             rows.append([metric, seed] + ["" if v is None else repr(float(v)) for v in row])
         present = [[float(v) for v in column if v is not None] for column in columns]
@@ -419,7 +413,7 @@ def run_sweep(spec: SweepSpec) -> dict:
         "samples_per_prompt": spec.samples_per_prompt,
         "metrics": list(spec.metrics),
         "cells": labels,
-        "aliases": aliases,
+        "aliases": {label: source for label, source in ran.items() if source != label},
     }
     status = "ok" if not failures else f"{len(failures)} cell(s) failed"
     inputs = {"corpus": (spec.corpus, spec.corpus_sha256), "prompts": (spec.prompts, spec.prompts_sha256)}
@@ -457,8 +451,9 @@ def run_probe(spec: ProbeSpec) -> dict:
             label += "_x"
         labels.append(label)
 
-    probes: dict[str, dict[int, object]] = {label: {} for label in ["pretrained", *labels]}
-    trained, aliases = _distinct_objectives(zip(labels, spec.sft_objectives))
+    trained, ran = _distinct_objectives(zip(labels, spec.sft_objectives))
+    ran["pretrained"] = "pretrained"
+    probes: dict[str, dict[int, object]] = {label: {} for label in ran.values()}  # by the label that ran
 
     model_spec = replace(spec.model, vocab=chars)  # the vocab covers both corpora and the probe
     for seed in spec.seeds:
@@ -473,12 +468,11 @@ def run_probe(spec: ProbeSpec) -> dict:
             probes[label][seed] = probe_token_distribution(
                 ckpt.model, spec.prompt, spec.valid_tokens
             )
-        for label, ran in aliases.items():
-            probes[label][seed] = probes[ran][seed]
 
     out_dir = spec.output_dir
     summary: dict[str, dict] = {}
-    for label, by_seed in probes.items():
+    for label, source in ran.items():
+        by_seed = probes[source]
         rows = [("seed", "token", "probability")]
         for seed in spec.seeds:
             result = by_seed[seed]
@@ -538,6 +532,6 @@ def run_probe(spec: ProbeSpec) -> dict:
         "pretrain_corpus": (spec.pretrain_corpus, spec.pretrain_corpus_sha256),
         "sft_corpus": (spec.sft_corpus, spec.sft_corpus_sha256),
     }
-    outputs = {f"probe_{label}": f"probe_{label}.csv" for label in probes} | {"verdict": "verdict.json"}
+    outputs = {f"probe_{label}": f"probe_{label}.csv" for label in ran} | {"verdict": "verdict.json"}
     write_run_record(out_dir, "probe", started, invocation, inputs, outputs)
     return verdict

@@ -62,6 +62,13 @@ def content_hash(path) -> str:
     return bytes_hash(Path(path).read_bytes())
 
 
+def read_parsed(path, parse):
+    """A run input read once: parse(path, bytes) of its bytes, and the sha256
+    of the bytes parsed, which is what the run's run.json records."""
+    data = Path(path).read_bytes()
+    return parse(path, data), bytes_hash(data)
+
+
 def write_file(path, data: str | bytes):
     """Write `data` (text as UTF-8) as the whole of `path`, making its parent
     directories. The bytes go to the hidden sibling `.{name}.{pid}.{thread}.tmp`,

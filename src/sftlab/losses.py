@@ -20,7 +20,8 @@ functions (token_loss and one per objective) take their gradient from
 _kernel_row, the kernel's row 0, and their value from the value formula. The
 gradient battery reads its gradients from _kernel_row too, so it checks the
 code training runs against finite differences of a formula written apart
-from it.
+from it. The lambda-PR weight is a detached constant, not a gradient, so its
+kernel and its value formula (through pr_weight) share one form, _pr_weights.
 
 Targets are one-hot. The loss at a soft target q is expected_loss: the
 expectation over k ~ q of the loss at target k, one batch_loss call over the
@@ -145,19 +146,26 @@ def drop_threshold(cfg: PrConfig) -> float:
     return delta
 
 
-def pr_weight(p_hat: float, cfg: PrConfig) -> float:
-    """Detached lambda-PR weight for a token with current target probability p_hat.
+def _pr_weights(p_hat: np.ndarray, lam: float, alpha: float, positions: np.ndarray, lengths: np.ndarray):
+    """Detached lambda-PR weights (N,) of target probabilities p_hat (N,) at
+    1-based int positions (N,) in responses of int lengths (N,):
 
     w = lam^((position-1)/length) * 1[p_hat <= delta] * p_hat / (alpha + (1-alpha) p_hat).
     """
+    deltas = {m: drop_threshold(PrConfig(lam, alpha, 1, m)) for m in set(lengths.tolist())}
+    delta = np.array([deltas[m] for m in lengths.tolist()])
+    position_factor = np.array([lam ** ((i - 1) / m) for i, m in zip(positions.tolist(), lengths.tolist())])
+    return np.where(p_hat > delta, 0.0, position_factor * p_hat / (alpha + (1.0 - alpha) * p_hat))
+
+
+def pr_weight(p_hat: float, cfg: PrConfig) -> float:
+    """Detached lambda-PR weight for a token with current target probability
+    p_hat: _pr_weights at cfg's position and length."""
     p_hat = float(p_hat)
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError(f"p_hat must lie in [0, 1], got {p_hat}")
-    delta = drop_threshold(cfg)
-    if p_hat > delta:
-        return 0.0
-    position_factor = cfg.lam ** ((cfg.position - 1) / cfg.length)
-    return float(position_factor * p_hat / (cfg.alpha + (1.0 - cfg.alpha) * p_hat))
+    positions, lengths = np.array([cfg.position]), np.array([cfg.length])
+    return float(_pr_weights(np.array([p_hat]), cfg.lam, cfg.alpha, positions, lengths)[0])
 
 
 def focal_scaling(p_hat, gamma: float):
@@ -379,12 +387,8 @@ def _focal_rows(l, at, cfg: FocalConfig, *_):
 def _lambda_pr_rows(l, at, cfg: PrConfig, positions, lengths):
     if np.any(positions < 1) or np.any(positions > lengths):
         raise ValueError("need 1 <= position <= length in every row")
-    deltas = {m: drop_threshold(PrConfig(cfg.lam, cfg.alpha, 1, m)) for m in set(lengths.tolist())}
-    delta = np.array([deltas[m] for m in lengths.tolist()])
-    position_factor = np.array([cfg.lam ** ((i - 1) / m) for i, m in zip(positions.tolist(), lengths.tolist())])
     p = np.exp(l)
-    p_hat = p[at]
-    w = np.where(p_hat > delta, 0.0, position_factor * p_hat / (cfg.alpha + (1.0 - cfg.alpha) * p_hat))
+    w = _pr_weights(p[at], cfg.lam, cfg.alpha, positions, lengths)
     return -w * l[at], _residual(p, at, w)
 
 

@@ -102,8 +102,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_int_fields(self, "warmup_steps", "total_steps", "batch_size", "seed")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:  # False for NaN too
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.total_steps < 0 or self.warmup_steps < 0:
             raise ValueError("step counts must be >= 0")
         if self.warmup_steps > self.total_steps:
@@ -116,8 +116,8 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < np.inf:  # False for NaN too
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "objective": self.objective.to_dict()}

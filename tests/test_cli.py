@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from kernel_record import kernels_note
 
 from sftlab import harness, training
 from sftlab.cli import main
@@ -391,6 +392,15 @@ def test_curves_cli_writes_stable_csv(tmp_path):
     # ends at w(1) = 1
     assert float(rows[-1]["g_gamma3"]) == 0.0
     assert float(rows[-1]["w_1_1"]) == 1.0
+
+
+def test_curves_cli_matches_golden_digest(tmp_path):
+    """tests/data/golden_curves.sha256 pins the bytes `sftlab curves` writes:
+    every focal factor and lambda-PR weight on its grid."""
+    out = tmp_path / "curves.csv"
+    assert main(["curves", str(out)]) == 0
+    golden = (Path(__file__).parent / "data" / "golden_curves.sha256").read_text().strip()
+    assert content_hash(out) == golden, kernels_note()
 
 
 # ------------------------------------------------------------------ sweep ----

@@ -256,6 +256,15 @@ def test_train_config_validates():
         TrainConfig(objective=LossConfig("ce"), momentum=1.0)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_train_config_rejects_non_finite_rates(field, value):
+    # a NaN or infinite rate once built, and train failed late: in
+    # config_hash, or as a divergence
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(objective=LossConfig("ce"), **{field: value})
+
+
 def test_train_config_to_dict_uses_lambda_key():
     cfg = TrainConfig(objective=LossConfig("lambda_pr", lam=0.5, alpha=0.25))
     d = cfg.to_dict()
