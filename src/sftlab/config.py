@@ -14,10 +14,10 @@ import json
 import math
 import os
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .hashing import check_int_fields, read_jsonl, read_parsed
+from .hashing import RunInput, check_int_fields, read_jsonl, read_parsed
 from .losses import LossConfig
 from .metrics import AGGREGATE_IDS
 from .model import Vocab
@@ -188,29 +188,16 @@ def _parse_seeds(data, where: str) -> tuple[int, ...]:
     return seeds
 
 
-# metadata of a record field the loader fills from an input file's content,
-# never from a config-file key
-PARSED = {"parsed": True}
-
-
-def _config_keys(cls) -> set[str]:
-    """The config-file keys of a record: its field names, less PARSED fields."""
-    return {f.name for f in fields(cls) if not f.metadata.get("parsed")}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One train run: the inputs that produce its checkpoint, and where it goes.
-    `parsed_corpus` is the corpus file as the loader parsed it, which the run
-    trains on, and `corpus_sha256` the sha256 of the bytes parsed, which its
-    run.json records."""
+    The run trains on `corpus.parsed`, the Corpus the loader parsed, and its
+    run.json records `corpus.sha256`, the sha256 of the bytes parsed."""
 
     train: TrainConfig
     model: ModelSpec
-    corpus: Path
+    corpus: RunInput
     output_dir: Path
-    parsed_corpus: Corpus = field(repr=False, metadata=PARSED)
-    corpus_sha256: str = field(metadata=PARSED)
 
     def to_dict(self) -> dict:
         return {"train": self.train.to_dict(), "model": asdict(self.model)}
@@ -219,14 +206,14 @@ class ExperimentConfig:
 def load_experiment_config(path) -> ExperimentConfig:
     data, base = _load_json(path)
     # the objective key is the train config's objective field
-    _check_keys(data, {"objective"} | _config_keys(ExperimentConfig), str(path))
+    _check_keys(data, {"objective"} | {f.name for f in fields(ExperimentConfig)}, str(path))
     objective = parse_objective(_require(data, "objective", str(path)))
     train = parse_train(data.get("train", {}), objective)
     model = parse_model(data.get("model", {}))
     corpus = _input_path(_require(data, "corpus", str(path)), base, "corpus")
-    cfg = ExperimentConfig(train, model, corpus, _output_dir(data, str(path)), *read_parsed(corpus, Corpus.load_jsonl))
+    cfg = ExperimentConfig(train, model, read_parsed(corpus, Corpus.load_jsonl), _output_dir(data, str(path)))
     if cfg.model.vocab is not None:
-        check_encodable(cfg.model.vocab, {"corpus": cfg.parsed_corpus.charset()})
+        check_encodable(cfg.model.vocab, {"corpus": cfg.corpus.parsed.charset()})
     return cfg
 
 
@@ -243,6 +230,10 @@ def _positive_int(data: dict, key: str, default: int) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep. Its corpus and prompts files are each read once, at load:
+    every task trains on `corpus.parsed` and evaluates on `prompts.parsed`
+    (a tuple of PromptSpec), and every run.json records their sha256s."""
+
     objectives: tuple[str, ...]
     gammas: tuple[float, ...]
     betas: tuple[float, ...]
@@ -250,16 +241,12 @@ class SweepSpec:
     train: TrainConfig  # objective field is a placeholder, replaced per cell
     model: ModelSpec
     sampling: SamplingConfig
-    corpus: Path
-    prompts: Path
+    corpus: RunInput
+    prompts: RunInput
     samples_per_prompt: int
     metrics: tuple[str, ...]
     workers: int
     output_dir: Path
-    parsed_corpus: Corpus = field(repr=False, metadata=PARSED)  # every task trains on this parse
-    corpus_sha256: str = field(metadata=PARSED)  # of the bytes parsed, which every run.json records
-    parsed_prompts: tuple[PromptSpec, ...] = field(repr=False, metadata=PARSED)  # every task evaluates on this parse
-    prompts_sha256: str = field(metadata=PARSED)  # of the bytes parsed, which every run.json records
 
     def cells(self) -> list[tuple[str, LossConfig]]:
         """(label, loss config) of every grid cell, in objective, gamma, beta order."""
@@ -271,7 +258,7 @@ class SweepSpec:
 
 def load_sweep_spec(path) -> SweepSpec:
     data, base = _load_json(path)
-    _check_keys(data, _config_keys(SweepSpec), str(path))
+    _check_keys(data, {f.name for f in fields(SweepSpec)}, str(path))
     objectives = _list_of(data, "objectives", ["tofu"], str)
     gammas = _list_of(data, "gammas", [3.0], float)
     betas = _list_of(data, "betas", [0.8], float)
@@ -293,13 +280,14 @@ def load_sweep_spec(path) -> SweepSpec:
             )
     samples = _positive_int(data, "samples_per_prompt", 8)
     model = parse_model(data.get("model", {}))
-    corpus = _input_path(_require(data, "corpus", str(path)), base, "corpus")
-    prompts = _input_path(_require(data, "prompts", str(path)), base, "prompts")
+    corpus_path = _input_path(_require(data, "corpus", str(path)), base, "corpus")
+    prompts_path = _input_path(_require(data, "prompts", str(path)), base, "prompts")
     # a request no cell could evaluate fails here, before any cell trains
-    rows, prompts_sha256 = read_parsed(prompts, load_prompts)
-    metrics = validate_eval_request(_list_of(data, "metrics", list(DEFAULT_EVAL_METRICS), str), samples, rows)
-    parsed, corpus_sha256 = read_parsed(corpus, Corpus.load_jsonl)
-    check_encodable(model.chars(parsed), {"corpus": parsed.charset(), **{f"prompt {p.id!r}": p.prompt for p in rows}})
+    prompts = read_parsed(prompts_path, load_prompts)
+    metrics = validate_eval_request(_list_of(data, "metrics", list(DEFAULT_EVAL_METRICS), str), samples, prompts.parsed)
+    corpus = read_parsed(corpus_path, Corpus.load_jsonl)
+    texts = {"corpus": corpus.parsed.charset(), **{f"prompt {p.id!r}": p.prompt for p in prompts.parsed}}
+    check_encodable(model.chars(corpus.parsed), texts)
     return SweepSpec(
         objectives=objectives,
         gammas=gammas,
@@ -315,21 +303,17 @@ def load_sweep_spec(path) -> SweepSpec:
         metrics=metrics,
         workers=_positive_int(data, "workers", 1),
         output_dir=_output_dir(data, str(path)),
-        parsed_corpus=parsed,
-        corpus_sha256=corpus_sha256,
-        parsed_prompts=tuple(rows),
-        prompts_sha256=prompts_sha256,
     )
 
 
 @dataclass(frozen=True)
 class ProbeSpec:
     """A probe run. Each corpus file is read once, at load: every run trains
-    on its parse, and run.json records the sha256 of the bytes parsed."""
+    on its `parsed` Corpus, and run.json records its `sha256`."""
 
-    pretrain_corpus: Path
+    pretrain_corpus: RunInput
     pretrain: TrainConfig
-    sft_corpus: Path
+    sft_corpus: RunInput
     sft_base: TrainConfig
     sft_objectives: tuple[LossConfig, ...]
     model: ModelSpec
@@ -337,10 +321,6 @@ class ProbeSpec:
     valid_tokens: tuple[str, ...]
     seeds: tuple[int, ...]
     output_dir: Path
-    parsed_pretrain_corpus: Corpus = field(repr=False, metadata=PARSED)
-    pretrain_corpus_sha256: str = field(metadata=PARSED)
-    parsed_sft_corpus: Corpus = field(repr=False, metadata=PARSED)
-    sft_corpus_sha256: str = field(metadata=PARSED)
 
 
 def load_probe_spec(path) -> ProbeSpec:
@@ -360,10 +340,12 @@ def load_probe_spec(path) -> ProbeSpec:
     valid_tokens = _list_of(probe, "valid_tokens", [], str)
     if not valid_tokens or any(len(t) != 1 for t in valid_tokens):
         raise ConfigError("probe.valid_tokens must be single characters")
-    pretrain_corpus = _input_path(_require(pre, "corpus", "pretrain"), base, "pretrain.corpus")
-    sft_corpus = _input_path(_require(sft, "corpus", "sft"), base, "sft.corpus")
-    parsed_pretrain, pretrain_sha256 = read_parsed(pretrain_corpus, Corpus.load_jsonl)
-    parsed_sft, sft_sha256 = read_parsed(sft_corpus, Corpus.load_jsonl)
+    # both paths are checked before either file is read
+    paths = (
+        _input_path(_require(pre, "corpus", "pretrain"), base, "pretrain.corpus"),
+        _input_path(_require(sft, "corpus", "sft"), base, "sft.corpus"),
+    )
+    pretrain_corpus, sft_corpus = (read_parsed(p, Corpus.load_jsonl) for p in paths)
     return ProbeSpec(
         pretrain_corpus=pretrain_corpus,
         # each seed of `seeds` replaces both train seeds, so a spec may not name them
@@ -378,10 +360,6 @@ def load_probe_spec(path) -> ProbeSpec:
         valid_tokens=valid_tokens,
         seeds=_parse_seeds(data, str(path)),
         output_dir=_output_dir(data, str(path)),
-        parsed_pretrain_corpus=parsed_pretrain,
-        pretrain_corpus_sha256=pretrain_sha256,
-        parsed_sft_corpus=parsed_sft,
-        sft_corpus_sha256=sft_sha256,
     )
 
 
@@ -392,7 +370,7 @@ class PromptSpec:
     answer: str | None = None
 
 
-def load_prompts(path, data: bytes | None = None) -> list[PromptSpec]:
+def load_prompts(path, data: bytes | None = None) -> tuple[PromptSpec, ...]:
     """Eval prompt file: JSONL rows of strings {"id", "prompt", optional "answer"},
     parsed from `data` when given (the bytes read from path), else from the
     file. Ids are unique and none is one of metrics.AGGREGATE_IDS."""
@@ -405,7 +383,7 @@ def load_prompts(path, data: bytes | None = None) -> list[PromptSpec]:
         prompts[row["id"]] = PromptSpec(**row)
     if not prompts:
         raise ConfigError(f"{path}: no prompts")
-    return list(prompts.values())
+    return tuple(prompts.values())
 
 
 def check_encodable(chars: str, texts: dict[str, str]):
@@ -417,7 +395,7 @@ def check_encodable(chars: str, texts: dict[str, str]):
             raise ConfigError(f"{where} has characters {missing} outside the model vocab {chars!r}")
 
 
-def validate_eval_request(metrics, samples: int, prompts: list[PromptSpec]) -> tuple[str, ...]:
+def validate_eval_request(metrics, samples: int, prompts: tuple[PromptSpec, ...]) -> tuple[str, ...]:
     """The metric names to compute, repeats collapsed (first kept). Raises
     ConfigError for an unknown name or one the samples and prompts cannot
     support."""

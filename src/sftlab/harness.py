@@ -2,15 +2,15 @@
 
 Every run directory gets one run.json, written by write_run_record. It holds
 the run's invocation, every setting its primary outputs depend on, and each
-input file's path and sha256, which hashing.read_parsed takes of the very
-bytes the run parsed. config_hash is the hash of the invocation and those
-sha256s, so it is a function of what run.json shows and never of a path. A run
-can thus be reproduced from its outputs alone. Primary outputs (checkpoints,
-generations, CSVs) are byte-identical across reruns on one (BLAS build,
-OpenBLAS core, numpy dispatch targets) triple; run.json is the one file
-allowed to differ, and only in its wall-clock field and in its environment
-block (the interpreter, numpy, BLAS and kernels that wrote it), both outside
-config_hash.
+input file as its hashing.RunInput holds it: the absolute path and the
+sha256 of the very bytes the run parsed. config_hash is the hash of the
+invocation and those sha256s, so it is a function of what run.json shows and
+never of a path. A run can thus be reproduced from its outputs alone. Primary
+outputs (checkpoints, generations, CSVs) are byte-identical across reruns on
+one (BLAS build, OpenBLAS core, numpy dispatch targets) triple; run.json is
+the one file allowed to differ, and only in its wall-clock field and in its
+environment block (the interpreter, numpy, BLAS and kernels that wrote it),
+both outside config_hash.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from .config import (
     ExperimentConfig,
     ModelSpec,
     ProbeSpec,
-    PromptSpec,
     SweepSpec,
     check_encodable,
     load_prompts,
     validate_eval_request,
 )
-from .hashing import canonical_json, config_hash, csv_text, read_parsed, write_file
+from .hashing import RunInput, canonical_json, config_hash, csv_text, read_parsed, write_file
 from .losses import LossConfig, PrConfig, focal_scaling, pr_weight
 from .metrics import (
     GenerationSet,
@@ -114,18 +113,17 @@ def _run_environment() -> dict:
 
 def write_run_record(out_dir, command, started, invocation, inputs, outputs, status="ok"):
     """Write out_dir/run.json: the `invocation` (every setting the primary
-    outputs depend on), each of `inputs` ({name: (path, sha256)}) as its path
-    and sha256, the `outputs`, the status, the _run_environment() and the
-    seconds since `started`. config_hash covers the invocation and the input
-    sha256s, never a path, the environment or the clock."""
-    inputs = {name: {"path": str(path), "sha256": digest} for name, (path, digest) in inputs.items()}
-    digests = {name: entry["sha256"] for name, entry in inputs.items()}
+    outputs depend on), each of `inputs` ({name: RunInput}) as its path and
+    sha256, the `outputs`, the status, the _run_environment() and the seconds
+    since `started`. config_hash covers the invocation and the input sha256s,
+    never a path, the environment or the clock."""
+    digests = {name: i.sha256 for name, i in inputs.items()}
     record = {
         "command": command,
         "config_hash": config_hash({"invocation": invocation, "inputs": digests}),
         "environment": _run_environment(),
         "invocation": invocation,
-        "inputs": inputs,
+        "inputs": {name: {"path": str(i.path), "sha256": i.sha256} for name, i in inputs.items()},
         "outputs": outputs,
         "status": status,
         "wall_clock_s": time.monotonic() - started,
@@ -153,13 +151,13 @@ def run_train(cfg: ExperimentConfig, out_dir: Path | None = None) -> dict:
     """Train one model per the config and write checkpoint/trace/run record."""
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
     started = time.monotonic()
-    model = build_model(cfg.model, cfg.parsed_corpus, cfg.train.seed)
-    checkpoint, trace = train(model, cfg.parsed_corpus, cfg.train)
+    model = build_model(cfg.model, cfg.corpus.parsed, cfg.train.seed)
+    checkpoint, trace = train(model, cfg.corpus.parsed, cfg.train)
     checkpoint.save(out_dir / "checkpoint.bin")
     trace_rows = [(row.step, repr(row.loss), repr(row.lr)) for row in trace]
     write_file(out_dir / "trace.csv", csv_text([("step", "loss", "lr"), *trace_rows]))
     outputs = {"checkpoint": "checkpoint.bin", "trace": "trace.csv"}
-    write_run_record(out_dir, "train", started, cfg.to_dict(), {"corpus": (cfg.corpus, cfg.corpus_sha256)}, outputs)
+    write_run_record(out_dir, "train", started, cfg.to_dict(), {"corpus": cfg.corpus}, outputs)
     return {
         "checkpoint": out_dir / "checkpoint.bin",
         "trace": out_dir / "trace.csv",
@@ -188,28 +186,20 @@ def run_eval(
     the sha256 of the bytes that were parsed. All prompts' completions are
     decoded in one lockstep by `sample_generation_sets`."""
     started = time.monotonic()
-    prompts, prompts_sha256 = read_parsed(prompts_path, load_prompts)
-    return _evaluate(checkpoint_path, prompts_path, prompts, prompts_sha256, sampling, out_dir, samples, metrics, started)
+    prompts = read_parsed(prompts_path, load_prompts)
+    return _evaluate(checkpoint_path, prompts, sampling, out_dir, samples, metrics, started)
 
 
 def _evaluate(
-    checkpoint_path,
-    prompts_path,
-    prompts: list[PromptSpec],
-    prompts_sha256: str,
-    sampling: SamplingConfig,
-    out_dir,
-    samples: int,
-    metrics,
-    started: float,
+    checkpoint_path, prompts: RunInput, sampling: SamplingConfig, out_dir, samples: int, metrics, started: float
 ) -> dict:
-    """run_eval on prompts already parsed from the bytes whose sha256 is
-    prompts_sha256, the step it shares with every sweep cell. The checkpoint
-    is read once; run.json records the sha256 of the bytes that were parsed
-    and the seconds since `started`."""
-    metrics = validate_eval_request(metrics, samples, prompts)
-    checkpoint, checkpoint_sha256 = read_parsed(checkpoint_path, Checkpoint.load)
-    model = checkpoint.model
+    """run_eval on prompts already read, the step it shares with every sweep
+    cell. The checkpoint is read once; run.json records the sha256 of the
+    bytes that were parsed and the seconds since `started`."""
+    metrics = validate_eval_request(metrics, samples, prompts.parsed)
+    checkpoint = read_parsed(checkpoint_path, Checkpoint.load)
+    inputs = {"checkpoint": checkpoint, "prompts": prompts}
+    model, prompts = checkpoint.parsed.model, prompts.parsed
     check_encodable(model.vocab.chars, {f"prompt {p.id!r}": p.prompt for p in prompts})
     out_dir = Path(out_dir)
 
@@ -251,10 +241,7 @@ def _evaluate(
         "eval",
         started,
         {"sampling": asdict(sampling), "samples": samples, "metrics": list(metrics)},
-        {
-            "checkpoint": (checkpoint_path, checkpoint_sha256),
-            "prompts": (prompts_path, prompts_sha256),
-        },
+        inputs,
         {"generations": "generations.jsonl", "metrics": "metrics.csv"},
     )
     return {
@@ -294,14 +281,10 @@ def _sweep_cell(spec: SweepSpec, label: str, train_cfg: TrainConfig) -> tuple[di
     seed = train_cfg.seed
     cell_dir = spec.output_dir / label / f"seed_{seed}"
     try:
-        train_out = run_train(
-            ExperimentConfig(train_cfg, spec.model, spec.corpus, cell_dir, spec.parsed_corpus, spec.corpus_sha256)
-        )
+        train_out = run_train(ExperimentConfig(train_cfg, spec.model, spec.corpus, cell_dir))
         eval_out = _evaluate(
             train_out["checkpoint"],
             spec.prompts,
-            spec.parsed_prompts,
-            spec.prompts_sha256,
             replace(spec.sampling, seed=seed),
             cell_dir / "eval",
             spec.samples_per_prompt,
@@ -370,7 +353,9 @@ def run_sweep(spec: SweepSpec) -> dict:
     ]
 
     if spec.workers > 1:
-        with ProcessPoolExecutor(spec.workers, initializer=_init_sweep_worker, initargs=(spec,)) as pool:
+        # a forking pool starts all its workers at once, so it gets no more than there are tasks
+        workers = min(spec.workers, len(tasks))
+        with ProcessPoolExecutor(workers, initializer=_init_sweep_worker, initargs=(spec,)) as pool:
             futures = [pool.submit(_sweep_task, *t) for t in tasks]
             results = []
             for future in futures:
@@ -416,7 +401,7 @@ def run_sweep(spec: SweepSpec) -> dict:
         "aliases": {label: source for label, source in ran.items() if source != label},
     }
     status = "ok" if not failures else f"{len(failures)} cell(s) failed"
-    inputs = {"corpus": (spec.corpus, spec.corpus_sha256), "prompts": (spec.prompts, spec.prompts_sha256)}
+    inputs = {"corpus": spec.corpus, "prompts": spec.prompts}
     write_run_record(out_dir, "sweep", started, invocation, inputs, {"summary": "sweep_summary.csv"}, status)
     return {
         "summary": summary_path,
@@ -437,7 +422,7 @@ def run_probe(spec: ProbeSpec) -> dict:
     pretrained model.
     """
     started = time.monotonic()
-    pre_corpus, sft_corpus = spec.parsed_pretrain_corpus, spec.parsed_sft_corpus
+    pre_corpus, sft_corpus = spec.pretrain_corpus.parsed, spec.sft_corpus.parsed
     chars = spec.model.vocab
     if chars is None:
         chars = Vocab.from_text(pre_corpus.charset(), sft_corpus.charset(), spec.prompt, *spec.valid_tokens).chars
@@ -528,10 +513,7 @@ def run_probe(spec: ProbeSpec) -> dict:
         "valid_tokens": list(spec.valid_tokens),
         "seeds": list(spec.seeds),
     }
-    inputs = {
-        "pretrain_corpus": (spec.pretrain_corpus, spec.pretrain_corpus_sha256),
-        "sft_corpus": (spec.sft_corpus, spec.sft_corpus_sha256),
-    }
+    inputs = {"pretrain_corpus": spec.pretrain_corpus, "sft_corpus": spec.sft_corpus}
     outputs = {f"probe_{label}": f"probe_{label}.csv" for label in ran} | {"verdict": "verdict.json"}
     write_run_record(out_dir, "probe", started, invocation, inputs, outputs)
     return verdict

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import threading
+from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -62,11 +63,21 @@ def content_hash(path) -> str:
     return bytes_hash(Path(path).read_bytes())
 
 
-def read_parsed(path, parse):
-    """A run input read once: parse(path, bytes) of its bytes, and the sha256
-    of the bytes parsed, which is what the run's run.json records."""
+@dataclass(frozen=True)
+class RunInput:
+    """A run input: its absolute path, the parse of its bytes, which the run
+    uses, and the sha256 of the bytes parsed, which its run.json records."""
+
+    path: Path
+    parsed: object = field(repr=False)
+    sha256: str
+
+
+def read_parsed(path, parse) -> RunInput:
+    """The run input at `path`, read once and parsed by parse(path, bytes).
+    Its path is made absolute but not resolved, so a symlink keeps its name."""
     data = Path(path).read_bytes()
-    return parse(path, data), bytes_hash(data)
+    return RunInput(Path(path).absolute(), parse(path, data), bytes_hash(data))
 
 
 def write_file(path, data: str | bytes):
@@ -100,26 +111,30 @@ def read_jsonl(path, keys, required, error=ValueError, data: bytes | None = None
 
     A row is an object whose keys lie in `keys` and include `required`, and
     whose values are JSON strings; an optional key may be null, which reads as
-    absent. Bad JSON and any other row raise `error`.
+    absent. Bytes that are not UTF-8, bad JSON and any other row raise `error`.
     """
     if data is None:
         data = Path(path).read_bytes()
+    # a line ends at \n, \r\n or \r, as open(path, encoding="utf-8") reads the file
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
+        raise error(f"{path}:{line_no}: not UTF-8: {exc.reason}") from None
     rows = []
-    # decoded as open(path, encoding="utf-8") would read the file
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            where = f"{path}:{line_no}"
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{where}: bad JSON: {exc}") from None
-            if not isinstance(row, dict) or not set(required) <= set(row) <= set(keys):
-                raise error(f"{where}: expected an object with keys {sorted(required)} (allowed: {sorted(keys)})")
-            row = {k: v for k, v in row.items() if v is not None or k in required}
-            for key, value in row.items():
-                if not isinstance(value, str):
-                    raise error(f"{where}: {key} must be a string, got {value!r}")
-            rows.append((where, row))
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        where = f"{path}:{line_no}"
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{where}: bad JSON: {exc}") from None
+        if not isinstance(row, dict) or not set(required) <= set(row) <= set(keys):
+            raise error(f"{where}: expected an object with keys {sorted(required)} (allowed: {sorted(keys)})")
+        row = {k: v for k, v in row.items() if v is not None or k in required}
+        for key, value in row.items():
+            if not isinstance(value, str):
+                raise error(f"{where}: {key} must be a string, got {value!r}")
+        rows.append((where, row))
     return rows

@@ -238,7 +238,7 @@ class Checkpoint:
     @classmethod
     def load(cls, path, data: bytes | None = None) -> "Checkpoint":
         """The checkpoint in `data`, the bytes read from path, when given,
-        else in the file; errors name path."""
+        else in the file; errors name path. Every array must be finite."""
         raw = Path(path).read_bytes() if data is None else data
         if raw[:8] != cls.MAGIC:
             raise ValueError(f"{path} is not a checkpoint (bad magic)")
@@ -280,6 +280,9 @@ class Checkpoint:
         for name, param in expected.named_params():
             params[name] = np.frombuffer(raw, np.float64, param.size, offset).reshape(param.shape).copy()
             offset += param.size * 8
+            bad = np.argwhere(~np.isfinite(params[name]))
+            if len(bad):
+                raise ValueError(f"{path}: bad checkpoint: array {name} is not finite at {bad[0].tolist()}")
         model = ToyModel(vocab=vocab, context=context, **params)
         return cls(model=model, step=step, config_hash=cfg_hash)
 

@@ -350,6 +350,58 @@ def test_eval_garbage_checkpoint_is_runtime_error(tmp_path):
     assert main(["eval", str(missing), str(prompts), "--out", str(tmp_path / "ev")]) == 1
 
 
+def test_eval_non_finite_checkpoint_is_runtime_error(tmp_path, capsys):
+    ckpt = trained_checkpoint(tmp_path)
+    checkpoint = training.Checkpoint.load(ckpt)
+    checkpoint.model.embed[0, 0] = np.nan
+    checkpoint.save(ckpt)
+    prompts = write_prompts(tmp_path / "prompts.jsonl")
+    assert main(["eval", str(ckpt), str(prompts), "--out", str(tmp_path / "ev")]) == 1
+    assert f"{ckpt}: bad checkpoint: array embed is not finite at [0, 0]" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("command, code", [("eval", 2), ("train", 1)])
+def test_input_that_is_not_utf8_exits_as_bad_json_does(tmp_path, capsys, command, code):
+    # a bad prompts file is a usage error and a bad corpus a runtime one
+    ckpt = trained_checkpoint(tmp_path)
+    path = tmp_path / ("prompts.jsonl" if command == "eval" else "corpus.jsonl")
+    if command == "eval":
+        args = ["eval", str(ckpt), str(path), "--out", str(tmp_path / "ev")]
+    else:
+        args = ["train", str(tmp_path / "run.json")]
+    capsys.readouterr()
+    for line, message in ((b'{"id": "p0"\n', "bad JSON"), (b"\xff\n", "not UTF-8")):
+        path.write_bytes(b"\n" + line)
+        assert main(args) == code
+        assert f"{path}:2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_run_records_give_input_paths_absolute(tmp_path, monkeypatch):
+    # a config in the working directory and an eval given relative paths: each
+    # run.json path finds its file from anywhere, and a symlink keeps its name
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SFTLAB_OUT_ROOT", raising=False)
+    write_experiment(tmp_path, output_dir="out")
+    write_prompts(tmp_path / "prompts.jsonl")
+    Path("linked.jsonl").symlink_to("prompts.jsonl")
+    assert main(["train", "run.json"]) == 0
+    assert main(["eval", "out/checkpoint.bin", "linked.jsonl", "--out", "ev", "--samples", "2", "--max-tokens", "4",
+                 "--metrics", "entropy"]) == 0
+    paths = {
+        (run, name): entry["path"]
+        for run in ("out", "ev")
+        for name, entry in json.loads(Path(run, "run.json").read_text())["inputs"].items()
+    }
+    cwd = Path.cwd()
+    assert paths == {
+        ("out", "corpus"): str(cwd / "corpus.jsonl"),
+        ("ev", "checkpoint"): str(cwd / "out" / "checkpoint.bin"),
+        ("ev", "prompts"): str(cwd / "linked.jsonl"),
+    }
+
+
 # -------------------------------------------------------------- gradcheck ----
 
 
@@ -971,6 +1023,25 @@ def test_sweep_workers_write_the_same_summary(tmp_path):
     assert summaries[0] == summaries[1]
 
 
+def test_sweep_pool_opens_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # 1 cell x 2 seeds is 2 tasks, so workers 8 opens a pool of 2: a forking
+    # pool starts every worker it is given at once
+    real, opened = harness.ProcessPoolExecutor, []
+
+    def recording(max_workers, **kwargs):
+        opened.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recording)
+    summaries = []
+    for workers in (8, 1):
+        spec = write_sweep(tmp_path, gammas=[3.0], workers=workers, output_dir=str(tmp_path / f"w{workers}"))
+        assert main(["sweep", str(spec)]) == 0
+        summaries.append((tmp_path / f"w{workers}" / "sweep_summary.csv").read_bytes())
+    assert opened == [2]
+    assert summaries[0] == summaries[1]
+
+
 def test_forked_sweep_workers_above_the_helper_floor_write_the_same_files(tmp_path, monkeypatch):
     # batch 8 of about 11 rows at c8 d32 h128 is 2.9M multiply-adds a step,
     # above the floor, so every train call opens a helper thread. The
@@ -1254,7 +1325,7 @@ def test_probe_records_the_corpus_bytes_it_parsed(tmp_path, monkeypatch):
     assert {name: entry["sha256"] for name, entry in run["inputs"].items()} == parsed
     assert content_hash(tmp_path / "sft.jsonl") != parsed["sft_corpus"]
     assert len(corpora) == 2
-    assert corpora[0] is spec.parsed_pretrain_corpus and corpora[1] is spec.parsed_sft_corpus
+    assert corpora[0] is spec.pretrain_corpus.parsed and corpora[1] is spec.sft_corpus.parsed
 
 
 def test_eval_run_records_its_sampling_config(tmp_path):

@@ -166,7 +166,7 @@ def test_load_experiment_config_happy_path(tmp_path):
     path = write_config(tmp_path, experiment_payload(tmp_path))
     cfg = load_experiment_config(path)
     assert cfg.train.total_steps == 20
-    assert cfg.corpus == tmp_path / "corpus.jsonl"
+    assert cfg.corpus.path == tmp_path / "corpus.jsonl"
     # loading twice hashes identically
     assert config_hash(cfg.to_dict()) == config_hash(load_experiment_config(path).to_dict())
 
@@ -200,7 +200,7 @@ def test_load_experiment_config_relative_corpus_resolves_against_config(tmp_path
         "output_dir": str(tmp_path / "out"),
     }
     cfg = load_experiment_config(write_config(sub, payload))
-    assert cfg.corpus == sub / "corpus.jsonl"
+    assert cfg.corpus.path == sub / "corpus.jsonl"
 
 
 def test_load_experiment_config_missing_file():

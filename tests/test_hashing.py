@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import sftlab
-from sftlab.config import ConfigError
+from sftlab.config import ConfigError, load_prompts
 from sftlab import hashing
-from sftlab.hashing import csv_text, read_jsonl, write_file
+from sftlab.hashing import RunInput, bytes_hash, csv_text, read_jsonl, read_parsed, write_file
+from sftlab.training import Corpus
 
 # ---------------------------------------------------------------- writes ----
 
@@ -126,6 +127,43 @@ def test_read_jsonl_rejects_rows_that_are_not_string_objects(tmp_path, line):
         read_jsonl(path, ("a", "b"), ("a",))
     with pytest.raises(ConfigError):
         read_jsonl(path, ("a", "b"), ("a",), ConfigError)
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"\xff\n", 1),
+        (b'{"a": "x"}\r\n{"a": "\xe9"}\n', 2),  # latin-1, not UTF-8
+        (b'{"a": "x"}\r{"a": "x"}\n\n{"a": "caf\xc3', 4),  # cut mid-character
+    ],
+    ids=["first_line", "after_crlf", "after_cr_and_blank"],
+)
+def test_read_jsonl_names_the_line_of_bytes_that_are_not_utf8(tmp_path, data, line):
+    # lines end at \n, \r\n or \r, as they do for the rows that decode
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}: not UTF-8")):
+        read_jsonl(path, ("a",), ("a",), ConfigError)
+
+
+@pytest.mark.parametrize("load, error", [(Corpus.load_jsonl, ValueError), (load_prompts, ConfigError)])
+def test_loaders_name_the_line_of_bytes_that_are_not_utf8(tmp_path, load, error):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(b'\n\r\n{"prompt": "\xff"}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: not UTF-8")) as info:
+        load(path)
+    assert type(info.value) is error
+
+
+def test_read_parsed_gives_the_absolute_path_the_parse_and_the_sha256(tmp_path, monkeypatch):
+    # the parse sees the path as given, so its errors name it so; the path
+    # recorded is absolute, and a symlink keeps its own name
+    monkeypatch.chdir(tmp_path)
+    Path("in.txt").write_bytes(b"abc")
+    Path("link.txt").symlink_to("in.txt")
+    run_input = read_parsed("link.txt", lambda path, data: (path, data))
+    assert run_input == RunInput(Path.cwd() / "link.txt", ("link.txt", b"abc"), bytes_hash(b"abc"))
+    assert "abc" not in repr(run_input)
 
 
 # ----------------------------------------------------------------- guard ----

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -815,6 +816,21 @@ def test_checkpoint_rejects_mistyped_header_fields(tmp_path, field, value):
     with pytest.raises(ValueError, match="bad checkpoint header") as info:
         Checkpoint.load(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "name, index, value", [("embed", (0, 0), np.nan), ("w_out", (1, 2), np.inf), ("b_out", (0,), -np.inf)]
+)
+def test_checkpoint_rejects_non_finite_arrays(tmp_path, name, index, value):
+    """A non-finite parameter fails the load, which names the file, the array
+    and its first bad index, not the first forward pass that meets it."""
+    model = ToyModel.zeros(Vocab("ab"), 1, 2, 3)
+    getattr(model, name)[index] = value
+    path = tmp_path / "model.bin"
+    Checkpoint(model, 0, "0" * 64).save(path)
+    message = f"{path}: bad checkpoint: array {name} is not finite at {list(index)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Checkpoint.load(path)
 
 
 # --------------------------------------------------------------- golden ----
